@@ -93,7 +93,7 @@ class BenchConfig:
     reps: int = 10
     tune: bool = True
     ideal: bool = False
-    threads: int = 0  # 0 = machine parallelism
+    threads: int = 1  # 0 = one per CPU
     emit: str = "csv"
     out: str | None = None
     verify: bool = False
@@ -345,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=["csv", "table", "json"], default="csv")
     p.add_argument("--ideal", action="store_true",
                    help="also report the speedup with bound overhead removed")
-    p.add_argument("--threads", type=int, default=0,
-                   help="query worker threads (0 = machine parallelism)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="query worker threads (default 1, the fastest: the search "
+                        "holds the interpreter lock; 0 = one per CPU)")
     p.add_argument("--verify", action="store_true",
                    help="check bound soundness on a data subsample before running")
     return p

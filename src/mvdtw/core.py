@@ -91,6 +91,25 @@ class MultivariateSeries:
         return self.values[i]
 
 
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=-1)`, bit for bit, but fast on large batches.
+
+    numpy reduces a short last axis with a costly per-row inner loop.  It
+    adds an axis of up to seven entries left to right, so adding the columns
+    one at a time gives the same bits several times faster once the batch is
+    large; small inputs and longer axes go to numpy.  Point distances must
+    stay bit-identical between the bounds and the DTW cell costs, and the
+    tests pin both paths to numpy's result.
+    """
+    dims = x.shape[-1]
+    if not 2 <= dims <= 7 or x.size < 8 * dims**3:
+        return x.sum(axis=-1)
+    total = x[..., 0] + x[..., 1]
+    for p in range(2, dims):
+        total += x[..., p]
+    return total
+
+
 def point_distance(a, b) -> float:
     """Euclidean (L2) distance between two equal-dimension points."""
     av = np.asarray(a, dtype=np.float64)
@@ -108,12 +127,6 @@ def dists_to_rows(p: np.ndarray, block: np.ndarray) -> np.ndarray:
     values and DTW cell costs are bit-identical for identical point pairs.
     """
     diff = block - p
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
-def cross_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full pairwise distance matrix between rows of `a` and rows of `b`."""
-    diff = a[:, None, :] - b[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
 

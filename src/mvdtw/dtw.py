@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import InvalidInputError, as_series
+from .core import InvalidInputError, as_series, sum_last
 
 _INF = float("inf")
 
@@ -30,16 +31,29 @@ class DtwResult:
     cells: int = 0
 
 
+def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast rows of `a` and `b`.  Every DTW
+    cell cost goes through this expression, so the single-pair and batched
+    kernels agree bit for bit."""
+    diff = a - b
+    return np.sqrt(sum_last(diff * diff))
+
+
 def cost_band(qa: np.ndarray, ca: np.ndarray, w: int) -> np.ndarray:
     """Local cost band: entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w],
     +inf where the column index falls outside [0, n-1]."""
     n = qa.shape[0]
     j = np.arange(n)[:, None] + np.arange(-w, w + 1)[None, :]
     valid = (j >= 0) & (j < n)
-    diff = qa[:, None, :] - ca[np.clip(j, 0, n - 1)]
-    band = np.sqrt((diff * diff).sum(axis=-1))
+    band = point_costs(qa[:, None, :], ca[np.clip(j, 0, n - 1)])
     band[~valid] = _INF
     return band
+
+
+def row_cells(n: int, w: int) -> np.ndarray:
+    """Cumulative DP cell count after each row of an (n, w) band."""
+    i = np.arange(n)
+    return np.cumsum(np.minimum(i + w, n - 1) - np.maximum(i - w, 0) + 1)
 
 
 def dtw_banded(q, c, window: int, abandon_above: float | None = None) -> DtwResult:
@@ -100,3 +114,89 @@ def dtw_banded(q, c, window: int, abandon_above: float | None = None) -> DtwResu
 
     final = prev[w]  # column j = n-1 sits at offset w in the last row
     return DtwResult(final, final > threshold, cells)
+
+
+@lru_cache(maxsize=32)
+def _sweep_plan(n: int, w: int) -> tuple:
+    """Slices for each anti-diagonal s = i + j of an (n, w) band.
+
+    Anti-diagonal s holds the cells with offset d = i - j in [-w, w] and the
+    parity of s; slot d + w + 1 of a (count, 2w + 3) buffer stores cell d,
+    with one +inf pad slot at each end.  Per step: query rows, candidate
+    columns (j falls as d rises, so walked backwards), the cells' slots, the
+    slots of their (i-1, j) and (i, j-1) neighbours on the previous
+    anti-diagonal, and the row this step completes (-1 if none).
+    """
+    last = 2 * (n - 1)
+    row_done = {i + min(n - 1, i + w): i for i in range(n)}
+    plan = []
+    for s in range(last + 1):
+        d_lo = max(-w, -s, s - last)
+        d_hi = min(w, s, last - s)
+        d_lo += (d_lo + s) & 1
+        d_hi -= (d_hi + s) & 1
+        done = row_done.get(s, -1)
+        if d_lo > d_hi:  # window 0: odd anti-diagonals are empty
+            plan.append((None, None, None, None, None, done))
+            continue
+        i_lo, i_hi = (s + d_lo) // 2, (s + d_hi) // 2
+        j_hi, j_lo = s - i_lo, s - i_hi
+        lo, hi = d_lo + w + 1, d_hi + w + 2
+        plan.append((
+            slice(i_lo, i_hi + 1), slice(j_hi, j_lo - 1 if j_lo > 0 else None, -1),
+            slice(lo, hi, 2), slice(lo - 1, hi - 1, 2), slice(lo + 1, hi + 1, 2), done,
+        ))
+    return tuple(plan)
+
+
+def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | None = None):
+    """Banded DTW of one query against a stack of candidates, all at once.
+
+    `qa` is a validated (n, D) series, `cas` a validated (C, n, D) stack and
+    `w` the effective window (0 <= w <= n-1).  Returns (row_min, final):
+    row_min[c, i] is the minimum of DP row i for candidate c and final[c]
+    its DTW distance, both bit-identical to what dtw_banded computes for the
+    pair.  Reading rows in order until the first minimum above a threshold
+    replays dtw_banded's abandoning exactly.
+
+    The DP runs over anti-diagonals i + j = s, whose cells depend only on the
+    two previous anti-diagonals, so each step is a few array operations over
+    every candidate.  With `drop_above` (one threshold per candidate), a
+    candidate leaves the sweep after the first completed row whose minimum
+    exceeds its threshold.  Its rows up to that one are exact; later rows
+    hold partial minima or +inf, and its final stays +inf.
+    """
+    count, n, _ = cas.shape
+    row_min = np.full((count, n), _INF)
+    final = np.full(count, _INF)
+    act = np.arange(count)
+    cs = cas
+    rows = row_min.copy()
+    thr = None if drop_above is None else np.asarray(drop_above, dtype=np.float64)
+    # Buffers for anti-diagonals s-2, s-1 and s.  Before s = 0, a virtual
+    # cell (-1, -1) of value 0 makes cell (0, 0) cost exactly itself.
+    two_back, one_back, cur = np.full((3, count, 2 * w + 3), _INF)
+    two_back[:, w + 1] = 0.0
+    for q_rows, c_cols, here, up, left, done in _sweep_plan(n, w):
+        cur.fill(_INF)
+        if q_rows is not None:
+            cost = point_costs(qa[q_rows], cs[:, c_cols])
+            best = np.minimum(one_back[:, up], one_back[:, left])
+            np.minimum(best, two_back[:, here], out=best)
+            cells = cur[:, here]
+            np.add(cost, best, out=cells)
+            seg = rows[:, q_rows]
+            np.minimum(seg, cells, out=seg)
+        two_back, one_back, cur = one_back, cur, two_back
+        if thr is not None and done >= 0:
+            keep = rows[:, done] <= thr
+            if not keep.all():
+                gone = ~keep
+                row_min[act[gone]] = rows[gone]
+                act, cs, rows, thr = act[keep], cs[keep], rows[keep], thr[keep]
+                two_back, one_back, cur = two_back[keep], one_back[keep], cur[keep]
+                if not len(act):
+                    return row_min, final
+    row_min[act] = rows
+    final[act] = one_back[:, w + 1]  # cell (n-1, n-1): s = 2(n-1), d = 0
+    return row_min, final

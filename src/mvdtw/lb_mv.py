@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_series, cross_dists, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_series, sum_last, sum_with_abandon
+from .dtw import cost_band
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +90,12 @@ def build_envelope(q, window: int) -> Envelope:
 
 
 def envelope_deviations(ca: np.ndarray, env: Envelope) -> np.ndarray:
-    """Per-point Euclidean distance from candidate points to the envelope box."""
+    """Per-point Euclidean distance from candidate points to the envelope box.
+
+    `ca` is one (n, D) series or a (C, n, D) stack of them."""
     dev_hi = np.maximum(ca - env.upper, 0.0)
     dev_lo = np.maximum(env.lower - ca, 0.0)
-    return np.sqrt((dev_hi * dev_hi + dev_lo * dev_lo).sum(axis=1))
+    return np.sqrt(sum_last(dev_hi * dev_hi + dev_lo * dev_lo))
 
 
 def lb_mv(c, env: Envelope, abandon_above: float | None = None) -> BoundResult:
@@ -119,10 +122,5 @@ def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
     ca = as_series(c)
     if qa.shape != ca.shape:
         raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
-    n = qa.shape[0]
-    w = min(int(window), n - 1)
-    dists = cross_dists(ca, qa)
-    i = np.arange(n)
-    outside = np.abs(i[:, None] - i[None, :]) > w
-    dists[outside] = np.inf
-    return sum_with_abandon(dists.min(axis=1), abandon_above)
+    w = min(int(window), qa.shape[0] - 1)
+    return sum_with_abandon(cost_band(ca, qa, w).min(axis=1), abandon_above)

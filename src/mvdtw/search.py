@@ -10,6 +10,11 @@ candidate is skipped only when a lower bound of its DTW distance already
 reaches d_best, and d_best only improves on exact distances, so every method
 returns the nearest neighbor the plain linear scan finds.
 
+The scan is executed in two stages: the envelope bound and the exact DTW
+are computed for whole batches of candidates at once, then the scan is
+replayed candidate by candidate from the recorded values.  Answers and
+counters are exactly those of the one-at-a-time scan (see nn_search).
+
 Method and parameter selection on a data sample ranks configurations by a
 deterministic work model (DP cells and bound point-touches, dimension
 weighted) rather than wall time, so repeated runs with one seed pick the same
@@ -24,14 +29,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvalidInputError, Method, SearchParams, TiVariant, as_series
-from .dtw import dtw_banded
-from .lb_mv import build_envelope, lb_ad, lb_mv
+from .core import InvalidInputError, Method, MultivariateSeries, SearchParams, TiVariant, as_series
+from .dtw import dtw_rows, point_costs, row_cells
+from .lb_mv import build_envelope, envelope_deviations, lb_ad
 from .lb_pc import build_box_sets, lb_pc
 from .lb_ti import NeighborDistances, lb_ti, neighbor_steps
 
 TUNE_CANDIDATE_SAMPLE = 23
 TUNE_QUERY_SAMPLE = 8
+_BLOCK = 32
 
 
 @dataclass
@@ -72,6 +78,47 @@ def _trigger(params: SearchParams, advanced: Method) -> float:
     return params.trigger_pc if advanced == Method.LB_PC else params.trigger_ti
 
 
+def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
+    """Validate the candidates once, as a (C, n, D) float64 stack.
+
+    Every candidate must have the query's shape and finite values; anything
+    else raises InvalidInputError naming the first offending candidate.
+    """
+    arrays = []
+    for k, c in enumerate(candidates):
+        if isinstance(c, MultivariateSeries):
+            a = c.values
+        else:
+            try:
+                a = np.asarray(c, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"candidate {k} is not a numeric series: {exc}") from None
+            if a.ndim == 1:
+                a = a[:, None]
+        if a.shape != shape:
+            raise InvalidInputError(f"candidate {k} has shape {a.shape}, query has {shape}")
+        arrays.append(a)
+    if not arrays:
+        raise InvalidInputError("candidate list is empty")
+    stack = np.stack(arrays)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise InvalidInputError(f"candidate {k} contains non-finite values")
+    return stack
+
+
+def _blockwise(fn, stack: np.ndarray) -> np.ndarray:
+    """fn over blocks of _BLOCK candidates, concatenated, which keeps the
+    (block, n, D) temporaries of the batch stage small."""
+    return np.concatenate([fn(stack[b : b + _BLOCK]) for b in range(0, len(stack), _BLOCK)])
+
+
+def _sequential_sums(per_point: np.ndarray) -> np.ndarray:
+    """Row totals summed left to right, the order sum_with_abandon uses."""
+    return np.cumsum(per_point, axis=-1)[..., -1]
+
+
 def nn_search(
     query,
     candidates,
@@ -86,20 +133,27 @@ def nn_search(
     when params.method is TC_DTW (fill it from tc_dtw_select).  `dim_range`
     is the dataset's per-dimension value range, used by the clustering bound's
     minimum cell size.
+
+    The work runs in two stages.  The batch stage computes the envelope bound
+    of every candidate at once and runs one batched DTW sweep (dtw_rows) over
+    every candidate the scan might have to compare exactly.  The replay stage
+    then walks the candidates in order, making the skip, trigger and abandon
+    decisions the one-at-a-time scan makes from the recorded values, so the
+    answer and every counter equal that scan's.
     """
     t_start = time.perf_counter()
     qa = as_series(query)
-    cas = [as_series(c) for c in candidates]
-    if not cas:
-        raise InvalidInputError("candidate list is empty")
     n, dims = qa.shape
+    stack = _stack_candidates(candidates, qa.shape)
+    count = stack.shape[0]
     method = params.method
     adv = _advanced_method(params, advanced)
     w = params.effective_window(n)
 
     out = NnOutcome(best_index=0, best_distance=0.0)
 
-    # Per-query preparation, all charged to lb_time as bound overhead.
+    # Per-query preparation and the batched envelope bound, all charged to
+    # lb_time as bound overhead.
     env = None
     nd = None
     boxes = None
@@ -107,6 +161,7 @@ def nn_search(
     if method != Method.NONE:
         env = build_envelope(qa, w)
         out.work += n * dims
+        lb_totals = _blockwise(lambda b: _sequential_sums(envelope_deviations(b, env)), stack)
     if adv == Method.LB_TI:
         nd = NeighborDistances(query_steps=neighbor_steps(qa))
         out.work += n * dims
@@ -124,27 +179,68 @@ def nn_search(
     work_pc = n * params.max_boxes * dims
     work_ad = n * (2.0 * w + 1.0) * dims
 
+    # Batch stage.  d_best only falls, and once candidate k has been scanned
+    # it is at most the cost of k's diagonal path (an upper bound of k's DTW
+    # distance): the scan either compared k exactly or skipped it on a lower
+    # bound at or above d_best.  So the d_best candidate k meets is at most
+    # the prefix minimum `upper[k]` of the earlier diagonal costs, and k needs
+    # a DTW only if its envelope bound is below that.  The sweep drops k once
+    # a whole row exceeds upper[k], where any scan abandons it.
     t0 = time.perf_counter()
-    first = dtw_banded(qa, cas[0], w)
+    if method == Method.NONE:
+        upper = np.full(count, np.inf)
+        need = np.arange(count)
+    else:
+        diagonal = _blockwise(lambda b: _sequential_sums(point_costs(qa, b)), stack)
+        upper = np.empty(count)
+        upper[0] = np.inf
+        np.minimum.accumulate(diagonal[:-1], out=upper[1:])
+        need = np.flatnonzero(lb_totals < upper)
+        lb_totals = lb_totals.tolist()
+    batch = stack if len(need) == count else stack[need]
+    row_min, final = dtw_rows(qa, batch, w, drop_above=upper[need])
+
+    # Row i's frontier is the largest row minimum up to i, so the first row
+    # whose minimum exceeds a threshold is where the frontier first does.
+    frontier = np.maximum.accumulate(row_min, axis=1)
+    slot = dict(zip(need.tolist(), range(len(need))))
+    upper = upper.tolist()
+    cells_after = row_cells(n, w).tolist()
     out.dtw_time += time.perf_counter() - t0
+
+    def exact(k: int, threshold: float) -> tuple[float, bool, int]:
+        """dtw_banded(qa, stack[k], w, abandon_above=threshold), replayed."""
+        t0 = time.perf_counter()
+        r = slot.get(k)
+        if r is None or threshold > upper[k]:
+            # Not recorded by the batch: only an unsound bound, or an envelope
+            # bound that overflowed to +inf, leads here.
+            rows, fin = dtw_rows(qa, stack[k : k + 1], w)
+            rows, fr, fin = rows[0], np.maximum.accumulate(rows[0]), fin[0]
+        else:
+            rows, fr, fin = row_min[r], frontier[r], final[r]
+        i = int(fr.searchsorted(threshold, side="right"))
+        out.dtw_time += time.perf_counter() - t0
+        if i < n:
+            return float(rows[i]), True, cells_after[i]
+        return float(fin), bool(fin > threshold), cells_after[-1]
+
+    d_best, _, cells = exact(0, np.inf)
     out.dtw_computed += 1
-    out.work += first.cells * dims
-    d_best = first.distance
+    out.work += cells * dims
     best_idx = 0
 
-    abandon = None if method == Method.NONE else True
-    for k in range(1, len(cas)):
-        ca = cas[k]
+    abandon = method != Method.NONE
+    for k in range(1, count):
         if method != Method.NONE:
-            t0 = time.perf_counter()
-            b1 = lb_mv(ca, env, abandon_above=d_best)
-            out.lb_time += time.perf_counter() - t0
             out.lb_mv_evals += 1
             out.work += work_mv
-            if b1.value >= d_best:
+            b1 = lb_totals[k]
+            if b1 >= d_best:
                 out.dtw_skipped += 1
                 continue
-            if adv is not None and b1.value > _trigger(params, adv) * d_best:
+            if adv is not None and b1 > _trigger(params, adv) * d_best:
+                ca = stack[k]
                 t0 = time.perf_counter()
                 if adv == Method.LB_TI:
                     b2 = lb_ti(
@@ -163,15 +259,13 @@ def nn_search(
                 if b2.value >= d_best:
                     out.dtw_skipped += 1
                     continue
-        t0 = time.perf_counter()
-        res = dtw_banded(qa, ca, w, abandon_above=d_best if abandon else None)
-        out.dtw_time += time.perf_counter() - t0
+        distance, abandoned, cells = exact(k, d_best if abandon else np.inf)
         out.dtw_computed += 1
-        out.work += res.cells * dims
-        if res.abandoned:
+        out.work += cells * dims
+        if abandoned:
             out.abandon_count += 1
-        elif res.distance < d_best:
-            d_best = res.distance
+        elif distance < d_best:
+            d_best = distance
             best_idx = k
 
     out.best_index = best_idx

@@ -146,6 +146,14 @@ def test_config_errors(data_file, capsys):
     capsys.readouterr()
 
 
+def test_threads_default_to_one(data_file):
+    # the search holds the interpreter lock, so extra threads only add overhead
+    from mvdtw.cli import build_parser, config_from_args
+
+    assert BenchConfig(data=[data_file]).resolved_threads() == 1
+    assert config_from_args(build_parser().parse_args(["--data", data_file])).resolved_threads() == 1
+
+
 def test_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.mts"
     bad.write_text("1 2 2\n1 2\nch oke\n")

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvdtw import InvalidInputError, Method, MultivariateSeries, SearchParams, point_distance
+from mvdtw.core import sum_last
 
 points = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=8
@@ -14,6 +15,18 @@ def test_point_distance_examples():
     assert point_distance((0, 0), (0, 0)) == 0.0
     assert point_distance((0, 0), (3, 4)) == 5.0
     assert point_distance((1,), (4,)) == 3.0
+
+
+@pytest.mark.parametrize("dims", range(1, 11))
+def test_sum_last_matches_numpy_bit_for_bit(dims):
+    # the column-by-column path must give numpy's bits on either side of the
+    # size switch, or DTW costs and bound distances could drift apart by ulps
+    g = np.random.default_rng(dims)
+    for shape in [(1,), (3,), (5, 7), (8 * dims * dims,), (40, 21), (3, 50, 11)]:
+        x = g.random(shape + (dims,)) * 10.0 ** g.uniform(-4, 4, shape + (dims,))
+        assert np.array_equal(sum_last(x), x.sum(axis=-1))
+    v = g.random(dims)
+    assert sum_last(v) == v.sum()
 
 
 def test_point_distance_dimension_mismatch():

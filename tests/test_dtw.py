@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdtw import InvalidInputError, dtw_banded
+from mvdtw.dtw import dtw_rows, row_cells
 
-from oracles import brute_dtw, count_band_paths, point_dist
+from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist
 
 
 def test_identity_alignment(rng):
@@ -98,3 +101,60 @@ def test_count_band_paths_sanity():
     assert count_band_paths(3, 5) == 13
     assert count_band_paths(4, 5) == 63
     assert count_band_paths(4, 0) == 1
+
+
+def replay(row_min, final, cells_after, threshold):
+    """dtw_banded's abandoning decision, read off recorded rows."""
+    for i, m in enumerate(row_min):
+        if m > threshold:
+            return m, True, cells_after[i]
+    return final, final > threshold, cells_after[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dims=st.integers(1, 10),
+    extra_window=st.integers(0, 43),
+    count=st.integers(1, 8),
+    walk=st.booleans(),
+)
+def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk):
+    window = extra_window % (n + 4)  # W in [0, n + 3]
+    g = np.random.default_rng(seed)
+    q = g.normal(size=(n, dims))
+    cands = g.normal(size=(count, n, dims))
+    if walk:
+        q, cands = np.cumsum(q, axis=0), np.cumsum(cands, axis=1)
+    w = min(window, n - 1)
+    row_min, final = dtw_rows(q, cands, w)
+    cells_after = row_cells(n, w).tolist()
+    for k in range(count):
+        minima, dist = banded_row_minima(q, cands[k], window)
+        assert row_min[k].tolist() == minima
+        assert final[k] == dist == dtw_banded(q, cands[k], window).distance
+        for t in {*minima, *(math.nextafter(m, -math.inf) for m in minima)}:
+            r = dtw_banded(q, cands[k], window, abandon_above=t)
+            assert (r.distance, r.abandoned, r.cells) == replay(minima, dist, cells_after, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dims=st.integers(1, 5),
+       window=st.integers(0, 33), count=st.integers(1, 8))
+def test_batched_rows_drop_keeps_rows_up_to_the_drop(seed, n, dims, window, count):
+    g = np.random.default_rng(seed)
+    q = np.cumsum(g.normal(size=(n, dims)), axis=0)
+    cands = np.cumsum(g.normal(size=(count, n, dims)), axis=1)
+    w = min(window, n - 1)
+    full_rows, full_final = dtw_rows(q, cands, w)
+    drop = full_final * g.uniform(0.0, 1.5, size=count)
+    rows, final = dtw_rows(q, cands, w, drop_above=drop)
+    for k in range(count):
+        over = np.flatnonzero(full_rows[k] > drop[k])
+        if over.size:
+            keep = over[0] + 1
+            assert rows[k, :keep].tolist() == full_rows[k, :keep].tolist()
+            assert final[k] == math.inf
+        else:
+            assert rows[k].tolist() == full_rows[k].tolist() and final[k] == full_final[k]

@@ -65,6 +65,32 @@ def test_lb_ad_identical_series_is_zero(rng):
     assert lb_ad(q, q, 3).value == 0.0
 
 
+def test_lb_ad_equals_masked_cross_distances(rng):
+    # the (n, n, D) formulation the band replaced, bit for bit
+    for _ in range(60):
+        q, c, w = random_instance(rng, max_n=30, max_dims=10, max_window=34)
+        n = len(q)
+        diff = c[:, None, :] - q[None, :, :]
+        dists = np.sqrt((diff * diff).sum(axis=-1))
+        i = np.arange(n)
+        dists[np.abs(i[:, None] - i[None, :]) > min(w, n - 1)] = np.inf
+        assert lb_ad(q, c, w).value == float(np.cumsum(dists.min(axis=1))[-1])
+
+
+def test_lb_ad_memory_grows_with_the_band_not_the_square():
+    import tracemalloc
+
+    g = np.random.default_rng(3)
+    q, c = g.normal(size=(2, 4000, 3))
+    tracemalloc.start()
+    try:
+        lb_ad(q, c, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # an (n, n, D) temporary would be 384 MB
+
+
 def test_bounds_match_naive_and_stay_sound(rng):
     for _ in range(80):
         q, c, w = random_instance(rng, max_n=24, max_dims=4, max_window=8)

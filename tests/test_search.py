@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdtw import (
     InvalidInputError,
@@ -201,3 +203,93 @@ def test_tuned_params_do_not_change_answers(rng):
     for q, ref in zip(queries, base):
         out = nn_search(q, cands, tuned, advanced=choice)
         assert (out.best_index, out.best_distance) == (ref.best_index, ref.best_distance)
+
+
+COUNTER_FIELDS = ("best_index", "best_distance", "dtw_computed", "dtw_skipped",
+                  "lb_mv_evals", "advanced_lb_evals", "abandon_count", "work")
+CASCADES = [(m, None) for m in Method if m != Method.TC_DTW] + [
+    (Method.TC_DTW, Method.LB_TI), (Method.TC_DTW, Method.LB_PC)]
+
+
+def search_case(seed, kind, count, n, dims):
+    """A query and its candidates: random walks, iid noise, plateaus (many
+    equal point costs), or constant series and repeated candidates (ties)."""
+    g = np.random.default_rng(seed)
+    if kind == "walk":
+        data = np.cumsum(g.normal(size=(count + 1, n, dims)), axis=1)
+    elif kind == "iid":
+        data = g.normal(size=(count + 1, n, dims))
+    elif kind == "plateau":
+        steps = g.normal(size=(count + 1, n, dims)) * (g.random((count + 1, n, 1)) < 0.3)
+        data = np.cumsum(steps, axis=1)
+    else:  # constant series drawn from a few levels, so whole candidates repeat
+        levels = g.integers(0, 3, size=(count + 1, 1, dims)).astype(float)
+        data = np.broadcast_to(levels, (count + 1, n, dims)).copy()
+    return data[0], list(data[1:])
+
+
+def assert_matches_reference(q, cands, window, trigger):
+    from oracles import reference_nn_search
+
+    for method, advanced in CASCADES:
+        params = SearchParams(window=window, method=method, trigger_ti=trigger, trigger_pc=trigger)
+        got = nn_search(q, cands, params, advanced=advanced)
+        want = reference_nn_search(q, cands, params, advanced=advanced)
+        for name in COUNTER_FIELDS:
+            assert getattr(got, name) == getattr(want, name), (method, advanced, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["walk", "iid", "plateau", "constant"]),
+    count=st.integers(1, 12),
+    n=st.integers(1, 16),
+    dims=st.integers(1, 10),
+    extra_window=st.integers(0, 19),
+    trigger=st.sampled_from([0.05, 0.5, 0.95]),
+)
+def test_counters_match_reference_cascade(seed, kind, count, n, dims, extra_window, trigger):
+    # window ranges over [0, n + 3]: W >= n is capped at n - 1
+    q, cands = search_case(seed, kind, count, n, dims)
+    assert_matches_reference(q, cands, extra_window % (n + 4), trigger)
+
+
+def test_replay_falls_back_outside_the_batch(monkeypatch):
+    # With every diagonal cost forced to zero, the upper bounds claim that
+    # no candidate after the first can need a DTW, so the batch computes only
+    # candidate 0 and every later DTW goes through the per-candidate fallback.
+    import mvdtw.search as search
+
+    monkeypatch.setattr(search, "point_costs", lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+    for seed, kind in ((1, "walk"), (2, "iid"), (3, "plateau")):
+        q, cands = search_case(seed, kind, 10, 14, 3)
+        assert_matches_reference(q, cands, 4, 0.5)
+
+
+def test_overflowing_costs_match_reference():
+    # finite inputs whose differences overflow: candidate 0's envelope bound
+    # and diagonal cost are both +inf, so the batch leaves it out and the
+    # replay computes it on its own
+    q = np.array([[1e308], [1e308], [0.0]])
+    cands = [np.array([[-1e308], [-1e308], [0.0]]), np.zeros((3, 1)), np.full((3, 1), 1.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_reference(q, cands, 1, 0.5)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((7, 2)),                       # one point too many
+    np.zeros((6, 3)),                       # one dimension too many
+    np.zeros(6),                            # univariate
+    np.array([[0.0, 1.0]] * 5 + [[np.nan, 0.0]]),
+    np.array([[0.0, 1.0]] * 5 + [[0.0, np.inf]]),
+    [[0.0, 1.0], [2.0]],                    # ragged
+    "not a series",
+])
+def test_bad_last_candidate_rejected_at_the_boundary(bad):
+    g = np.random.default_rng(5)
+    q = g.normal(size=(6, 2))
+    cands = [g.normal(size=(6, 2)) for _ in range(5)] + [bad]
+    for method, advanced in CASCADES:
+        with pytest.raises(InvalidInputError, match="candidate 5"):
+            nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced)
