@@ -6,8 +6,6 @@ from .core import (
     Method,
     MultivariateSeries,
     SearchParams,
-    TiVariant,
-    point_distance,
 )
 from .dtw import DtwResult, dtw_banded
 from .ingest import (
@@ -23,16 +21,16 @@ from .ingest import (
     write_native,
 )
 from .lb_mv import Envelope, build_envelope, lb_ad, lb_mv
-from .lb_pc import BoundingBox, BoxGrouping, BoxSet, build_box_sets, lb_pc, quantize_cluster
-from .lb_ti import NeighborDistances, lb_ti, neighbor_steps, ti_advance, ti_extend_top
+from .lb_pc import BoxGrouping, build_box_sets, lb_pc
+from .lb_ti import NeighborDistances, lb_ti, neighbor_steps
 from .search import NnOutcome, nn_search, tc_dtw_select, tune_params
 
 __all__ = [
-    "BoundResult", "BoundingBox", "BoxGrouping", "BoxSet", "Dataset", "DtwResult",
-    "Envelope", "InvalidInputError", "Method", "MultivariateSeries", "NeighborDistances",
-    "NnOutcome", "ParseError", "RawDataset", "SearchParams", "TiVariant",
+    "BoundResult", "BoxGrouping", "Dataset", "DtwResult", "Envelope",
+    "InvalidInputError", "Method", "MultivariateSeries", "NeighborDistances",
+    "NnOutcome", "ParseError", "RawDataset", "SearchParams",
     "build_box_sets", "build_envelope", "dtw_banded", "finalize", "lb_ad", "lb_mv",
     "lb_pc", "lb_ti", "neighbor_steps", "nn_search", "normalize", "parse_native",
-    "parse_ts_subset", "point_distance", "quantize_cluster", "split", "tc_dtw_select",
-    "ti_advance", "ti_extend_top", "truncate_dims", "tune_params", "write_native",
+    "parse_ts_subset", "split", "tc_dtw_select", "truncate_dims", "tune_params",
+    "write_native",
 ]

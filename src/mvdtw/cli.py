@@ -22,21 +22,19 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .core import InvalidInputError, Method, SearchParams
 from .dtw import dtw_banded
 from .ingest import Dataset, ParseError, normalize, parse_native, parse_ts_subset, split, truncate_dims
 from .lb_mv import build_envelope, lb_ad, lb_mv
 from .lb_pc import build_box_sets, lb_pc
 from .lb_ti import lb_ti
-from .core import TiVariant
-from .search import TUNE_CANDIDATE_SAMPLE, TUNE_QUERY_SAMPLE, _sample, nn_search, tc_dtw_select, tune_params
+from .search import nn_search, selection_sample, tc_dtw_select, tune_params
 
 CSV_COLUMNS = [
     "dataset", "method", "window", "dims", "skip_pct", "speedup", "ideal_speedup",
     "dtw_computed", "dtw_skipped", "lb_time_s", "dtw_time_s", "total_time_s", "seed",
 ]
+QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
 
 
 class ConfigError(ValueError):
@@ -97,7 +95,6 @@ class BenchConfig:
     emit: str = "csv"
     out: str | None = None
     verify: bool = False
-    query_frac: float = 0.3
 
     def resolved_threads(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -151,7 +148,7 @@ def _verify_soundness(queries, candidates, params: SearchParams, dim_range) -> N
             checks = {
                 "lb_mv": lb_mv(c, env).value,
                 "lb_ad": lb_ad(q, c, w).value,
-                "lb_ti": lb_ti(q, c, w, TiVariant.TIP_TOP, params.refresh_period).value,
+                "lb_ti": lb_ti(q, c, w, refresh_period=params.refresh_period).value,
                 "lb_pc": lb_pc(c, boxes).value,
             }
             for name, value in checks.items():
@@ -189,7 +186,7 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
     for ds_full in loaded:
         for dims_spec in config.dims:
             ds = ds_full if dims_spec == "all" else truncate_dims(ds_full, int(dims_spec))
-            queries_ds, cands_ds = split(ds, config.query_frac, config.seed)
+            queries_ds, cands_ds = split(ds, QUERY_FRAC, config.seed)
             queries = queries_ds.series_list()
             candidates = cands_ds.series_list()
             for window in config.windows:
@@ -229,9 +226,7 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline, threads
             params = tune_params(queries, candidates, params, seed=config.seed,
                                  dim_range=ds.dim_ranges)
         if method == Method.TC_DTW:
-            rng = np.random.default_rng(config.seed)
-            sq = _sample(queries, TUNE_QUERY_SAMPLE, rng)
-            sc = _sample(candidates, TUNE_CANDIDATE_SAMPLE, rng)
+            sq, sc = selection_sample(queries, candidates, config.seed)
             advanced = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
         run = _measure(queries, candidates, params, advanced, ds.dim_ranges,
                        threads, config.reps)

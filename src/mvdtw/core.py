@@ -1,9 +1,10 @@
-"""Shared domain types, parameter records, and the point-distance primitive.
+"""Shared domain types, parameter records, and summation helpers.
 
 Distance convention used throughout the package: the cost of aligning two
-points is the plain (non-squared) Euclidean distance, and a DTW distance is
-the plain sum of point costs along the warping path.  The non-squared form is
-a metric, which is what makes triangle-inequality bound propagation sound.
+points is the plain (non-squared) Euclidean distance (`dtw.point_costs`), and
+a DTW distance is the plain sum of point costs along the warping path.  The
+non-squared form is a metric, which is what makes triangle-inequality bound
+propagation sound.
 """
 
 from __future__ import annotations
@@ -27,15 +28,6 @@ class Method(str, Enum):
     LB_PC = "lb_pc"
     TC_DTW = "tc_dtw"
     LB_AD = "lb_ad"
-
-
-class TiVariant(str, Enum):
-    """Variant of the triangle-inequality lower bound."""
-
-    BASIC = "basic"
-    TOP = "top"
-    TIP = "tip"
-    TIP_TOP = "tip_top"
 
 
 def as_series(x) -> np.ndarray:
@@ -87,9 +79,6 @@ class MultivariateSeries:
     def dims(self) -> int:
         return self.values.shape[1]
 
-    def point(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 def sum_last(x: np.ndarray) -> np.ndarray:
     """`x.sum(axis=-1)`, bit for bit, but fast on large batches.
@@ -108,26 +97,6 @@ def sum_last(x: np.ndarray) -> np.ndarray:
     for p in range(2, dims):
         total += x[..., p]
     return total
-
-
-def point_distance(a, b) -> float:
-    """Euclidean (L2) distance between two equal-dimension points."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise InvalidInputError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    diff = av - bv
-    return float(np.sqrt((diff * diff).sum()))
-
-
-def dists_to_rows(p: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Distances from point `p` to every row of `block` ((m, D) -> (m,)).
-
-    Every distance in the package flows through this formula so that bound
-    values and DTW cell costs are bit-identical for identical point pairs.
-    """
-    diff = block - p
-    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 @dataclass(frozen=True)

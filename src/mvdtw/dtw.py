@@ -33,8 +33,8 @@ class DtwResult:
 
 def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between broadcast rows of `a` and `b`.  Every DTW
-    cell cost goes through this expression, so the single-pair and batched
-    kernels agree bit for bit."""
+    cell cost and every true distance of the triangle bound goes through this
+    expression, so the kernels and the bounds agree bit for bit on a pair."""
     diff = a - b
     return np.sqrt(sum_last(diff * diff))
 

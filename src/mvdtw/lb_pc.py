@@ -20,134 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_series, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_series, sum_last, sum_with_abandon
 
 
 @dataclass(frozen=True, eq=False)
-class BoundingBox:
-    """Axis-aligned box: lo[p] <= hi[p] for every dimension p."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class BoxSet:
-    """Bounding boxes of one (expanded) window's query points.
-
-    `los`/`his` are stacked (num_boxes, D) arrays; the union of the boxes
-    contains every point the set was built from.  `window_span` records the
-    inclusive query-index range covered (None when built standalone).
-    """
-
-    los: np.ndarray
-    his: np.ndarray
-    window_span: tuple[int, int] | None = None
-
-    @property
-    def num_boxes(self) -> int:
-        return self.los.shape[0]
-
-    @property
-    def boxes(self) -> list[BoundingBox]:
-        return [BoundingBox(self.los[b], self.his[b]) for b in range(self.num_boxes)]
-
-
-def quantize_cluster(
-    points,
-    levels: int,
-    max_boxes: int,
-    min_cell_frac: float,
-    dim_range: np.ndarray | None = None,
-    window_span: tuple[int, int] | None = None,
-) -> BoxSet:
-    """Cluster points by grid quantization into at most `max_boxes` tight boxes.
-
-    Each dimension's observed range is split into `levels` equal segments,
-    except dimensions whose range falls below min_cell_frac * dim_range (or is
-    degenerate), which stay whole.  Every non-empty cell contributes the tight
-    bounding box of its own points.  If more than `max_boxes` cells are
-    non-empty, the cells are ordered lexicographically by cell index and all
-    cells from position max_boxes-1 onward merge into a single union box.
-
-    `dim_range` is the per-dimension reference range the cell-size floor is
-    measured against (normally the dataset's normalized value range); defaults
-    to the points' own range.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
-        raise InvalidInputError("cannot cluster an empty point list")
-    if levels < 1 or max_boxes < 1:
-        raise InvalidInputError("levels and max_boxes must be >= 1")
-    dims = pts.shape[1]
-    mn = pts.min(axis=0)
-    mx = pts.max(axis=0)
-    rng = mx - mn
-    ref = rng if dim_range is None else np.asarray(dim_range, dtype=np.float64)
-    split = (rng > 0.0) & (rng >= min_cell_frac * ref)
-    if levels == 1 or not split.any():
-        return BoxSet(mn[None, :].copy(), mx[None, :].copy(), window_span)
-
-    lev = np.where(split, levels, 1)
-    seg = np.where(split, rng / lev, 1.0)
-    scaled = (pts - mn) / seg
-    scaled[:, ~split] = 0.0  # unsplit dims: everything in cell 0
-    idx = np.clip(scaled.astype(np.int64), 0, lev - 1)
-    # Mixed-radix cell id; dimension 0 is most significant, so numeric order
-    # of ids equals lexicographic order of cell-index tuples.
-    weights = np.ones(dims, dtype=np.int64)
-    for p in range(dims - 2, -1, -1):
-        weights[p] = weights[p + 1] * lev[p + 1]
-    ids = idx @ weights
-
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[0] - 1))
-    los = np.minimum.reduceat(pts[order], starts, axis=0)
-    his = np.maximum.reduceat(pts[order], starts, axis=0)
-    if los.shape[0] > max_boxes:
-        keep = max_boxes - 1
-        tail_lo = los[keep:].min(axis=0)
-        tail_hi = his[keep:].max(axis=0)
-        los = np.vstack([los[:keep], tail_lo[None, :]])
-        his = np.vstack([his[:keep], tail_hi[None, :]])
-    return BoxSet(los, his, window_span)
-
-
 class BoxGrouping:
     """Box sets of all expanded windows of one query, ready for evaluation.
 
-    `pad_lo`/`pad_hi` stack every set's boxes into (G, K_max, D) arrays padded
-    with +inf/-inf so unused slots evaluate to infinite distance.
+    Expanded window g covers the windows of query indices
+    [g * group_width, (g + 1) * group_width).  `pad_lo`/`pad_hi` stack every
+    set's boxes into (G, K_max, D) arrays padded with +inf/-inf so unused
+    slots evaluate to infinite distance; `box_counts[g]` is set g's box count.
     """
 
-    def __init__(self, group_width: int, window: int, n: int,
-                 pad_lo: np.ndarray, pad_hi: np.ndarray,
-                 box_counts: np.ndarray, spans: list[tuple[int, int]]):
-        self.group_width = group_width
-        self.window = window
-        self.n = n
-        self.pad_lo = pad_lo
-        self.pad_hi = pad_hi
-        self.box_counts = box_counts
-        self.spans = spans
-        self._sets: tuple[BoxSet, ...] | None = None
-
-    @property
-    def sets(self) -> tuple[BoxSet, ...]:
-        if self._sets is None:
-            self._sets = tuple(
-                BoxSet(self.pad_lo[g, : self.box_counts[g]].copy(),
-                       self.pad_hi[g, : self.box_counts[g]].copy(),
-                       self.spans[g])
-                for g in range(len(self.spans))
-            )
-        return self._sets
-
-    def set_for_index(self, i: int) -> BoxSet:
-        return self.sets[i // self.group_width]
+    group_width: int
+    n: int
+    pad_lo: np.ndarray
+    pad_hi: np.ndarray
+    box_counts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +48,7 @@ class _GroupedCells:
     cell_hi: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
-    spans: list[tuple[int, int]]
     group_width: int
-    window: int
     n: int
 
 
@@ -175,7 +63,6 @@ def _grouped_cells(
     g_arr = np.arange(groups)
     a = np.maximum(0, g_arr * group_width - w)
     b = np.minimum(n - 1, g_arr * group_width + w + group_width - 1)
-    spans = list(zip(a.tolist(), b.tolist()))
 
     # Gather every window's points into one (G, T, D) block; short windows
     # repeat their last point, which changes neither ranges nor cell boxes.
@@ -189,9 +76,10 @@ def _grouped_cells(
     split = (rng > 0.0) & (rng >= min_cell_frac * ref)
     lev = np.where(split, levels, 1)
     seg = np.where(split, rng / lev, 1.0)
-    scaled = (pts - mn[:, None, :]) / seg[:, None, :]
-    scaled[np.broadcast_to(~split[:, None, :], scaled.shape)] = 0.0
-    cell_idx = np.clip(scaled.astype(np.int64), 0, (lev - 1)[:, None, :])
+    # Unsplit dimensions have one level, so the clip puts them in cell 0.
+    cell_idx = ((pts - mn[:, None, :]) / seg[:, None, :]).astype(np.int64)
+    np.maximum(cell_idx, 0, out=cell_idx)
+    np.minimum(cell_idx, (lev - 1)[:, None, :], out=cell_idx)
 
     # Mixed-radix cell ids per group (dimension 0 most significant), then a
     # group-major key so one global sort orders cells lexicographically
@@ -205,13 +93,14 @@ def _grouped_cells(
 
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    cell_starts = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))
-    cell_lo = np.minimum.reduceat(flat_pts[order], cell_starts, axis=0)
-    cell_hi = np.maximum.reduceat(flat_pts[order], cell_starts, axis=0)
+    sorted_pts = flat_pts[order]
+    cell_starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    cell_lo = np.minimum.reduceat(sorted_pts, cell_starts, axis=0)
+    cell_hi = np.maximum.reduceat(sorted_pts, cell_starts, axis=0)
     cell_group = sorted_keys[cell_starts] // key_base
     counts = np.bincount(cell_group, minlength=groups)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    return _GroupedCells(cell_lo, cell_hi, counts, offsets, spans, group_width, w, n)
+    return _GroupedCells(cell_lo, cell_hi, counts, offsets, group_width, n)
 
 
 def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
@@ -221,19 +110,18 @@ def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
     groups = len(cells.counts)
     dims = cells.cell_lo.shape[1]
     n_boxes = np.minimum(cells.counts, max_boxes)
-    slot = np.arange(n_boxes.sum()) - np.repeat(np.concatenate([[0], np.cumsum(n_boxes[:-1])]), n_boxes)
-    seg_starts = np.repeat(cells.offsets[:-1], n_boxes) + slot
+    box_group = np.repeat(np.arange(groups), n_boxes)
+    slot = np.arange(len(box_group)) - (np.cumsum(n_boxes) - n_boxes)[box_group]
+    seg_starts = cells.offsets[box_group] + slot
     box_lo = np.minimum.reduceat(cells.cell_lo, seg_starts, axis=0)
     box_hi = np.maximum.reduceat(cells.cell_hi, seg_starts, axis=0)
 
     kmax = int(n_boxes.max())
     pad_lo = np.full((groups, kmax, dims), np.inf)
     pad_hi = np.full((groups, kmax, dims), -np.inf)
-    box_group = np.repeat(np.arange(groups), n_boxes)
     pad_lo[box_group, slot] = box_lo
     pad_hi[box_group, slot] = box_hi
-    return BoxGrouping(cells.group_width, cells.window, cells.n,
-                       pad_lo, pad_hi, n_boxes, cells.spans)
+    return BoxGrouping(cells.group_width, cells.n, pad_lo, pad_hi, n_boxes)
 
 
 def build_box_sets(
@@ -247,9 +135,15 @@ def build_box_sets(
 ) -> BoxGrouping:
     """Cluster a query's windows into box sets, one per expanded window.
 
-    All windows are quantized in one batched pass; the result is identical,
-    window for window, to calling quantize_cluster on each expanded window's
-    points (the test suite asserts this equivalence).
+    Each dimension of an expanded window's points is split into `levels`
+    equal segments, except dimensions whose range is zero or falls below
+    min_cell_frac * dim_range, which stay whole.  Every non-empty cell
+    contributes the tight bounding box of its own points.  If more than
+    `max_boxes` cells are non-empty, the cells are ordered lexicographically
+    by cell index and all cells from position max_boxes-1 onward merge into
+    a single union box.  `dim_range` is the reference range of the cell-size
+    floor (normally the dataset's normalized value range); it defaults to
+    the query's own range.  All windows are quantized in one batched pass.
     """
     qa = as_series(q)
     if window < 0:
@@ -275,6 +169,6 @@ def lb_pc(c, grouping: BoxGrouping, abandon_above: float | None = None) -> Bound
     pts = ca[:, None, :]
     dev_lo = np.maximum(lo - pts, 0.0)
     dev_hi = np.maximum(pts - hi, 0.0)
-    d2 = (dev_hi * dev_hi + dev_lo * dev_lo).sum(axis=-1)
+    d2 = sum_last(dev_hi * dev_hi + dev_lo * dev_lo)
     per_point = np.sqrt(d2.min(axis=1))
     return sum_with_abandon(per_point, abandon_above)

@@ -1,4 +1,5 @@
-"""Triangle-inequality lower bound on banded DTW (LB_TI and variants).
+"""Triangle-inequality lower bound on banded DTW (LB_TI, periodic with a
+true top slot).
 
 Instead of computing the distance from every candidate point to every query
 point in its window (the all-distances bound), this bound maintains, for each
@@ -8,17 +9,14 @@ true point distance and advances it with scalar operations:
     moving from q_{i-1} to q_i with step s = d(q_{i-1}, q_i):
         L' = max(L - s, s - U, 0)        U' = U + s
 
-The same recurrence extends the window's top slot along the candidate series.
-All intervals are anchored at true distances (the whole first window, plus
-refresh rows in the periodic variants), so every L is a valid floor of its
-point distance.  The bound is the sum, over candidate indices, of the
-smallest floor seen for that candidate across the rows whose window contains
-it; every warping path visits every candidate index inside the band, so the
-sum never exceeds the banded DTW distance.
-
-Intervals loosen as they are advanced (the gap U - L never shrinks), which is
-why the periodic variants re-anchor every `refresh_period` rows and why the
-TOP variants pay one true distance per row for the window's newest slot.
+Intervals are anchored at true distances: the whole window every
+`refresh_period` rows (row 0 included), and the window's newest (top) slot on
+every row, so every L is a valid floor of its point distance.  The bound is
+the sum, over candidate indices, of the smallest floor seen for that
+candidate across the rows whose window contains it; every warping path
+visits every candidate index inside the band, so the sum never exceeds the
+banded DTW distance.  Intervals loosen as they are advanced (the gap U - L
+never shrinks), which is why they are re-anchored.
 
 A one-sided safety pad of 2**-46 * (U + s) is folded into every advance.
 Floating-point Euclidean distances can violate the triangle inequality by a
@@ -34,16 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .core import (
-    BoundResult,
-    InvalidInputError,
-    TiVariant,
-    as_series,
-    dists_to_rows,
-)
+from .core import BoundResult, InvalidInputError, as_series
+from .dtw import point_costs
 
 _PROP_SLACK = 2.0 ** -46
+_CHUNK_SLOTS = 1 << 13  # interval slots advanced at once
 
 _INF = float("inf")
 
@@ -57,144 +52,94 @@ def neighbor_steps(series) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NeighborDistances:
-    """Adjacent-point distances, computed once per series and reused.
-
-    `candidate_steps` is only needed by the BASIC and TIP variants (the TOP
-    variants replace the top-slot propagation with a true distance) and may
-    be None otherwise.
-    """
+    """Adjacent-point distances of a query, computed once and reused."""
 
     query_steps: np.ndarray
-    candidate_steps: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, q, c, variant: TiVariant = TiVariant.TIP_TOP) -> "NeighborDistances":
-        needs_cand = variant in (TiVariant.BASIC, TiVariant.TIP)
-        return cls(
-            query_steps=neighbor_steps(q),
-            candidate_steps=neighbor_steps(c) if needs_cand else None,
-        )
-
-
-def ti_advance(lo: float, up: float, step: float) -> tuple[float, float]:
-    """Advance one [L, U] interval across a query step of length `step`."""
-    if step == 0.0:
-        return lo, up
-    base = max(lo - step, step - up, 0.0)
-    t = up + step
-    pad = t * _PROP_SLACK
-    return max(base - pad, 0.0), t + pad
-
-
-def ti_extend_top(lo: float, up: float, step: float) -> tuple[float, float]:
-    """Derive the interval for the window's new top slot from its neighbor
-    slot across a candidate step of length `step`.  Same recurrence as
-    ti_advance; kept separate because it walks the candidate series."""
-    return ti_advance(lo, up, step)
 
 
 def lb_ti(
     q,
     c,
     window: int,
-    variant: TiVariant = TiVariant.TIP_TOP,
     refresh_period: int = 5,
     neighbor: NeighborDistances | None = None,
     abandon_above: float | None = None,
-    trace: list | None = None,
 ) -> BoundResult:
     """Triangle-inequality lower bound of the banded DTW distance.
 
-    variant
-        BASIC    pure propagation; needs candidate neighbor distances
-        TOP      true distance for each row's newest window slot
-        TIP      true distances for the whole window every refresh_period rows
-        TIP_TOP  both (the default deployed variant)
     refresh_period
-        rows between re-anchoring in TIP / TIP_TOP (>= 1); with the value n
-        TIP degenerates to BASIC
+        rows between re-anchoring the whole window at true distances (>= 1)
     neighbor
-        precomputed adjacent-point distances; built on the fly if omitted
-    trace
-        test hook: when a list is passed, (i, lo, hi, L, U) snapshots of the
-        maintained intervals are appended for every row
+        precomputed adjacent-point distances of `q`; built if omitted
     """
     qa = as_series(q)
     ca = as_series(c)
     if qa.shape != ca.shape:
         raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
-    variant = TiVariant(variant)
     if refresh_period < 1:
         raise InvalidInputError("refresh_period must be >= 1")
     if window < 0:
         raise InvalidInputError("window must be >= 0")
     n = qa.shape[0]
     w = min(int(window), n - 1)
+    p = min(refresh_period, n)
+    qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
 
-    if neighbor is None:
-        neighbor = NeighborDistances.build(qa, ca, variant)
-    qsteps = neighbor.query_steps
-    csteps = neighbor.candidate_steps
-    if variant in (TiVariant.BASIC, TiVariant.TIP) and csteps is None:
-        csteps = neighbor_steps(ca)
-    refreshing = variant in (TiVariant.TIP, TiVariant.TIP_TOP)
-    true_top = variant in (TiVariant.TOP, TiVariant.TIP_TOP)
-    threshold = _INF if abandon_above is None else float(abandon_above)
-
-    lo_arr = np.empty(n)  # interval floors, indexed by candidate column
-    up_arr = np.empty(n)
+    # Rows fall into blocks of p, each starting at a re-anchored row r.  No
+    # interval crosses a block boundary, so blocks advance together, one row
+    # offset t at a time, in chunks that bound the working memory.  Slot k of
+    # block b holds column r_b - w + k: slots 0..2w are row r's window, and
+    # slot 2w + t is the top slot that row r + t gains, which starts at its
+    # true distance.  A column's term is its smallest floor over every row
+    # whose window holds it, across blocks.
+    span = 2 * w + p
+    dims = ca.shape[1]
+    padded = np.empty((w + n + span, dims))  # ca, edge-extended: column j at row j + w
+    padded[:w] = ca[0]
+    padded[w : w + n] = ca
+    padded[w + n :] = ca[-1]
     colmin = np.full(n, _INF)
-
-    hi = min(w, n - 1)
-    d0 = dists_to_rows(qa[0], ca[: hi + 1])
-    lo_arr[: hi + 1] = d0
-    up_arr[: hi + 1] = d0
-    colmin[: hi + 1] = d0
-    if trace is not None:
-        trace.append((0, 0, hi, lo_arr[: hi + 1].copy(), up_arr[: hi + 1].copy()))
-
-    running = 0.0
-    next_final = 0
-    prev_lo = 0
-    prev_hi = hi
-    for i in range(1, n):
-        lo = max(0, i - w)
-        hi = min(n - 1, i + w)
-        if refreshing and i % refresh_period == 0:
-            d = dists_to_rows(qa[i], ca[lo : hi + 1])
-            lo_arr[lo : hi + 1] = d
-            up_arr[lo : hi + 1] = d
-        else:
-            s = float(qsteps[i - 1])
-            if s > 0.0:
-                sl_lo = lo_arr[prev_lo : prev_hi + 1]
-                sl_up = up_arr[prev_lo : prev_hi + 1]
-                base = np.maximum(np.maximum(sl_lo - s, s - sl_up), 0.0)
-                t = sl_up + s
-                pad = t * _PROP_SLACK
-                np.maximum(base - pad, 0.0, out=sl_lo)
-                sl_up[:] = t + pad
-            if hi > prev_hi:  # the window gained its top slot, column hi
-                if true_top:
-                    diff = qa[i] - ca[hi]
-                    lo_arr[hi] = up_arr[hi] = float(np.sqrt((diff * diff).sum()))
-                else:
-                    lo_arr[hi], up_arr[hi] = ti_extend_top(
-                        float(lo_arr[hi - 1]), float(up_arr[hi - 1]), float(csteps[hi - 1])
-                    )
-        np.minimum(colmin[lo : hi + 1], lo_arr[lo : hi + 1], out=colmin[lo : hi + 1])
-        if trace is not None:
-            trace.append((i, lo, hi, lo_arr[lo : hi + 1].copy(), up_arr[lo : hi + 1].copy()))
-        while next_final <= i - w:
-            running += float(colmin[next_final])
-            next_final += 1
-            if running > threshold:
-                return BoundResult(running, True)
-        prev_lo, prev_hi = lo, hi
-
-    while next_final < n:
-        running += float(colmin[next_final])
-        next_final += 1
-        if running > threshold:
-            return BoundResult(running, True)
-    return BoundResult(running, False)
+    chunk = p * max(1, _CHUNK_SLOTS // span)
+    for first in range(0, n, chunk):
+        anchors = np.arange(first, min(n, first + chunk), p)
+        # slots k0..k1-1 hold a column of [0, n) in at least one block
+        k0, k1 = max(0, w - anchors[-1]), min(span, n + w - anchors[0])
+        top0 = min(2 * w + 1, k1) - k0  # first top slot, local index
+        cols = anchors[:, None] + np.arange(k0 - w, k1 - w)
+        inside = (cols >= 0) & (cols < n)
+        points = as_strided(padded[first + k0 :], (len(anchors), k1 - k0, dims),
+                            (p * padded.strides[0], *padded.strides), writeable=False)
+        lo = np.empty(cols.shape)
+        lo[:, :top0] = point_costs(qa[anchors, None], points[:, :top0])
+        tops = np.minimum(anchors[:, None] + np.arange(k0 + top0 - 2 * w, k1 - 2 * w), n - 1)
+        lo[:, top0:] = point_costs(qa[tops], points[:, top0:])
+        up = lo.copy()
+        best = lo.copy()  # smallest floor of each slot over the block's rows so far
+        best[:, top0:] = _INF
+        # the step into row r + t of each block
+        steps = qsteps[np.minimum(anchors[:, None] + np.arange(p - 1), n - 2)]
+        for t in range(1, p):
+            nb = len(anchors) - (anchors[-1] + t >= n)  # blocks that reach row r + t
+            s = steps[:nb, t - 1 : t]
+            prev = slice(max(t - 1 - k0, 0), min(t + 2 * w, k1) - k0)  # row r + t - 1's window
+            sl_lo = lo[:nb, prev]
+            sl_up = up[:nb, prev]
+            # max(L - s, s - U, 0) less the pad, floored at 0: flooring once,
+            # after the pad, gives the same bits
+            base = np.maximum(sl_lo - s, s - sl_up)
+            grown = sl_up + s
+            pad = grown * _PROP_SLACK
+            pad[s[:, 0] == 0.0] = 0.0  # a zero step leaves its intervals as they are
+            np.maximum(base - pad, 0.0, out=sl_lo)
+            np.add(grown, pad, out=sl_up)
+            win = slice(max(t - k0, 0), min(t + 2 * w + 1, k1) - k0)  # row r + t's window
+            np.minimum(best[:nb, win], lo[:nb, win], out=best[:nb, win])
+        np.minimum.at(colmin, cols[inside], best[inside])
+    # Abandon at the first prefix sum above the threshold, as a left-to-right
+    # scan does even when a later term is NaN (inf - inf from overflowed
+    # distances).
+    sums = np.cumsum(colmin)
+    over = np.flatnonzero(sums > abandon_above) if abandon_above is not None else []
+    if len(over):
+        return BoundResult(float(sums[over[0]]), True)
+    return BoundResult(float(sums[-1]), False)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvalidInputError, Method, MultivariateSeries, SearchParams, TiVariant, as_series
+from .core import InvalidInputError, Method, MultivariateSeries, SearchParams, as_series
 from .dtw import dtw_rows, point_costs, row_cells
 from .lb_mv import build_envelope, envelope_deviations, lb_ad
 from .lb_pc import build_box_sets, lb_pc
@@ -243,10 +243,8 @@ def nn_search(
                 ca = stack[k]
                 t0 = time.perf_counter()
                 if adv == Method.LB_TI:
-                    b2 = lb_ti(
-                        qa, ca, w, TiVariant.TIP_TOP, params.refresh_period,
-                        neighbor=nd, abandon_above=d_best,
-                    )
+                    b2 = lb_ti(qa, ca, w, refresh_period=params.refresh_period,
+                               neighbor=nd, abandon_above=d_best)
                     out.work += work_ti
                 elif adv == Method.LB_PC:
                     b2 = lb_pc(ca, boxes, abandon_above=d_best)
@@ -281,11 +279,19 @@ def _sample(items: list, size: int, rng: np.random.Generator) -> list:
     return [items[i] for i in sorted(idx)]
 
 
-def _run_sample(queries, candidates, params, advanced, dim_range, metric) -> float:
+def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
+    """The seeded sample that tuning and bound selection run on: up to 8
+    queries, then up to 23 candidates, each drawn uniformly without
+    replacement from one generator and kept in their given order."""
+    rng = np.random.default_rng(seed)
+    return (_sample(list(queries), TUNE_QUERY_SAMPLE, rng),
+            _sample(list(candidates), TUNE_CANDIDATE_SAMPLE, rng))
+
+
+def _run_sample(queries, candidates, params, advanced, dim_range) -> float:
     cost = 0.0
     for q in queries:
-        out = nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range)
-        cost += out.total_time if metric == "time" else out.work
+        cost += nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range).work
     return cost
 
 
@@ -294,20 +300,18 @@ def tc_dtw_select(
     sample_candidates,
     params: SearchParams,
     dim_range: np.ndarray | None = None,
-    metric: str = "work",
 ) -> Method:
     """Pick the cheaper of the triangle and clustering bounds on a sample.
 
     Runs the search with both bounds over the sample and returns the method
-    with the smaller cost; ties go to LB_PC.  The default cost metric is the
-    deterministic work model; pass metric="time" for wall time.
+    whose deterministic work-model cost is smaller; ties go to LB_PC.
     """
     if not sample_queries or not sample_candidates:
         raise InvalidInputError("selection sample is empty")
     as_ti = replace(params, method=Method.LB_TI)
     as_pc = replace(params, method=Method.LB_PC)
-    cost_ti = _run_sample(sample_queries, sample_candidates, as_ti, None, dim_range, metric)
-    cost_pc = _run_sample(sample_queries, sample_candidates, as_pc, None, dim_range, metric)
+    cost_ti = _run_sample(sample_queries, sample_candidates, as_ti, None, dim_range)
+    cost_pc = _run_sample(sample_queries, sample_candidates, as_pc, None, dim_range)
     return Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
 
 
@@ -318,15 +322,14 @@ def tune_params(
     grids: dict | None = None,
     seed: int = 0,
     dim_range: np.ndarray | None = None,
-    metric: str = "work",
     log: list | None = None,
 ) -> SearchParams:
     """Grid-search triggering thresholds (and quantization level) on a sample.
 
-    The sample is a seeded uniform draw of up to 23 candidate series and up
-    to 8 query series.  Depending on params.method the grid covers the
-    triangle trigger (3 runs), the clustering trigger x quantization level
-    (4 runs), or both (7 runs for TC_DTW).  Refresh period, box cap, and
+    The sample is selection_sample(queries, candidates, seed).  Depending on
+    params.method the grid covers the triangle trigger (3 runs), the
+    clustering trigger x quantization level (4 runs), or both (7 runs for
+    TC_DTW).  Refresh period, box cap, and
     group width stay fixed.  Each grid evaluation is appended to `log` when
     given, as (method, params, cost).
     """
@@ -336,14 +339,12 @@ def tune_params(
     method = params.method
     if method in (Method.NONE, Method.LB_MV):
         return params
-    rng = np.random.default_rng(seed)
-    sq = _sample(list(queries), TUNE_QUERY_SAMPLE, rng)
-    sc = _sample(list(candidates), TUNE_CANDIDATE_SAMPLE, rng)
+    sq, sc = selection_sample(queries, candidates, seed)
 
     def eval_grid(adv: Method, variants: list[SearchParams]) -> SearchParams:
         best, best_cost = None, None
         for p in variants:
-            cost = _run_sample(sq, sc, replace(p, method=adv), None, dim_range, metric)
+            cost = _run_sample(sq, sc, replace(p, method=adv), None, dim_range)
             if log is not None:
                 log.append((adv, p, cost))
             if best_cost is None or cost < best_cost:

@@ -7,21 +7,28 @@ for bit and so reuse package code: the reference cascade runs the package's
 single-pair bounds and DTW one candidate at a time, in scan order, to check
 the batched search counter for counter; banded_row_minima runs the DP over
 the package's own cost band.
+
+reference_lb_ti (every triangle-bound variant, with an interval trace) and
+quantize_cluster (one window's grid boxes) are the general forms of what the
+package deploys; the package's lb_ti and build_box_sets must equal them bit
+for bit on the deployed configuration.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from mvdtw import (
+    BoundResult,
     InvalidInputError,
     Method,
     NeighborDistances,
     NnOutcome,
-    TiVariant,
     build_box_sets,
     build_envelope,
     dtw_banded,
@@ -199,10 +206,8 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
             if adv is not None and b1.value > _trigger(params, adv) * d_best:
                 t0 = time.perf_counter()
                 if adv == Method.LB_TI:
-                    b2 = lb_ti(
-                        qa, ca, w, TiVariant.TIP_TOP, params.refresh_period,
-                        neighbor=nd, abandon_above=d_best,
-                    )
+                    b2 = lb_ti(qa, ca, w, refresh_period=params.refresh_period,
+                               neighbor=nd, abandon_above=d_best)
                     out.work += work_ti
                 elif adv == Method.LB_PC:
                     b2 = lb_pc(ca, boxes, abandon_above=d_best)
@@ -256,3 +261,226 @@ def banded_row_minima(q, c, window: int) -> tuple[list[float], float]:
             table[i][j] = band[i][j - i + w] + prior
         minima.append(min(table[i]))
     return minima, table[n - 1][n - 1]
+
+
+# --- the triangle bound in all its variants -------------------------------
+
+_PROP_SLACK = 2.0 ** -46
+
+
+class TiVariant(str, Enum):
+    """Variant of the triangle-inequality lower bound."""
+
+    BASIC = "basic"
+    TOP = "top"
+    TIP = "tip"
+    TIP_TOP = "tip_top"
+
+
+def ti_advance(lo: float, up: float, step: float) -> tuple[float, float]:
+    """Advance one [L, U] interval across a query step of length `step`."""
+    if step == 0.0:
+        return lo, up
+    base = max(lo - step, step - up, 0.0)
+    t = up + step
+    pad = t * _PROP_SLACK
+    return max(base - pad, 0.0), t + pad
+
+
+def ti_extend_top(lo: float, up: float, step: float) -> tuple[float, float]:
+    """Derive the interval for the window's new top slot from its neighbor
+    slot across a candidate step of length `step`.  Same recurrence as
+    ti_advance; kept separate because it walks the candidate series."""
+    return ti_advance(lo, up, step)
+
+
+def dists_to_rows(p: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Distances from point `p` to every row of `block` ((m, D) -> (m,))."""
+    diff = block - p
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def reference_lb_ti(
+    q,
+    c,
+    window: int,
+    variant: TiVariant = TiVariant.TIP_TOP,
+    refresh_period: int = 5,
+    neighbor=None,
+    abandon_above: float | None = None,
+    trace: list | None = None,
+):
+    """Triangle-inequality lower bound of the banded DTW distance.
+
+    variant
+        BASIC    pure propagation, the top slot extended along the candidate
+        TOP      true distance for each row's newest window slot
+        TIP      true distances for the whole window every refresh_period rows
+        TIP_TOP  both (the variant the package deploys as lb_ti)
+    refresh_period
+        rows between re-anchoring in TIP / TIP_TOP (>= 1); with the value n
+        TIP degenerates to BASIC
+    neighbor
+        precomputed adjacent-point distances of `q` (query_steps)
+    trace
+        when a list is passed, (i, lo, hi, L, U) snapshots of the maintained
+        intervals are appended for every row
+    """
+    qa = as_series(q)
+    ca = as_series(c)
+    if qa.shape != ca.shape:
+        raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
+    variant = TiVariant(variant)
+    if refresh_period < 1:
+        raise InvalidInputError("refresh_period must be >= 1")
+    if window < 0:
+        raise InvalidInputError("window must be >= 0")
+    n = qa.shape[0]
+    w = min(int(window), n - 1)
+
+    qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
+    refreshing = variant in (TiVariant.TIP, TiVariant.TIP_TOP)
+    true_top = variant in (TiVariant.TOP, TiVariant.TIP_TOP)
+    csteps = None if true_top else neighbor_steps(ca)
+    threshold = math.inf if abandon_above is None else float(abandon_above)
+
+    lo_arr = np.empty(n)  # interval floors, indexed by candidate column
+    up_arr = np.empty(n)
+    colmin = np.full(n, math.inf)
+
+    hi = min(w, n - 1)
+    d0 = dists_to_rows(qa[0], ca[: hi + 1])
+    lo_arr[: hi + 1] = d0
+    up_arr[: hi + 1] = d0
+    colmin[: hi + 1] = d0
+    if trace is not None:
+        trace.append((0, 0, hi, lo_arr[: hi + 1].copy(), up_arr[: hi + 1].copy()))
+
+    running = 0.0
+    next_final = 0
+    prev_lo = 0
+    prev_hi = hi
+    for i in range(1, n):
+        lo = max(0, i - w)
+        hi = min(n - 1, i + w)
+        if refreshing and i % refresh_period == 0:
+            d = dists_to_rows(qa[i], ca[lo : hi + 1])
+            lo_arr[lo : hi + 1] = d
+            up_arr[lo : hi + 1] = d
+        else:
+            s = float(qsteps[i - 1])
+            if s > 0.0:
+                sl_lo = lo_arr[prev_lo : prev_hi + 1]
+                sl_up = up_arr[prev_lo : prev_hi + 1]
+                base = np.maximum(np.maximum(sl_lo - s, s - sl_up), 0.0)
+                t = sl_up + s
+                pad = t * _PROP_SLACK
+                np.maximum(base - pad, 0.0, out=sl_lo)
+                sl_up[:] = t + pad
+            if hi > prev_hi:  # the window gained its top slot, column hi
+                if true_top:
+                    diff = qa[i] - ca[hi]
+                    lo_arr[hi] = up_arr[hi] = float(np.sqrt((diff * diff).sum()))
+                else:
+                    lo_arr[hi], up_arr[hi] = ti_extend_top(
+                        float(lo_arr[hi - 1]), float(up_arr[hi - 1]), float(csteps[hi - 1])
+                    )
+        np.minimum(colmin[lo : hi + 1], lo_arr[lo : hi + 1], out=colmin[lo : hi + 1])
+        if trace is not None:
+            trace.append((i, lo, hi, lo_arr[lo : hi + 1].copy(), up_arr[lo : hi + 1].copy()))
+        while next_final <= i - w:
+            running += float(colmin[next_final])
+            next_final += 1
+            if running > threshold:
+                return BoundResult(running, True)
+        prev_lo, prev_hi = lo, hi
+
+    while next_final < n:
+        running += float(colmin[next_final])
+        next_final += 1
+        if running > threshold:
+            return BoundResult(running, True)
+    return BoundResult(running, False)
+
+
+# --- grid boxes of one window ---------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class BoxSet:
+    """Bounding boxes of one window's points: stacked (num_boxes, D) arrays
+    whose union contains every point the set was built from."""
+
+    los: np.ndarray
+    his: np.ndarray
+
+    @property
+    def num_boxes(self) -> int:
+        return self.los.shape[0]
+
+
+def quantize_cluster(points, levels: int, max_boxes: int, min_cell_frac: float,
+                     dim_range=None) -> BoxSet:
+    """Cluster points by grid quantization into at most `max_boxes` tight boxes.
+
+    Each dimension's observed range is split into `levels` equal segments,
+    except dimensions whose range falls below min_cell_frac * dim_range (or is
+    degenerate), which stay whole.  Every non-empty cell contributes the tight
+    bounding box of its own points.  If more than `max_boxes` cells are
+    non-empty, the cells are ordered lexicographically by cell index and all
+    cells from position max_boxes-1 onward merge into a single union box.
+    `dim_range` defaults to the points' own range.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.size == 0:
+        raise InvalidInputError("cannot cluster an empty point list")
+    if levels < 1 or max_boxes < 1:
+        raise InvalidInputError("levels and max_boxes must be >= 1")
+    dims = pts.shape[1]
+    mn = pts.min(axis=0)
+    mx = pts.max(axis=0)
+    rng = mx - mn
+    ref = rng if dim_range is None else np.asarray(dim_range, dtype=np.float64)
+    split = (rng > 0.0) & (rng >= min_cell_frac * ref)
+    if levels == 1 or not split.any():
+        return BoxSet(mn[None, :].copy(), mx[None, :].copy())
+
+    lev = np.where(split, levels, 1)
+    seg = np.where(split, rng / lev, 1.0)
+    scaled = (pts - mn) / seg
+    scaled[:, ~split] = 0.0  # unsplit dims: everything in cell 0
+    idx = np.clip(scaled.astype(np.int64), 0, lev - 1)
+    # Mixed-radix cell id; dimension 0 is most significant, so numeric order
+    # of ids equals lexicographic order of cell-index tuples.
+    weights = np.ones(dims, dtype=np.int64)
+    for p in range(dims - 2, -1, -1):
+        weights[p] = weights[p + 1] * lev[p + 1]
+    ids = idx @ weights
+
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[0] - 1))
+    los = np.minimum.reduceat(pts[order], starts, axis=0)
+    his = np.maximum.reduceat(pts[order], starts, axis=0)
+    if los.shape[0] > max_boxes:
+        keep = max_boxes - 1
+        tail_lo = los[keep:].min(axis=0)
+        tail_hi = his[keep:].max(axis=0)
+        los = np.vstack([los[:keep], tail_lo[None, :]])
+        his = np.vstack([his[:keep], tail_hi[None, :]])
+    return BoxSet(los, his)
+
+
+def expanded_span(g: int, n: int, window: int, group_width: int) -> tuple[int, int]:
+    """Inclusive query-index range [a, b] of expanded window g."""
+    w = min(window, n - 1)
+    return max(0, g * group_width - w), min(n - 1, g * group_width + w + group_width - 1)
+
+
+def box_set_for_index(grouping, i: int) -> BoxSet:
+    """The boxes build_box_sets assigns to query index i's window."""
+    g = i // grouping.group_width
+    k = int(grouping.box_counts[g])
+    return BoxSet(grouping.pad_lo[g, :k], grouping.pad_hi[g, :k])

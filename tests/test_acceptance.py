@@ -17,7 +17,6 @@ import pytest
 from mvdtw import (
     Method,
     SearchParams,
-    TiVariant,
     build_envelope,
     dtw_banded,
     lb_ad,
@@ -35,7 +34,7 @@ from mvdtw import (
 )
 from mvdtw.cli import BenchConfig, emit_report, run_benchmark
 from mvdtw.lb_pc import _cap_cells, _grouped_cells
-from mvdtw.search import TUNE_CANDIDATE_SAMPLE, TUNE_QUERY_SAMPLE, _sample
+from mvdtw.search import selection_sample
 from mvdtw.synth import (
     clustered_dataset,
     iid_noise_dataset,
@@ -43,7 +42,7 @@ from mvdtw.synth import (
     smooth_walk_dataset,
 )
 
-from oracles import brute_dtw, count_band_paths
+from oracles import TiVariant, brute_dtw, count_band_paths, reference_lb_ti
 
 SEED = 42
 TI_PERIODS = (1, 2, 5)  # plus n, appended per instance
@@ -92,11 +91,14 @@ def soundness_instance(rng):
 
 
 def ti_bounds(q, c, w, n):
+    """Every triangle-bound variant: the deployed lb_ti (TIP_TOP) at each
+    period, the others from the reference."""
     for variant in (TiVariant.BASIC, TiVariant.TOP):
-        yield lb_ti(q, c, w, variant).value
-    for variant in (TiVariant.TIP, TiVariant.TIP_TOP):
-        for period in (*TI_PERIODS, n):
-            yield lb_ti(q, c, w, variant, period).value
+        yield reference_lb_ti(q, c, w, variant).value
+    for period in (*TI_PERIODS, n):
+        yield reference_lb_ti(q, c, w, TiVariant.TIP, period).value
+    for period in (*TI_PERIODS, n):
+        yield lb_ti(q, c, w, refresh_period=period).value
 
 
 def test_criterion_1_soundness_suite():
@@ -182,9 +184,7 @@ def _method_outcomes(queries, cands, method, window, dim_range):
     params = SearchParams(window=window, method=method)
     advanced = None
     if method == Method.TC_DTW:
-        rng = np.random.default_rng(SEED)
-        sq = _sample(queries, TUNE_QUERY_SAMPLE, rng)
-        sc = _sample(cands, TUNE_CANDIDATE_SAMPLE, rng)
+        sq, sc = selection_sample(queries, cands, SEED)
         advanced = tc_dtw_select(sq, sc, params, dim_range=dim_range)
     return [nn_search(q, cands, params, advanced=advanced, dim_range=dim_range)
             for q in queries]
@@ -229,8 +229,9 @@ def test_criterion_4_dominance_chain():
                     assert mv <= pc <= ad, f"chain violation at case {case}"
             for value in ti_bounds(q, c, w, n):
                 assert value <= ad, f"lb_ti above lb_ad at case {case}"
-            assert lb_ti(q, c, w, TiVariant.TIP, n).value == lb_ti(q, c, w, TiVariant.BASIC).value
-            assert lb_ti(q, c, w, TiVariant.TIP_TOP, n).value == lb_ti(q, c, w, TiVariant.TOP).value
+            assert (reference_lb_ti(q, c, w, TiVariant.TIP, n).value
+                    == reference_lb_ti(q, c, w, TiVariant.BASIC).value)
+            assert lb_ti(q, c, w, refresh_period=n).value == reference_lb_ti(q, c, w, TiVariant.TOP).value
 
 
 def _skip_pct(queries, cands, params, advanced, dim_range):
@@ -286,9 +287,7 @@ def test_criterion_6_tc_dtw_improvement():
                 params = tune_params(queries, cands,
                                      SearchParams(window=window, method=Method.TC_DTW),
                                      seed=SEED, dim_range=ds.dim_ranges)
-                rng = np.random.default_rng(SEED)
-                sq = _sample(queries, TUNE_QUERY_SAMPLE, rng)
-                sc = _sample(cands, TUNE_CANDIDATE_SAMPLE, rng)
+                sq, sc = selection_sample(queries, cands, SEED)
                 choice = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
                 tc = _skip_pct(queries, cands, params, choice, ds.dim_ranges)
                 print(f"\n  {family} {ds.name}: lb_mv {mv:.1f}% tc_dtw {tc:.1f}% ({choice.value})")
@@ -326,9 +325,7 @@ def test_criterion_7_real_data_skip_rates():
         params = tune_params(queries, cands,
                              SearchParams(window=20, method=Method.TC_DTW),
                              seed=SEED, dim_range=ds.dim_ranges)
-        rng = np.random.default_rng(SEED)
-        sq = _sample(queries, TUNE_QUERY_SAMPLE, rng)
-        sc = _sample(cands, TUNE_CANDIDATE_SAMPLE, rng)
+        sq, sc = selection_sample(queries, cands, SEED)
         choice = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
         mv = _skip_pct(queries, cands, SearchParams(window=20, method=Method.LB_MV),
                        None, ds.dim_ranges)

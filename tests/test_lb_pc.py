@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdtw import (
     InvalidInputError,
@@ -9,11 +11,10 @@ from mvdtw import (
     lb_ad,
     lb_mv,
     lb_pc,
-    quantize_cluster,
 )
 
 from conftest import random_instance
-from oracles import naive_box_dist
+from oracles import box_set_for_index, expanded_span, naive_box_dist, quantize_cluster
 
 
 def test_quantize_two_clumps():
@@ -76,19 +77,51 @@ def test_quantize_invariants(rng):
             assert inside.any()
 
 
-def test_expanded_window_spans(rng):
-    q = rng.normal(size=(12, 2))
-    plain = build_box_sets(q, window=2, group_width=1, levels=2, max_boxes=6,
-                           min_cell_frac=1e-5)
-    assert [s.window_span for s in plain.sets] == [
+def test_expanded_window_spans():
+    # stride w, trailing side grows by w-1: interior spans hold 2W + w points
+    assert [expanded_span(g, 12, 2, 1) for g in range(12)] == [
         (max(0, i - 2), min(11, i + 2)) for i in range(12)
     ]
-    grouped = build_box_sets(q, window=2, group_width=3, levels=2, max_boxes=6,
-                             min_cell_frac=1e-5)
-    # stride w, trailing side grows by w-1: interior spans hold 2W + w points
-    assert [s.window_span for s in grouped.sets] == [(0, 4), (1, 7), (4, 10), (7, 11)]
-    for i in range(12):
-        assert grouped.set_for_index(i) is grouped.sets[i // 3]
+    assert [expanded_span(g, 12, 2, 3) for g in range(4)] == [(0, 4), (1, 7), (4, 10), (7, 11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dims=st.integers(1, 6),
+    extra_window=st.integers(0, 43),
+    group_width=st.integers(1, 8),
+    levels=st.integers(1, 4),
+    cap=st.integers(1, 8),
+    clumped=st.booleans(),
+    own_range=st.booleans(),
+)
+def test_box_sets_match_quantize_cluster(seed, n, dims, extra_window, group_width, levels,
+                                         cap, clumped, own_range):
+    # the batched build equals quantizing each expanded window on its own,
+    # box for box
+    window = extra_window % (n + 4)  # W in [0, n + 3]
+    g = np.random.default_rng(seed)
+    q = g.normal(size=(n, dims))
+    if clumped:  # few distinct values: repeated points, empty cells, flat dimensions
+        q = np.round(q)
+    dim_range = None if own_range else g.uniform(0.0, 3.0, size=dims)
+    grouping = build_box_sets(q, window, group_width, levels, cap, 1e-5, dim_range)
+    ref = q.max(axis=0) - q.min(axis=0) if dim_range is None else dim_range
+    groups = (n - 1) // group_width + 1
+    assert grouping.pad_lo.shape[0] == groups
+    for gi in range(groups):
+        a, b = expanded_span(gi, n, window, group_width)
+        want = quantize_cluster(q[a : b + 1], levels, cap, 1e-5, dim_range=ref)
+        k = int(grouping.box_counts[gi])
+        assert k == want.num_boxes
+        # exact float equality (a box corner may be -0.0 on one side and 0.0
+        # on the other, depending on which point the min/max met first)
+        assert grouping.pad_lo[gi, :k].tolist() == want.los.tolist()
+        assert grouping.pad_hi[gi, :k].tolist() == want.his.tolist()
+        assert np.all(grouping.pad_lo[gi, k:] == np.inf)
+        assert np.all(grouping.pad_hi[gi, k:] == -np.inf)
 
 
 def test_grouped_boxes_cover_original_windows(rng):
@@ -101,7 +134,7 @@ def test_grouped_boxes_cover_original_windows(rng):
         grouping = build_box_sets(q, w, gw, levels=3, max_boxes=4, min_cell_frac=1e-5)
         w_eff = min(w, n - 1)
         for i in range(n):
-            bs = grouping.set_for_index(i)
+            bs = box_set_for_index(grouping, i)
             for j in range(max(0, i - w_eff), min(n - 1, i + w_eff) + 1):
                 inside = np.all((bs.los <= q[j]) & (q[j] <= bs.his), axis=1)
                 assert inside.any()
@@ -130,7 +163,7 @@ def test_matches_naive_box_distance(rng):
         grouping = build_box_sets(q, w, 2, 2, 3, 1e-5)
         expected = 0.0
         for i in range(len(c)):
-            bs = grouping.set_for_index(i)
+            bs = box_set_for_index(grouping, i)
             expected += min(
                 naive_box_dist(c[i], bs.los[b], bs.his[b]) for b in range(bs.num_boxes)
             )

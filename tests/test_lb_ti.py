@@ -1,22 +1,31 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdtw import (
     InvalidInputError,
     NeighborDistances,
-    TiVariant,
     dtw_banded,
     lb_ad,
     lb_ti,
     neighbor_steps,
-    point_distance,
-    ti_advance,
-    ti_extend_top,
 )
+from mvdtw.dtw import point_costs
 
 from conftest import random_instance
+from oracles import TiVariant, point_dist, reference_lb_ti, ti_advance, ti_extend_top
 
 ALL_VARIANTS = list(TiVariant)
+
+
+def ti_value(q, c, w, variant, period=5, **kw):
+    """The deployed lb_ti for TIP_TOP, the reference for every other variant."""
+    if variant == TiVariant.TIP_TOP:
+        return lb_ti(q, c, w, refresh_period=period, **kw).value
+    return reference_lb_ti(q, c, w, variant, period, **kw).value
 
 
 def test_ti_advance_examples():
@@ -53,27 +62,27 @@ def test_extend_brackets_true_distance(rng):
         qi = rng.normal(size=d)
         c_prev = rng.normal(size=d)
         c_top = c_prev + rng.normal(size=d) * rng.choice([1e-6, 0.1, 10.0])
-        true_prev = point_distance(qi, c_prev)
-        lo, up = ti_extend_top(true_prev, true_prev, point_distance(c_prev, c_top))
-        true_top = point_distance(qi, c_top)
+        true_prev = point_dist(qi, c_prev)
+        lo, up = ti_extend_top(true_prev, true_prev, point_dist(c_prev, c_top))
+        true_top = point_dist(qi, c_top)
         assert lo <= true_top <= up
 
 
 def test_identical_series_bound_is_zero(rng):
     q = np.cumsum(rng.normal(size=(20, 3)), axis=0)
     for variant in ALL_VARIANTS:
-        assert lb_ti(q, q, 5, variant, 5).value == 0.0
+        assert ti_value(q, q, 5, variant) == 0.0
 
 
 def test_tip_with_period_n_equals_basic(rng):
     for _ in range(30):
         q, c, w = random_instance(rng, max_n=32, max_dims=5, max_window=10)
         n = len(q)
-        basic = lb_ti(q, c, w, TiVariant.BASIC).value
-        tip = lb_ti(q, c, w, TiVariant.TIP, refresh_period=n).value
+        basic = reference_lb_ti(q, c, w, TiVariant.BASIC).value
+        tip = reference_lb_ti(q, c, w, TiVariant.TIP, refresh_period=n).value
         assert tip == basic  # bit-for-bit
-        top = lb_ti(q, c, w, TiVariant.TOP).value
-        tip_top = lb_ti(q, c, w, TiVariant.TIP_TOP, refresh_period=n).value
+        top = reference_lb_ti(q, c, w, TiVariant.TOP).value
+        tip_top = lb_ti(q, c, w, refresh_period=n).value
         assert tip_top == top
 
 
@@ -83,10 +92,10 @@ def test_slot_sandwich(rng):
         q, c, w = random_instance(rng, max_n=24, max_dims=4, max_window=8)
         for variant in ALL_VARIANTS:
             trace = []
-            lb_ti(q, c, w, variant, refresh_period=3, trace=trace)
+            reference_lb_ti(q, c, w, variant, refresh_period=3, trace=trace)
             for i, lo, hi, slot_lo, slot_up in trace:
                 for idx, j in enumerate(range(lo, hi + 1)):
-                    true = point_distance(q[i], c[j])
+                    true = float(point_costs(q[i], c[j]))
                     assert slot_lo[idx] <= true <= slot_up[idx] or (
                         abs(slot_lo[idx] - true) < 1e-9 and abs(slot_up[idx] - true) < 1e-9
                     )
@@ -99,8 +108,8 @@ def test_refresh_rows_never_looser_with_smaller_period(rng):
     for _ in range(20):
         q, c, w = random_instance(rng, max_n=24, max_dims=3, max_window=6)
         t_small, t_large = [], []
-        lb_ti(q, c, w, TiVariant.TIP, refresh_period=2, trace=t_small)
-        lb_ti(q, c, w, TiVariant.TIP, refresh_period=7, trace=t_large)
+        reference_lb_ti(q, c, w, TiVariant.TIP, refresh_period=2, trace=t_small)
+        reference_lb_ti(q, c, w, TiVariant.TIP, refresh_period=7, trace=t_large)
         for (i, lo, hi, lo_s, _), (_, _, _, lo_l, _) in zip(t_small, t_large):
             if i % 2 == 0:
                 assert np.all(lo_s >= lo_l - 1e-12)
@@ -114,7 +123,7 @@ def test_gap_growth_under_basic(rng):
         n = len(q)
         w_eff = min(w, n - 1)
         trace = []
-        lb_ti(q, c, w, TiVariant.BASIC, trace=trace)
+        reference_lb_ti(q, c, w, TiVariant.BASIC, trace=trace)
         steps = neighbor_steps(q)
         by_col = {}
         for i, lo, hi, slot_lo, slot_up in trace:
@@ -138,7 +147,7 @@ def test_soundness_and_dominance(rng):
         ad = lb_ad(q, c, w).value
         for variant in ALL_VARIANTS:
             for period in (1, 2, 5, n):
-                v = lb_ti(q, c, w, variant, period).value
+                v = ti_value(q, c, w, variant, period)
                 assert v <= ad
                 assert v <= exact
 
@@ -148,28 +157,23 @@ def test_period_one_equals_lb_ad(rng):
     # minima coincide with the all-distances bound
     for _ in range(20):
         q, c, w = random_instance(rng, max_n=24, max_dims=4, max_window=8)
-        v = lb_ti(q, c, w, TiVariant.TIP, refresh_period=1).value
+        v = lb_ti(q, c, w, refresh_period=1).value
         assert v == pytest.approx(lb_ad(q, c, w).value, rel=1e-12, abs=1e-12)
 
 
 def test_neighbor_distances_reuse(rng):
     q = np.cumsum(rng.normal(size=(18, 3)), axis=0)
     c = np.cumsum(rng.normal(size=(18, 3)), axis=0)
-    nd = NeighborDistances.build(q, c, TiVariant.BASIC)
-    assert nd.candidate_steps is not None
-    direct = lb_ti(q, c, 4, TiVariant.BASIC)
-    with_nd = lb_ti(q, c, 4, TiVariant.BASIC, neighbor=nd)
-    assert direct.value == with_nd.value
-    nd_top = NeighborDistances.build(q, c, TiVariant.TIP_TOP)
-    assert nd_top.candidate_steps is None  # top variants skip candidate steps
+    nd = NeighborDistances(query_steps=neighbor_steps(q))
+    assert lb_ti(q, c, 4).value == lb_ti(q, c, 4, neighbor=nd).value
 
 
 def test_abandoning(rng):
     q = np.cumsum(rng.normal(size=(30, 2)), axis=0)
     c = np.cumsum(rng.normal(size=(30, 2)), axis=0) + 8.0
-    full = lb_ti(q, c, 4, TiVariant.TIP_TOP, 5)
+    full = lb_ti(q, c, 4, refresh_period=5)
     assert not full.abandoned and full.value > 0
-    cut = lb_ti(q, c, 4, TiVariant.TIP_TOP, 5, abandon_above=full.value / 2.0)
+    cut = lb_ti(q, c, 4, refresh_period=5, abandon_above=full.value / 2.0)
     assert cut.abandoned
     assert full.value / 2.0 < cut.value <= full.value
 
@@ -182,3 +186,79 @@ def test_input_validation(rng):
         lb_ti(q, rng.normal(size=(6, 2)), 2, refresh_period=0)
     with pytest.raises(InvalidInputError):
         lb_ti(q, rng.normal(size=(6, 2)), -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["walk", "iid", "plateau", "near-copy"]),
+    n=st.integers(1, 64),
+    dims=st.integers(1, 10),
+    extra_window=st.integers(0, 67),
+    period=st.sampled_from([1, 2, 5, "n"]),
+    with_neighbor=st.booleans(),
+)
+def test_lb_ti_equals_reference_tip_top(seed, kind, n, dims, extra_window, period, with_neighbor):
+    window = extra_window % (n + 4)  # W in [0, n + 3]
+    g = np.random.default_rng(seed)
+    q = g.normal(size=(n, dims))
+    c = g.normal(size=(n, dims))
+    if kind == "walk":
+        q, c = np.cumsum(q, axis=0), np.cumsum(c, axis=0)
+    elif kind == "plateau":
+        q, c = np.repeat(q, 3, axis=0)[:n], np.repeat(c, 3, axis=0)[:n]
+    elif kind == "near-copy":
+        q = np.cumsum(q, axis=0)
+        c = np.roll(q + 1e-3 * c, int(g.integers(0, 3)), axis=0)
+    p = n if period == "n" else period
+    nd = NeighborDistances(query_steps=neighbor_steps(q)) if with_neighbor else None
+    full = reference_lb_ti(q, c, window, "tip_top", p).value
+    thresholds = [None, 0.0, math.nextafter(full, -math.inf), full, 2.0 * full + 1.0,
+                  *(full * f for f in g.uniform(0.0, 1.0, size=3))]
+    for t in thresholds:
+        got = lb_ti(q, c, window, refresh_period=p, neighbor=nd, abandon_above=t)
+        want = reference_lb_ti(q, c, window, "tip_top", p, neighbor=nd, abandon_above=t)
+        assert (got.value, got.abandoned) == (want.value, want.abandoned)
+
+
+def test_overflowing_distances_match_reference():
+    # point distances that overflow to +inf, next to zero query steps (which
+    # must leave intervals untouched, infinite ones included) and finite ones
+    q = np.array([[1e200], [1e200], [1e200], [0.0], [0.0], [-1e200]])
+    c = np.array([[-1e200], [0.0], [1e200], [-1e200], [1.0], [1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(6):
+            for p in (1, 2, 3, 6):
+                for t in (None, 0.0, 1e300):
+                    got = lb_ti(q, c, w, refresh_period=p, abandon_above=t)
+                    want = reference_lb_ti(q, c, w, "tip_top", p, abandon_above=t)
+                    assert (got.value.hex(), got.abandoned) == (want.value.hex(), want.abandoned)
+
+
+@pytest.mark.parametrize("chunk_slots", [1, 7, 60])
+def test_chunked_blocks_match_reference(monkeypatch, rng, chunk_slots):
+    # blocks advance in chunks of whole blocks; every chunk boundary must
+    # leave the bound unchanged
+    import sys
+
+    monkeypatch.setattr(sys.modules["mvdtw.lb_ti"], "_CHUNK_SLOTS", chunk_slots)
+    for _ in range(25):
+        q, c, w = random_instance(rng, max_n=40, max_dims=4, max_window=12)
+        n = len(q)
+        for p in (1, 2, 5, n):
+            got = lb_ti(q, c, w, refresh_period=p)
+            assert got.value == reference_lb_ti(q, c, w, "tip_top", p).value
+
+
+def test_memory_stays_bounded_on_long_series():
+    import tracemalloc
+
+    g = np.random.default_rng(3)
+    q, c = np.cumsum(g.normal(size=(2, 4000, 3)), axis=1)
+    tracemalloc.start()
+    try:
+        lb_ti(q, c, 4000, refresh_period=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # all 800 blocks at once would take ~450 MB
