@@ -1,10 +1,19 @@
-"""Shared domain types, parameter records, and summation helpers.
+"""Shared domain types, parameter records, and the arithmetic rules every
+bound and the search share.
 
 Distance convention used throughout the package: the cost of aligning two
 points is the plain (non-squared) Euclidean distance (`dtw.point_costs`), and
 a DTW distance is the plain sum of point costs along the warping path.  The
 non-squared form is a metric, which is what makes triangle-inequality bound
 propagation sound.
+
+Each arithmetic rule has one owner, which every bound and the search call,
+so the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad,
+the batched search equal to the one-pair scan) need no hand-kept copies:
+series and pair checks `as_series`/`as_pair`; sums over dimensions
+`sum_last`; point distances `dtw.point_costs`; point-to-box distances
+`dtw.box_costs`; bound sums and abandoning `sum_with_abandon`, with
+`sequential_sums` for batches.
 """
 
 from __future__ import annotations
@@ -49,6 +58,18 @@ def as_series(x) -> np.ndarray:
     return a
 
 
+def as_pair(q, c, window: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validate a pair of equal-shape series and a window >= 0; returns both
+    as (n, D) arrays and the window capped at n - 1."""
+    qa = as_series(q)
+    ca = as_series(c)
+    if qa.shape != ca.shape:
+        raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
+    if window < 0:
+        raise InvalidInputError("window must be >= 0")
+    return qa, ca, min(int(window), qa.shape[0] - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class MultivariateSeries:
     """One time series: n points, each a D-dimensional real vector.
@@ -60,14 +81,7 @@ class MultivariateSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64)
-        if a.ndim == 1:
-            a = a[:, None]
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise InvalidInputError(f"series must be (n, D) with n>=1, D>=1, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("series contains non-finite values")
-        a = np.ascontiguousarray(a)
+        a = np.ascontiguousarray(as_series(self.values))
         a.flags.writeable = False
         object.__setattr__(self, "values", a)
 
@@ -113,24 +127,28 @@ class BoundResult:
 
 
 def sum_with_abandon(per_point: np.ndarray, abandon_above: float | None) -> BoundResult:
-    """Sequentially sum nonnegative per-point contributions, stopping at the
+    """Sum nonnegative per-point contributions left to right, stopping at the
     first prefix that exceeds `abandon_above`.
 
-    The sequential (cumulative) summation order is shared by every bound in
-    the package; per-point dominance between two bounds then carries over to
-    their summed values exactly, with no floating-point order effects.
+    Every bound sums in this order, so per-point dominance between two
+    bounds carries over to their sums exactly.  Like a left-to-right scan,
+    it abandons at the first prefix above the threshold even when a later
+    term is NaN (inf - inf from overflowed distances).
     """
-    cs = np.cumsum(per_point)
-    total = float(cs[-1])
-    if abandon_above is not None and total > abandon_above:
-        k = int(np.argmax(cs > abandon_above))
-        return BoundResult(float(cs[k]), True)
+    sums = np.cumsum(per_point)
+    total = float(sums[-1])
+    if abandon_above is None or total <= abandon_above:
+        return BoundResult(total, False)
+    over = np.flatnonzero(sums > abandon_above)
+    if len(over):
+        return BoundResult(float(sums[over[0]]), True)
     return BoundResult(total, False)
 
 
-_GRID_E_TI = (0.05, 0.1, 0.2)
-_GRID_E_PC = (0.1, 0.5)
-_GRID_LEVELS = (2, 3)
+def sequential_sums(per_point: np.ndarray) -> np.ndarray:
+    """Totals over the last axis, added left to right: the bits
+    sum_with_abandon gives each row when nothing is abandoned."""
+    return np.cumsum(per_point, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -148,7 +166,6 @@ class SearchParams:
     group_width     window expansion factor for box grouping (>= 1)
     min_cell_frac   smallest cell length, as a fraction of the dataset's
                     normalized per-dimension value range
-    dims_used       "all" or a positive dimension count to keep
     """
 
     window: int
@@ -160,7 +177,6 @@ class SearchParams:
     max_boxes: int = 6
     group_width: int = 6
     min_cell_frac: float = 0.00001
-    dims_used: int | str = "all"
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
@@ -176,17 +192,7 @@ class SearchParams:
             raise InvalidInputError("quant_levels, max_boxes and group_width must be >= 1")
         if self.min_cell_frac <= 0.0:
             raise InvalidInputError("min_cell_frac must be > 0")
-        if self.dims_used != "all" and (not isinstance(self.dims_used, int) or self.dims_used < 1):
-            raise InvalidInputError('dims_used must be "all" or a positive integer')
 
     def effective_window(self, n: int) -> int:
         return min(self.window, n - 1)
 
-
-def default_grids() -> dict:
-    """Parameter grids searched during tuning."""
-    return {
-        "trigger_ti": list(_GRID_E_TI),
-        "trigger_pc": list(_GRID_E_PC),
-        "quant_levels": list(_GRID_LEVELS),
-    }

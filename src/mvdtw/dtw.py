@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import InvalidInputError, as_series, sum_last
+from .core import as_pair, sum_last
 
 _INF = float("inf")
 
@@ -32,11 +32,20 @@ class DtwResult:
 
 
 def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between broadcast rows of `a` and `b`.  Every DTW
-    cell cost and every true distance of the triangle bound goes through this
-    expression, so the kernels and the bounds agree bit for bit on a pair."""
+    """Euclidean distances between broadcast rows of `a` and `b`.  DTW cells,
+    lb_ad and the triangle bound's steps and true distances all go through
+    it, so kernels and bounds agree bit for bit (box distances: box_costs)."""
     diff = a - b
     return np.sqrt(sum_last(diff * diff))
+
+
+def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from broadcast rows of `x` to the
+    axis-aligned boxes [lo, hi] (zero inside a box).  lb_mv and lb_pc both
+    measure through it, so their per-point floors compare exactly."""
+    dev_hi = np.maximum(x - hi, 0.0)
+    dev_lo = np.maximum(lo - x, 0.0)
+    return sum_last(dev_hi * dev_hi + dev_lo * dev_lo)
 
 
 def cost_band(qa: np.ndarray, ca: np.ndarray, w: int) -> np.ndarray:
@@ -67,14 +76,8 @@ def dtw_banded(q, c, window: int, abandon_above: float | None = None) -> DtwResu
     With `abandon_above` set, the DP stops as soon as every entry of a row
     frontier exceeds it (any full path must pass through every row).
     """
-    qa = as_series(q)
-    ca = as_series(c)
-    if qa.shape != ca.shape:
-        raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
-    if window < 0:
-        raise InvalidInputError("window must be >= 0")
+    qa, ca, w = as_pair(q, c, window)
     n = qa.shape[0]
-    w = min(int(window), n - 1)
     width = 2 * w + 1
     band = cost_band(qa, ca, w).tolist()
     threshold = _INF if abandon_above is None else float(abandon_above)

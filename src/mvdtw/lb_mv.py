@@ -11,13 +11,12 @@ per-point floors never exceeds the banded DTW distance.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_series, sum_last, sum_with_abandon
-from .dtw import cost_band
+from .core import BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon
+from .dtw import box_costs, cost_band
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,34 +41,14 @@ class Envelope:
         return self.upper.shape[1]
 
 
-def _sliding_minmax(col: list, n: int, w: int) -> tuple[list, list]:
-    """Windowed min/max of one value column via monotone deques, O(n)."""
-    mins = [0.0] * n
-    maxs = [0.0] * n
-    dq_min: deque = deque()
-    dq_max: deque = deque()
-    t = 0
-    for i in range(n):
-        hi = i + w
-        if hi > n - 1:
-            hi = n - 1
-        while t <= hi:
-            v = col[t]
-            while dq_max and col[dq_max[-1]] <= v:
-                dq_max.pop()
-            dq_max.append(t)
-            while dq_min and col[dq_min[-1]] >= v:
-                dq_min.pop()
-            dq_min.append(t)
-            t += 1
-        lo = i - w
-        while dq_max[0] < lo:
-            dq_max.popleft()
-        while dq_min[0] < lo:
-            dq_min.popleft()
-        maxs[i] = col[dq_max[0]]
-        mins[i] = col[dq_min[0]]
-    return mins, maxs
+def _window_reduce(op: np.ufunc, blocks: np.ndarray, n: int) -> np.ndarray:
+    """op (np.maximum or np.minimum) over the first n runs of 2w + 1 rows of
+    (B, 2w + 1, D) blocks, O(n) per column (van Herk / Gil-Werman): a run is
+    a block's tail plus the next block's head, so op(suffix, prefix scan)."""
+    k, dims = blocks.shape[1:]
+    head = op.accumulate(blocks, axis=1).reshape(-1, dims)
+    tail = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1, dims)
+    return op(tail[:n], head[k - 1 : k - 1 + n])
 
 
 def build_envelope(q, window: int) -> Envelope:
@@ -79,30 +58,27 @@ def build_envelope(q, window: int) -> Envelope:
         raise InvalidInputError("window must be >= 0")
     n, dims = qa.shape
     w = min(int(window), n - 1)
-    upper = np.empty_like(qa)
-    lower = np.empty_like(qa)
-    for p in range(dims):
-        col = qa[:, p].tolist()
-        mins, maxs = _sliding_minmax(col, n, w)
-        lower[:, p] = mins
-        upper[:, p] = maxs
-    return Envelope(upper=upper, lower=lower, window=w)
+    # Copies of the end points (w before, w or more after, to whole blocks)
+    # make every window 2w + 1 rows long without adding a value it lacks.
+    k = 2 * w + 1
+    rows = -(-(n + 2 * w) // k) * k
+    blocks = qa[np.arange(-w, rows - w).clip(0, n - 1)].reshape(-1, k, dims)
+    return Envelope(upper=_window_reduce(np.maximum, blocks, n),
+                    lower=_window_reduce(np.minimum, blocks, n), window=w)
 
 
 def envelope_deviations(ca: np.ndarray, env: Envelope) -> np.ndarray:
-    """Per-point Euclidean distance from candidate points to the envelope box.
+    """Per-point distance (box_costs) from candidate points to the envelope box.
 
     `ca` is one (n, D) series or a (C, n, D) stack of them."""
-    dev_hi = np.maximum(ca - env.upper, 0.0)
-    dev_lo = np.maximum(env.lower - ca, 0.0)
-    return np.sqrt(sum_last(dev_hi * dev_hi + dev_lo * dev_lo))
+    return np.sqrt(box_costs(ca, env.lower, env.upper))
 
 
 def lb_mv(c, env: Envelope, abandon_above: float | None = None) -> BoundResult:
     """Envelope lower bound of the banded DTW distance.
 
-    Sums, over candidate indices, the Euclidean distance from each candidate
-    point to the envelope box at that index (zero for points inside the box).
+    Sums, over candidate indices, the Euclidean distance (box_costs) from each
+    candidate point to the envelope box at that index, zero inside the box.
     """
     ca = as_series(c)
     if ca.shape != env.upper.shape:
@@ -118,9 +94,5 @@ def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
     inside the box) and every bound in this package that relaxes point
     distances, at the cost of O(n * W * D) work per pair.
     """
-    qa = as_series(q)
-    ca = as_series(c)
-    if qa.shape != ca.shape:
-        raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
-    w = min(int(window), qa.shape[0] - 1)
+    qa, ca, w = as_pair(q, c, window)
     return sum_with_abandon(cost_band(ca, qa, w).min(axis=1), abandon_above)

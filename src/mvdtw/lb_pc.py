@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_series, sum_last, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_series, sum_with_abandon
+from .dtw import box_costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,18 +158,12 @@ def build_box_sets(
 
 def lb_pc(c, grouping: BoxGrouping, abandon_above: float | None = None) -> BoundResult:
     """Clustering lower bound: each candidate point pays the distance to the
-    nearest box of the box set covering its window, summed over indices."""
+    nearest box of the box set covering its window, measured by box_costs
+    and summed over indices."""
     ca = as_series(c)
-    if ca.shape[0] != grouping.n:
-        raise InvalidInputError(f"length mismatch: {ca.shape[0]} vs {grouping.n}")
-    if ca.shape[1] != grouping.pad_lo.shape[2]:
-        raise InvalidInputError(f"dimension mismatch: {ca.shape[1]} vs {grouping.pad_lo.shape[2]}")
+    shape = (grouping.n, grouping.pad_lo.shape[2])
+    if ca.shape != shape:
+        raise InvalidInputError(f"shape mismatch: {ca.shape} vs {shape}")
     g_idx = np.arange(grouping.n) // grouping.group_width
-    lo = grouping.pad_lo[g_idx]
-    hi = grouping.pad_hi[g_idx]
-    pts = ca[:, None, :]
-    dev_lo = np.maximum(lo - pts, 0.0)
-    dev_hi = np.maximum(pts - hi, 0.0)
-    d2 = sum_last(dev_hi * dev_hi + dev_lo * dev_lo)
-    per_point = np.sqrt(d2.min(axis=1))
-    return sum_with_abandon(per_point, abandon_above)
+    d2 = box_costs(ca[:, None], grouping.pad_lo[g_idx], grouping.pad_hi[g_idx])
+    return sum_with_abandon(np.sqrt(d2.min(axis=1)), abandon_above)

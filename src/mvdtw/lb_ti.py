@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BoundResult, InvalidInputError, as_series
+from .core import BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon
 from .dtw import point_costs
 
 _PROP_SLACK = 2.0 ** -46
@@ -46,8 +46,7 @@ _INF = float("inf")
 def neighbor_steps(series) -> np.ndarray:
     """Distances between consecutive points of a series, shape (n-1,)."""
     a = as_series(series)
-    diff = a[1:] - a[:-1]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    return point_costs(a[1:], a[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +71,10 @@ def lb_ti(
     neighbor
         precomputed adjacent-point distances of `q`; built if omitted
     """
-    qa = as_series(q)
-    ca = as_series(c)
-    if qa.shape != ca.shape:
-        raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
+    qa, ca, w = as_pair(q, c, window)
     if refresh_period < 1:
         raise InvalidInputError("refresh_period must be >= 1")
-    if window < 0:
-        raise InvalidInputError("window must be >= 0")
     n = qa.shape[0]
-    w = min(int(window), n - 1)
     p = min(refresh_period, n)
     qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
 
@@ -135,11 +128,4 @@ def lb_ti(
             win = slice(max(t - k0, 0), min(t + 2 * w + 1, k1) - k0)  # row r + t's window
             np.minimum(best[:nb, win], lo[:nb, win], out=best[:nb, win])
         np.minimum.at(colmin, cols[inside], best[inside])
-    # Abandon at the first prefix sum above the threshold, as a left-to-right
-    # scan does even when a later term is NaN (inf - inf from overflowed
-    # distances).
-    sums = np.cumsum(colmin)
-    over = np.flatnonzero(sums > abandon_above) if abandon_above is not None else []
-    if len(over):
-        return BoundResult(float(sums[over[0]]), True)
-    return BoundResult(float(sums[-1]), False)
+    return sum_with_abandon(colmin, abandon_above)

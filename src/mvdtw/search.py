@@ -29,7 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvalidInputError, Method, MultivariateSeries, SearchParams, as_series
+from .core import (
+    InvalidInputError, Method, MultivariateSeries, SearchParams, as_series, sequential_sums,
+)
 from .dtw import dtw_rows, point_costs, row_cells
 from .lb_mv import build_envelope, envelope_deviations, lb_ad
 from .lb_pc import build_box_sets, lb_pc
@@ -114,11 +116,6 @@ def _blockwise(fn, stack: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(stack[b : b + _BLOCK]) for b in range(0, len(stack), _BLOCK)])
 
 
-def _sequential_sums(per_point: np.ndarray) -> np.ndarray:
-    """Row totals summed left to right, the order sum_with_abandon uses."""
-    return np.cumsum(per_point, axis=-1)[..., -1]
-
-
 def nn_search(
     query,
     candidates,
@@ -161,7 +158,7 @@ def nn_search(
     if method != Method.NONE:
         env = build_envelope(qa, w)
         out.work += n * dims
-        lb_totals = _blockwise(lambda b: _sequential_sums(envelope_deviations(b, env)), stack)
+        lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)), stack)
     if adv == Method.LB_TI:
         nd = NeighborDistances(query_steps=neighbor_steps(qa))
         out.work += n * dims
@@ -191,7 +188,7 @@ def nn_search(
         upper = np.full(count, np.inf)
         need = np.arange(count)
     else:
-        diagonal = _blockwise(lambda b: _sequential_sums(point_costs(qa, b)), stack)
+        diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa, b)), stack)
         upper = np.empty(count)
         upper[0] = np.inf
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
@@ -315,11 +312,15 @@ def tc_dtw_select(
     return Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
 
 
+_GRID_E_TI = (0.05, 0.1, 0.2)
+_GRID_E_PC = (0.1, 0.5)
+_GRID_LEVELS = (2, 3)
+
+
 def tune_params(
     queries,
     candidates,
     params: SearchParams,
-    grids: dict | None = None,
     seed: int = 0,
     dim_range: np.ndarray | None = None,
     log: list | None = None,
@@ -333,9 +334,6 @@ def tune_params(
     group width stay fixed.  Each grid evaluation is appended to `log` when
     given, as (method, params, cost).
     """
-    from .core import default_grids
-
-    grids = grids or default_grids()
     method = params.method
     if method in (Method.NONE, Method.LB_MV):
         return params
@@ -354,13 +352,13 @@ def tune_params(
     tuned = params
     if method in (Method.LB_TI, Method.LB_AD, Method.TC_DTW):
         adv = Method.LB_TI if method == Method.TC_DTW else method
-        cands = [replace(params, trigger_ti=e) for e in grids["trigger_ti"]]
+        cands = [replace(params, trigger_ti=e) for e in _GRID_E_TI]
         tuned = replace(tuned, trigger_ti=eval_grid(adv, cands).trigger_ti)
     if method in (Method.LB_PC, Method.TC_DTW):
         cands = [
             replace(params, trigger_pc=e, quant_levels=lv)
-            for e in grids["trigger_pc"]
-            for lv in grids["quant_levels"]
+            for e in _GRID_E_PC
+            for lv in _GRID_LEVELS
         ]
         best = eval_grid(Method.LB_PC, cands)
         tuned = replace(tuned, trigger_pc=best.trigger_pc, quant_levels=best.quant_levels)

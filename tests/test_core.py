@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvdtw import InvalidInputError, Method, MultivariateSeries, SearchParams
+from mvdtw import (
+    InvalidInputError, Method, MultivariateSeries, SearchParams, build_box_sets, build_envelope,
+    dtw_banded, lb_ad, lb_ti,
+)
 from mvdtw.core import sum_last
 from mvdtw.dtw import point_costs
 
@@ -79,6 +82,16 @@ def test_search_params_defaults_and_validation():
         SearchParams(window=1, trigger_ti=1.0)
     with pytest.raises(InvalidInputError):
         SearchParams(window=1, refresh_period=0)
-    with pytest.raises(InvalidInputError):
-        SearchParams(window=1, dims_used=0)
     SearchParams(window=1, method="lb_ti")  # strings coerce to the enum
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: dtw_banded(q, q, -1),
+    lambda q: lb_ad(q, q, -1),
+    lambda q: lb_ti(q, q, -1),
+    lambda q: build_envelope(q, -1),
+    lambda q: build_box_sets(q, -1, 2, 2, 6, 1e-5),
+], ids=["dtw_banded", "lb_ad", "lb_ti", "build_envelope", "build_box_sets"])
+def test_negative_window_rejected(call):
+    with pytest.raises(InvalidInputError, match="window"):
+        call(np.arange(12.0).reshape(6, 2))

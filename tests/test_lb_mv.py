@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdtw import InvalidInputError, build_envelope, dtw_banded, lb_ad, lb_mv
 
@@ -22,17 +24,27 @@ def test_envelope_window_zero_and_constant(rng):
     assert np.array_equal(env.upper, const) and np.array_equal(env.lower, const)
 
 
-def test_envelope_matches_naive(rng):
-    for _ in range(60):
-        n = int(rng.integers(1, 40))
-        d = int(rng.integers(1, 5))
-        w = int(rng.integers(0, 12))
-        q = rng.normal(size=(n, d))
-        lower, upper = naive_envelope(q, min(w, n - 1))
-        env = build_envelope(q, w)
-        assert np.array_equal(env.lower, lower)
-        assert np.array_equal(env.upper, upper)
-        assert np.all(env.lower <= q) and np.all(q <= env.upper)
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["normal", "rounded", "constant"]),
+    n=st.integers(1, 70),
+    dims=st.integers(1, 10),
+    extra_window=st.integers(0, 73),
+)
+def test_envelope_matches_naive(seed, kind, n, dims, extra_window):
+    # W in [0, n + 3]; rounded and constant series put ties in most windows
+    w = extra_window % (n + 4)
+    q = np.random.default_rng(seed).normal(size=(n, dims))
+    if kind == "rounded":
+        q = np.round(q)
+    elif kind == "constant":
+        q = np.full_like(q, q[0, 0])
+    lower, upper = naive_envelope(q, min(w, n - 1))
+    env = build_envelope(q, w)
+    assert np.array_equal(env.lower, lower)
+    assert np.array_equal(env.upper, upper)
+    assert np.all(env.lower <= q) and np.all(q <= env.upper)
 
 
 def test_lb_mv_hand_example():

@@ -183,16 +183,6 @@ def test_tune_grid_sizes(rng):
         assert tuned.refresh_period == 5 and tuned.max_boxes == 6 and tuned.group_width == 6
 
 
-def test_tune_single_point_grid_returns_it(rng):
-    q, cands = small_problem(rng, num_series=8, seed=17)
-    grids = {"trigger_ti": [0.2], "trigger_pc": [0.5], "quant_levels": [3]}
-    tuned = tune_params([q], cands, SearchParams(window=4, method=Method.TC_DTW),
-                        grids=grids, seed=0)
-    assert tuned.trigger_ti == 0.2
-    assert tuned.trigger_pc == 0.5
-    assert tuned.quant_levels == 3
-
-
 def test_tuned_params_do_not_change_answers(rng):
     ds = random_walk_dataset(20, 20, 2, seed=23)
     series = ds.series_list()
