@@ -48,7 +48,7 @@ def main() -> int:
             paths.append(path)
         config = BenchConfig(
             data=paths, methods=METHODS, windows=list(args.windows),
-            seed=args.seed, reps=args.reps, ideal=True,
+            seed=args.seed, reps=args.reps,
         )
         reports = run_benchmark(config)
     sys.stdout.write(emit_report(reports, args.emit, {"seed": args.seed, "reps": args.reps}))

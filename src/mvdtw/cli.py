@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import platform
@@ -51,7 +50,7 @@ class RunReport:
     dims: int
     skip_pct: float
     speedup: float
-    ideal_speedup: float | None
+    ideal_speedup: float
     dtw_computed: int
     dtw_skipped: int
     lb_time_s: float
@@ -59,8 +58,6 @@ class RunReport:
     total_time_s: float
     seed: int
     params: str = ""
-    threads: int = 1
-    reps: int = 1
 
     def row(self) -> dict:
         return {
@@ -70,7 +67,7 @@ class RunReport:
             "dims": self.dims,
             "skip_pct": round(self.skip_pct, 4),
             "speedup": round(self.speedup, 4),
-            "ideal_speedup": None if self.ideal_speedup is None else round(self.ideal_speedup, 4),
+            "ideal_speedup": round(self.ideal_speedup, 4),
             "dtw_computed": self.dtw_computed,
             "dtw_skipped": self.dtw_skipped,
             "lb_time_s": round(self.lb_time_s, 6),
@@ -90,14 +87,9 @@ class BenchConfig:
     seed: int = 42
     reps: int = 10
     tune: bool = True
-    ideal: bool = False
-    threads: int = 1  # 0 = one per CPU
     emit: str = "csv"
     out: str | None = None
     verify: bool = False
-
-    def resolved_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -112,24 +104,6 @@ def _load(path: str, fmt: str) -> Dataset:
     if fmt == "ts":
         return normalize(parse_ts_subset(path))
     raise ConfigError(f"unknown format {fmt!r}")
-
-
-def _run_queries(queries, candidates, params, advanced, dim_range, threads) -> _MethodRun:
-    t0 = time.perf_counter()
-    if threads <= 1:
-        outcomes = [
-            nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range)
-            for q in queries
-        ]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda q: nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range),
-                    queries,
-                )
-            )
-    return _MethodRun(outcomes, time.perf_counter() - t0)
 
 
 def _verify_soundness(queries, candidates, params: SearchParams, dim_range) -> None:
@@ -170,7 +144,6 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
     if config.reps < 1:
         raise ConfigError("reps must be >= 1")
     methods = [Method(m) for m in config.methods]
-    threads = config.resolved_threads()
     reports: list[RunReport] = []
 
     # Load and validate every combination up front, so configuration problems
@@ -196,27 +169,27 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
                                       replace(base_params, method=Method.TC_DTW),
                                       ds.dim_ranges)
                 baseline = _measure(queries, candidates, base_params, None,
-                                    ds.dim_ranges, threads, config.reps)
+                                    ds.dim_ranges, config.reps)
                 for method in methods:
                     reports.append(
-                        _run_cell(
-                            config, ds, queries, candidates, method, window,
-                            baseline, threads,
-                        )
+                        _run_cell(config, ds, queries, candidates, method, window, baseline)
                     )
     return reports
 
 
-def _measure(queries, candidates, params, advanced, dim_range, threads, reps) -> _MethodRun:
-    run = _run_queries(queries, candidates, params, advanced, dim_range, threads)
-    walls = [run.wall_s]
-    for _ in range(reps - 1):
-        walls.append(_run_queries(queries, candidates, params, advanced, dim_range, threads).wall_s)
-    run.wall_s = sum(walls) / len(walls)
-    return run
+def _measure(queries, candidates, params, advanced, dim_range, reps) -> _MethodRun:
+    """Search every query `reps` times, one after another; keeps the first
+    pass's outcomes and the mean wall time of all passes."""
+    runs = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        outcomes = [nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range)
+                    for q in queries]
+        runs.append(_MethodRun(outcomes, time.perf_counter() - t0))
+    return _MethodRun(runs[0].outcomes, sum(r.wall_s for r in runs) / reps)
 
 
-def _run_cell(config, ds, queries, candidates, method, window, baseline, threads) -> RunReport:
+def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunReport:
     params = SearchParams(window=window, method=method)
     advanced = None
     if method == Method.NONE:
@@ -228,21 +201,18 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline, threads
         if method == Method.TC_DTW:
             sq, sc = selection_sample(queries, candidates, config.seed)
             advanced = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
-        run = _measure(queries, candidates, params, advanced, ds.dim_ranges,
-                       threads, config.reps)
+        run = _measure(queries, candidates, params, advanced, ds.dim_ranges, config.reps)
 
     computed = sum(o.dtw_computed for o in run.outcomes)
     skipped = sum(o.dtw_skipped for o in run.outcomes)
     lb_time = sum(o.lb_time for o in run.outcomes)
     dtw_time = sum(o.dtw_time for o in run.outcomes)
     total = run.wall_s
-    ideal = None
-    if config.ideal:
-        # Per-query time sums on both sides: thread-count independent, unlike
-        # the whole-run wall clock the speedup column uses.
-        base_sum = sum(o.total_time for o in baseline.outcomes)
-        own_sum = sum(o.total_time for o in run.outcomes)
-        ideal = base_sum / max(own_sum - lb_time, 1e-12)
+    # Per-query search times on both sides, with this method's bound time
+    # taken out: the speedup its pruning would give if bounds cost nothing.
+    base_sum = sum(o.total_time for o in baseline.outcomes)
+    own_sum = sum(o.total_time for o in run.outcomes)
+    ideal = base_sum / max(own_sum - lb_time, 1e-12)
     label = method.value
     if advanced is not None:
         label = f"{method.value}({advanced.value})"
@@ -261,8 +231,6 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline, threads
         total_time_s=total,
         seed=config.seed,
         params=_describe_params(params, label),
-        threads=threads,
-        reps=config.reps,
     )
 
 
@@ -338,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--no-tune", dest="tune", action="store_false")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--emit", choices=["csv", "table", "json"], default="csv")
-    p.add_argument("--ideal", action="store_true",
-                   help="also report the speedup with bound overhead removed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="query worker threads (default 1, the fastest: the search "
-                        "holds the interpreter lock; 0 = one per CPU)")
     p.add_argument("--verify", action="store_true",
                    help="check bound soundness on a data subsample before running")
     return p
@@ -370,8 +333,6 @@ def config_from_args(args) -> BenchConfig:
         seed=args.seed,
         reps=args.reps,
         tune=args.tune,
-        ideal=args.ideal,
-        threads=args.threads,
         emit=args.emit,
         out=args.out,
         verify=args.verify,
@@ -389,6 +350,11 @@ def main(argv=None) -> int:
         if not os.path.exists(path):
             print(f"config error: no such file: {path}", file=sys.stderr)
             return 1
+    if config.out and (os.path.isdir(config.out)
+                       or not os.path.isdir(os.path.dirname(os.path.abspath(config.out)))):
+        print(f"config error: --out is not a file in an existing directory: {config.out}",
+              file=sys.stderr)
+        return 1
     try:
         reports = run_benchmark(config)
     except ConfigError as exc:
@@ -400,7 +366,6 @@ def main(argv=None) -> int:
     meta = {
         "host": platform.node() or "unknown",
         "platform": platform.platform(),
-        "threads": config.resolved_threads(),
         "reps": config.reps,
         "seed": config.seed,
     }

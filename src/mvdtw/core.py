@@ -10,16 +10,17 @@ propagation sound.
 Each arithmetic rule has one owner, which every bound and the search call,
 so the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad,
 the batched search equal to the one-pair scan) need no hand-kept copies:
-series and pair checks `as_series`/`as_pair`; sums over dimensions
-`sum_last`; point distances `dtw.point_costs`; point-to-box distances
-`dtw.box_costs`; bound sums and abandoning `sum_with_abandon`, with
-`sequential_sums` for batches.
+array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
+sums over dimensions `sum_last`; point distances `dtw.point_costs`;
+point-to-box distances `dtw.box_costs`; bound sums and abandoning
+`sum_with_abandon`, with `sequential_sums` for batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,18 +40,29 @@ class Method(str, Enum):
     LB_AD = "lb_ad"
 
 
+def as_array(x) -> np.ndarray:
+    """Coerce a series-like object to a float64 array, a 1-D input becoming
+    one (n, 1) column; shape and values are left to the caller.
+
+    Raises InvalidInputError when `x` is not numeric or is ragged.
+    """
+    if isinstance(x, MultivariateSeries):
+        return x.values
+    try:
+        a = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"series is not numeric: {exc}") from None
+    return a[:, None] if a.ndim == 1 else a
+
+
 def as_series(x) -> np.ndarray:
     """Coerce a series-like object to a validated float64 array of shape (n, D).
 
     Accepts a MultivariateSeries, an (n, D) array, or a 1-D array (treated as
-    a univariate series).  Raises InvalidInputError on empty or non-finite
-    input.
+    a univariate series).  Raises InvalidInputError on non-numeric, ragged,
+    empty or non-finite input.
     """
-    if isinstance(x, MultivariateSeries):
-        return x.values
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
+    a = as_array(x)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(f"series must be (n, D) with n>=1, D>=1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -153,45 +165,46 @@ def sequential_sums(per_point: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """All tunables of the bounded nearest-neighbor search.
+    """Parameters of the bounded nearest-neighbor search.
 
+    Fields, chosen by the caller (window, method) or tuned on a sample by
+    `search.tune_params` (the other three):
     window          warping window size W >= 0 (capped at n-1 when applied)
     method          search strategy (see Method)
-    refresh_period  period of true-distance refreshes in the periodic
-                    triangle bound (>= 1)
     trigger_ti      triggering threshold for the triangle bound, in (0, 1)
     trigger_pc      triggering threshold for the clustering bound, in (0, 1)
     quant_levels    quantization level: cells per dimension (>= 1)
-    max_boxes       cap on bounding boxes per expanded window (>= 1)
-    group_width     window expansion factor for box grouping (>= 1)
+
+    Fixed constants, read from the class or any instance:
+    refresh_period  period of true-distance refreshes in the periodic
+                    triangle bound
+    max_boxes       cap on bounding boxes per expanded window
+    group_width     window expansion factor for box grouping
     min_cell_frac   smallest cell length, as a fraction of the dataset's
                     normalized per-dimension value range
     """
 
     window: int
     method: Method = Method.TC_DTW
-    refresh_period: int = 5
     trigger_ti: float = 0.1
     trigger_pc: float = 0.1
     quant_levels: int = 2
-    max_boxes: int = 6
-    group_width: int = 6
-    min_cell_frac: float = 0.00001
+
+    refresh_period: ClassVar[int] = 5
+    max_boxes: ClassVar[int] = 6
+    group_width: ClassVar[int] = 6
+    min_cell_frac: ClassVar[float] = 0.00001
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
         if self.window < 0:
             raise InvalidInputError("window must be >= 0")
-        if self.refresh_period < 1:
-            raise InvalidInputError("refresh_period must be >= 1")
         for name in ("trigger_ti", "trigger_pc"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise InvalidInputError(f"{name} must be in (0, 1)")
-        if self.quant_levels < 1 or self.max_boxes < 1 or self.group_width < 1:
-            raise InvalidInputError("quant_levels, max_boxes and group_width must be >= 1")
-        if self.min_cell_frac <= 0.0:
-            raise InvalidInputError("min_cell_frac must be > 0")
+        if self.quant_levels < 1:
+            raise InvalidInputError("quant_levels must be >= 1")
 
     def effective_window(self, n: int) -> int:
         return min(self.window, n - 1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    InvalidInputError, Method, MultivariateSeries, SearchParams, as_series, sequential_sums,
+    InvalidInputError, Method, SearchParams, as_array, as_series, sequential_sums,
 )
 from .dtw import dtw_rows, point_costs, row_cells
 from .lb_mv import build_envelope, envelope_deviations, lb_ad
@@ -88,15 +88,10 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
     """
     arrays = []
     for k, c in enumerate(candidates):
-        if isinstance(c, MultivariateSeries):
-            a = c.values
-        else:
-            try:
-                a = np.asarray(c, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"candidate {k} is not a numeric series: {exc}") from None
-            if a.ndim == 1:
-                a = a[:, None]
+        try:
+            a = as_array(c)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"candidate {k}: {exc}") from None
         if a.shape != shape:
             raise InvalidInputError(f"candidate {k} has shape {a.shape}, query has {shape}")
         arrays.append(a)
@@ -330,9 +325,9 @@ def tune_params(
     The sample is selection_sample(queries, candidates, seed).  Depending on
     params.method the grid covers the triangle trigger (3 runs), the
     clustering trigger x quantization level (4 runs), or both (7 runs for
-    TC_DTW).  Refresh period, box cap, and
-    group width stay fixed.  Each grid evaluation is appended to `log` when
-    given, as (method, params, cost).
+    TC_DTW).  The SearchParams constants (refresh period, box cap, group
+    width, cell floor) stay fixed.  Each grid evaluation is appended to `log`
+    when given, as (method, params, cost).
     """
     method = params.method
     if method in (Method.NONE, Method.LB_MV):

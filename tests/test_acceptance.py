@@ -344,7 +344,7 @@ def test_criterion_8_csv_determinism(tmp_path):
         write_native(ds, data)
         config = BenchConfig(
             data=[str(data)], methods=[Method.LB_MV, Method.LB_TI, Method.TC_DTW],
-            windows=[5], seed=SEED, reps=1, threads=1,
+            windows=[5], seed=SEED, reps=1,
         )
         outputs = []
         for _ in range(2):

@@ -10,6 +10,7 @@ from mvdtw.cli import (
     BenchConfig,
     ConfigError,
     RunReport,
+    build_parser,
     emit_report,
     main,
     run_benchmark,
@@ -43,7 +44,7 @@ def run_cli(args, capsys):
 def test_end_to_end_csv(data_file, capsys):
     code, out = run_cli(
         ["--data", data_file, "--method", "none", "lb_mv", "tc_dtw",
-         "--window", "4", "--reps", "1", "--threads", "1", "--seed", "7"],
+         "--window", "4", "--reps", "1", "--seed", "7"],
         capsys,
     )
     assert code == 0
@@ -54,27 +55,27 @@ def test_end_to_end_csv(data_file, capsys):
     none_row = rows[0]
     assert float(none_row["speedup"]) == 1.0
     assert float(none_row["skip_pct"]) == 0.0
-    assert none_row["ideal_speedup"] == ""  # only populated with --ideal
     for r in rows:
+        assert float(r["ideal_speedup"]) > 0.0
         assert int(r["dtw_computed"]) + int(r["dtw_skipped"]) == 7 * 17
 
 
 def test_counter_columns_reproducible(data_file, capsys):
     args = ["--data", data_file, "--method", "tc_dtw", "lb_ti", "--window", "3",
             "--reps", "1", "--seed", "21"]
-    _, out1 = run_cli(args + ["--threads", "1"], capsys)
-    _, out2 = run_cli(args + ["--threads", "1"], capsys)
-    _, out3 = run_cli(args + ["--threads", "2"], capsys)  # thread count is timing-only
-    rows1, rows2, rows3 = parse_csv(out1), parse_csv(out2), parse_csv(out3)
-    for r1, r2, r3 in zip(rows1, rows2, rows3):
+    _, out1 = run_cli(args, capsys)
+    _, out2 = run_cli(args, capsys)
+    rows1, rows2 = parse_csv(out1), parse_csv(out2)
+    assert len(rows1) == len(rows2) == 2
+    for r1, r2 in zip(rows1, rows2):
         for col in COUNTER_COLUMNS:
-            assert r1[col] == r2[col] == r3[col]
+            assert r1[col] == r2[col]
 
 
 def test_window_zero_and_dims(data_file, capsys):
     code, out = run_cli(
         ["--data", data_file, "--method", "lb_pc", "--window", "0",
-         "--dims", "1", "all", "--reps", "1", "--threads", "1", "--no-tune"],
+         "--dims", "1", "all", "--reps", "1", "--no-tune"],
         capsys,
     )
     assert code == 0
@@ -82,21 +83,20 @@ def test_window_zero_and_dims(data_file, capsys):
     assert sorted(int(r["dims"]) for r in rows) == [1, 2]
 
 
-def test_ideal_flag(data_file, capsys):
+def test_ideal_speedup_at_least_speedup(data_file, capsys):
+    # taking the bound time out can only raise the speedup
     code, out = run_cli(
-        ["--data", data_file, "--method", "lb_mv", "--window", "3",
-         "--reps", "1", "--threads", "1", "--ideal"],
+        ["--data", data_file, "--method", "lb_mv", "--window", "3", "--reps", "1"],
         capsys,
     )
     assert code == 0
     row = parse_csv(out)[0]
-    assert row["ideal_speedup"] != ""
     assert float(row["ideal_speedup"]) >= float(row["speedup"]) - 1e-9
 
 
 def test_emit_json_matches_csv(data_file, capsys):
     base = ["--data", data_file, "--method", "lb_mv", "--window", "4",
-            "--reps", "1", "--threads", "1", "--seed", "5"]
+            "--reps", "1", "--seed", "5"]
     _, out_csv = run_cli(base + ["--emit", "csv"], capsys)
     _, out_json = run_cli(base + ["--emit", "json"], capsys)
     csv_row = parse_csv(out_csv)[0]
@@ -109,7 +109,7 @@ def test_emit_json_matches_csv(data_file, capsys):
 def test_emit_table(data_file, capsys):
     code, out = run_cli(
         ["--data", data_file, "--method", "lb_mv", "--window", "4",
-         "--reps", "1", "--threads", "1", "--emit", "table"],
+         "--reps", "1", "--emit", "table"],
         capsys,
     )
     assert code == 0
@@ -120,7 +120,7 @@ def test_out_file(data_file, tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out = run_cli(
         ["--data", data_file, "--method", "lb_mv", "--window", "4",
-         "--reps", "1", "--threads", "1", "--out", str(target)],
+         "--reps", "1", "--out", str(target)],
         capsys,
     )
     assert code == 0
@@ -128,10 +128,21 @@ def test_out_file(data_file, tmp_path, capsys):
     assert parse_csv(target.read_text())
 
 
+@pytest.mark.parametrize("target", ["missing/report.csv", "."], ids=["missing_dir", "a_dir"])
+def test_unwritable_out_fails_before_any_work(data_file, tmp_path, capsys, monkeypatch, target):
+    def no_work(config):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr("mvdtw.cli.run_benchmark", no_work)
+    assert main(["--data", data_file, "--out", str(tmp_path / target)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_flag(data_file, capsys):
     code, _ = run_cli(
         ["--data", data_file, "--method", "lb_mv", "--window", "3",
-         "--reps", "1", "--threads", "1", "--verify"],
+         "--reps", "1", "--verify"],
         capsys,
     )
     assert code == 0
@@ -146,12 +157,13 @@ def test_config_errors(data_file, capsys):
     capsys.readouterr()
 
 
-def test_threads_default_to_one(data_file):
-    # the search holds the interpreter lock, so extra threads only add overhead
-    from mvdtw.cli import build_parser, config_from_args
-
-    assert BenchConfig(data=[data_file]).resolved_threads() == 1
-    assert config_from_args(build_parser().parse_args(["--data", data_file])).resolved_threads() == 1
+def test_parser_options():
+    # every option is a knob to keep working; adding one should be a decision
+    options = {s for action in build_parser()._actions for s in action.option_strings}
+    assert options == {
+        "-h", "--help", "--data", "--format", "--method", "--window", "--dims", "--seed",
+        "--reps", "--tune", "--no-tune", "--out", "--emit", "--verify",
+    }
 
 
 def test_data_errors(tmp_path, capsys):
@@ -168,7 +180,7 @@ def test_emit_report_empty_and_round_trip():
     assert emit_report([], "csv") == ",".join(CSV_COLUMNS) + "\n"
     report = RunReport(
         dataset="d", method="lb_mv", window=5, dims=2, skip_pct=50.0, speedup=1.5,
-        ideal_speedup=None, dtw_computed=10, dtw_skipped=10, lb_time_s=0.25,
+        ideal_speedup=2.0, dtw_computed=10, dtw_skipped=10, lb_time_s=0.25,
         dtw_time_s=0.5, total_time_s=1.0, seed=42,
     )
     text = emit_report([report], "csv")
@@ -176,6 +188,7 @@ def test_emit_report_empty_and_round_trip():
     assert row["dataset"] == "d"
     assert int(row["dtw_computed"]) == 10
     assert float(row["total_time_s"]) == 1.0
+    assert float(row["ideal_speedup"]) == 2.0
     with pytest.raises(ConfigError):
         emit_report([report], "yaml")
 
@@ -194,7 +207,7 @@ def test_tc_dtw_method_label_reports_choice(tmp_path):
     path = tmp_path / "clust.mts"
     write_native(ds, path)
     config = BenchConfig(data=[str(path)], methods=[Method.TC_DTW], windows=[3],
-                         reps=1, threads=1, seed=11)
+                         reps=1, seed=11)
     reports = run_benchmark(config)
     assert len(reports) == 1
     assert reports[0].method == "tc_dtw"

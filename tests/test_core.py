@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvdtw import (
     InvalidInputError, Method, MultivariateSeries, SearchParams, build_box_sets, build_envelope,
-    dtw_banded, lb_ad, lb_ti,
+    dtw_banded, lb_ad, lb_mv, lb_ti, nn_search,
 )
 from mvdtw.core import sum_last
 from mvdtw.dtw import point_costs
@@ -69,10 +71,13 @@ def test_series_validation():
 
 def test_search_params_defaults_and_validation():
     p = SearchParams(window=10)
-    assert p.refresh_period == 5
-    assert p.max_boxes == 6
-    assert p.group_width == 6
-    assert p.min_cell_frac == 0.00001
+    # the settable fields are the ones tuning or the caller chooses; the rest
+    # are constants, the same on the class and every instance
+    assert {f.name for f in dataclasses.fields(SearchParams)} == {
+        "window", "method", "trigger_ti", "trigger_pc", "quant_levels"}
+    for name, value in (("refresh_period", 5), ("max_boxes", 6), ("group_width", 6),
+                        ("min_cell_frac", 0.00001)):
+        assert getattr(SearchParams, name) == getattr(p, name) == value
     assert p.method is Method.TC_DTW
     assert p.effective_window(8) == 7  # capped at n-1
     assert p.effective_window(100) == 10
@@ -80,8 +85,6 @@ def test_search_params_defaults_and_validation():
         SearchParams(window=-1)
     with pytest.raises(InvalidInputError):
         SearchParams(window=1, trigger_ti=1.0)
-    with pytest.raises(InvalidInputError):
-        SearchParams(window=1, refresh_period=0)
     SearchParams(window=1, method="lb_ti")  # strings coerce to the enum
 
 
@@ -95,3 +98,15 @@ def test_search_params_defaults_and_validation():
 def test_negative_window_rejected(call):
     with pytest.raises(InvalidInputError, match="window"):
         call(np.arange(12.0).reshape(6, 2))
+
+
+@pytest.mark.parametrize("bad", [[["a", "b"]], [[1.0, 2.0], [3.0]]], ids=["text", "ragged"])
+@pytest.mark.parametrize("call", [
+    lambda x, ok, p: dtw_banded(x, x, 1),
+    lambda x, ok, p: lb_mv(x, build_envelope(ok, 1)),
+    lambda x, ok, p: nn_search(x, [ok], p),
+    lambda x, ok, p: nn_search(ok, [ok, x], p),
+], ids=["dtw_banded", "lb_mv", "nn_search_query", "nn_search_candidate"])
+def test_non_numeric_input_rejected(call, bad):
+    with pytest.raises(InvalidInputError, match="not numeric"):
+        call(bad, np.zeros((2, 2)), SearchParams(window=1, method=Method.LB_MV))
