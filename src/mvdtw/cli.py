@@ -32,6 +32,7 @@ from .search import nn_search, selection_sample, tc_dtw_select, tune_params
 CSV_COLUMNS = [
     "dataset", "method", "window", "dims", "skip_pct", "speedup", "ideal_speedup",
     "dtw_computed", "dtw_skipped", "lb_time_s", "dtw_time_s", "total_time_s", "seed",
+    "lb_mv_evals", "advanced_lb_evals", "abandon_count",
 ]
 QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
 
@@ -57,6 +58,9 @@ class RunReport:
     dtw_time_s: float
     total_time_s: float
     seed: int
+    lb_mv_evals: int = 0
+    advanced_lb_evals: int = 0
+    abandon_count: int = 0
     params: str = ""
 
     def row(self) -> dict:
@@ -74,6 +78,9 @@ class RunReport:
             "dtw_time_s": round(self.dtw_time_s, 6),
             "total_time_s": round(self.total_time_s, 6),
             "seed": self.seed,
+            "lb_mv_evals": self.lb_mv_evals,
+            "advanced_lb_evals": self.advanced_lb_evals,
+            "abandon_count": self.abandon_count,
         }
 
 
@@ -230,6 +237,9 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunR
         dtw_time_s=dtw_time,
         total_time_s=total,
         seed=config.seed,
+        lb_mv_evals=sum(o.lb_mv_evals for o in run.outcomes),
+        advanced_lb_evals=sum(o.advanced_lb_evals for o in run.outcomes),
+        abandon_count=sum(o.abandon_count for o in run.outcomes),
         params=_describe_params(params, label),
     )
 

@@ -65,7 +65,7 @@ def as_series(x) -> np.ndarray:
     a = as_array(x)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(f"series must be (n, D) with n>=1, D>=1, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("series contains non-finite values")
     return a
 
@@ -147,7 +147,7 @@ def sum_with_abandon(per_point: np.ndarray, abandon_above: float | None) -> Boun
     it abandons at the first prefix above the threshold even when a later
     term is NaN (inf - inf from overflowed distances).
     """
-    sums = np.cumsum(per_point)
+    sums = per_point.cumsum()
     total = float(sums[-1])
     if abandon_above is None or total <= abandon_above:
         return BoundResult(total, False)

@@ -50,12 +50,12 @@ def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def cost_band(qa: np.ndarray, ca: np.ndarray, w: int) -> np.ndarray:
     """Local cost band: entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w],
-    +inf where the column index falls outside [0, n-1]."""
-    n = qa.shape[0]
+    +inf where the column index falls outside [0, n-1].  Either argument may
+    be a (C, n, D) stack, which gives a (C, n, 2w + 1) band."""
+    n = qa.shape[-2]
     j = np.arange(n)[:, None] + np.arange(-w, w + 1)[None, :]
-    valid = (j >= 0) & (j < n)
-    band = point_costs(qa[:, None, :], ca[np.clip(j, 0, n - 1)])
-    band[~valid] = _INF
+    band = point_costs(qa[..., :, None, :], ca[..., np.clip(j, 0, n - 1), :])
+    np.copyto(band, _INF, where=(j < 0) | (j >= n))
     return band
 
 

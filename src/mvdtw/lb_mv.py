@@ -95,4 +95,15 @@ def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
     distances, at the cost of O(n * W * D) work per pair.
     """
     qa, ca, w = as_pair(q, c, window)
-    return sum_with_abandon(cost_band(ca, qa, w).min(axis=1), abandon_above)
+    return sum_with_abandon(lb_ad_terms(qa, ca, w), abandon_above)
+
+
+def lb_ad_terms(qa: np.ndarray, cas: np.ndarray, w: int) -> np.ndarray:
+    """Per-point terms of lb_ad: the distance from each candidate point to
+    the nearest query point in its window.
+
+    `qa` is a validated (n, D) query, `cas` one (n, D) candidate or a
+    (C, n, D) stack and `w` the effective window; the terms have `cas`'s
+    shape less its last axis.  Works on the (n, 2w + 1) cost band, so a
+    candidate's temporaries hold n * (2w + 1) * D floats."""
+    return cost_band(cas, qa, w).min(axis=-1)

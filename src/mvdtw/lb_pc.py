@@ -85,14 +85,14 @@ def _grouped_cells(
     # Mixed-radix cell ids per group (dimension 0 most significant), then a
     # group-major key so one global sort orders cells lexicographically
     # within each group.
-    rev_prod = np.cumprod(lev[:, ::-1], axis=1)
+    rev_prod = lev[:, ::-1].cumprod(axis=1)
     weights = np.concatenate([np.ones((groups, 1), np.int64), rev_prod[:, :-1]], axis=1)[:, ::-1]
     ids = (cell_idx * weights[:, None, :]).sum(axis=-1)
     key_base = int(ids.max()) + 1
     keys = (g_arr[:, None] * key_base + ids).ravel()
     flat_pts = pts.reshape(-1, dims)
 
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     sorted_keys = keys[order]
     sorted_pts = flat_pts[order]
     cell_starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
@@ -100,7 +100,7 @@ def _grouped_cells(
     cell_hi = np.maximum.reduceat(sorted_pts, cell_starts, axis=0)
     cell_group = sorted_keys[cell_starts] // key_base
     counts = np.bincount(cell_group, minlength=groups)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    offsets = np.concatenate([[0], counts.cumsum()])
     return _GroupedCells(cell_lo, cell_hi, counts, offsets, group_width, n)
 
 
@@ -111,8 +111,8 @@ def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
     groups = len(cells.counts)
     dims = cells.cell_lo.shape[1]
     n_boxes = np.minimum(cells.counts, max_boxes)
-    box_group = np.repeat(np.arange(groups), n_boxes)
-    slot = np.arange(len(box_group)) - (np.cumsum(n_boxes) - n_boxes)[box_group]
+    box_group = np.arange(groups).repeat(n_boxes)
+    slot = np.arange(len(box_group)) - (n_boxes.cumsum() - n_boxes)[box_group]
     seg_starts = cells.offsets[box_group] + slot
     box_lo = np.minimum.reduceat(cells.cell_lo, seg_starts, axis=0)
     box_hi = np.maximum.reduceat(cells.cell_hi, seg_starts, axis=0)
@@ -164,6 +164,18 @@ def lb_pc(c, grouping: BoxGrouping, abandon_above: float | None = None) -> Bound
     shape = (grouping.n, grouping.pad_lo.shape[2])
     if ca.shape != shape:
         raise InvalidInputError(f"shape mismatch: {ca.shape} vs {shape}")
-    g_idx = np.arange(grouping.n) // grouping.group_width
-    d2 = box_costs(ca[:, None], grouping.pad_lo[g_idx], grouping.pad_hi[g_idx])
-    return sum_with_abandon(np.sqrt(d2.min(axis=1)), abandon_above)
+    return sum_with_abandon(lb_pc_terms(ca, grouping), abandon_above)
+
+
+def lb_pc_terms(cas: np.ndarray, grouping: BoxGrouping) -> np.ndarray:
+    """Per-point terms of lb_pc: the distance from each candidate point to
+    the nearest box of its expanded window.
+
+    `cas` is one validated (n, D) candidate or a (C, n, D) stack of the
+    grouping's shape; the terms have its shape less the last axis.  A
+    candidate's temporaries hold n * K * D floats, K the widest box set."""
+    # index i's box set is set i // group_width
+    lo, hi = (pad.repeat(grouping.group_width, axis=0)[: grouping.n]
+              for pad in (grouping.pad_lo, grouping.pad_hi))
+    d2 = box_costs(cas[..., :, None, :], lo, hi)
+    return np.sqrt(d2.min(axis=-1))

@@ -38,7 +38,7 @@ from .core import BoundResult, InvalidInputError, as_pair, as_series, sum_with_a
 from .dtw import point_costs
 
 _PROP_SLACK = 2.0 ** -46
-_CHUNK_SLOTS = 1 << 13  # interval slots advanced at once
+_CHUNK_SLOTS = 1 << 13  # interval slots per candidate advanced at once
 
 _INF = float("inf")
 
@@ -74,9 +74,25 @@ def lb_ti(
     qa, ca, w = as_pair(q, c, window)
     if refresh_period < 1:
         raise InvalidInputError("refresh_period must be >= 1")
-    n = qa.shape[0]
-    p = min(refresh_period, n)
     qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
+    return sum_with_abandon(lb_ti_terms(qa, ca[None], w, refresh_period, qsteps)[0],
+                            abandon_above)
+
+
+def lb_ti_terms(qa: np.ndarray, cas: np.ndarray, w: int, refresh_period: int,
+                qsteps: np.ndarray) -> np.ndarray:
+    """Per-point terms of lb_ti for a (C, n, D) stack of candidates: term
+    (c, j) is the smallest floor candidate c's column j gets over every row
+    whose window holds it.
+
+    `qa` is a validated (n, D) query, `cas` a validated stack of its shape,
+    `w` the effective window, `refresh_period` >= 1 and `qsteps` the query's
+    neighbor_steps.  Returns a (C, n) array.  Each candidate advances at most
+    _CHUNK_SLOTS interval slots at once, about (n / P) * (2w + P) when the
+    series is short, and its temporaries hold D floats per slot.
+    """
+    count, n, dims = cas.shape
+    p = min(refresh_period, n)
 
     # Rows fall into blocks of p, each starting at a re-anchored row r.  No
     # interval crosses a block boundary, so blocks advance together, one row
@@ -86,33 +102,42 @@ def lb_ti(
     # true distance.  A column's term is its smallest floor over every row
     # whose window holds it, across blocks.
     span = 2 * w + p
-    dims = ca.shape[1]
-    padded = np.empty((w + n + span, dims))  # ca, edge-extended: column j at row j + w
-    padded[:w] = ca[0]
-    padded[w : w + n] = ca
-    padded[w + n :] = ca[-1]
-    colmin = np.full(n, _INF)
+    # each candidate edge-extended: column j at row j + w
+    padded = np.empty((count, w + n + span, dims))
+    padded[:, :w] = cas[:, :1]
+    padded[:, w : w + n] = cas
+    padded[:, w + n :] = cas[:, -1:]
+    cs, rs, ds = padded.strides
+    stalls = not qsteps.all()  # the query repeats a point somewhere
+    # Smallest floors, flat: candidate c's column j at c * width + w + j, with
+    # room for the columns outside [0, n) that edge slots hold, so every slot
+    # is scattered unmasked and those columns are dropped at the end.
+    width = n + span
+    colmin = np.full(count * width, _INF)
     chunk = p * max(1, _CHUNK_SLOTS // span)
     for first in range(0, n, chunk):
         anchors = np.arange(first, min(n, first + chunk), p)
         # slots k0..k1-1 hold a column of [0, n) in at least one block
         k0, k1 = max(0, w - anchors[-1]), min(span, n + w - anchors[0])
         top0 = min(2 * w + 1, k1) - k0  # first top slot, local index
-        cols = anchors[:, None] + np.arange(k0 - w, k1 - w)
-        inside = (cols >= 0) & (cols < n)
-        points = as_strided(padded[first + k0 :], (len(anchors), k1 - k0, dims),
-                            (p * padded.strides[0], *padded.strides), writeable=False)
-        lo = np.empty(cols.shape)
-        lo[:, :top0] = point_costs(qa[anchors, None], points[:, :top0])
+        # One interval row per (block, candidate), block-major, so the rows
+        # of the blocks that reach a given row offset form a prefix.
+        shape = (len(anchors), count, k1 - k0)
+        points = as_strided(padded[:, first + k0 :], (*shape, dims), (p * rs, cs, rs, ds),
+                            writeable=False)
+        lo = np.empty(shape)
+        lo[..., :top0] = point_costs(qa[anchors, None, None], points[..., :top0, :])
         tops = np.minimum(anchors[:, None] + np.arange(k0 + top0 - 2 * w, k1 - 2 * w), n - 1)
-        lo[:, top0:] = point_costs(qa[tops], points[:, top0:])
+        lo[..., top0:] = point_costs(qa[tops[:, None]], points[..., top0:, :])
+        lo = lo.reshape(-1, k1 - k0)
         up = lo.copy()
         best = lo.copy()  # smallest floor of each slot over the block's rows so far
         best[:, top0:] = _INF
-        # the step into row r + t of each block
-        steps = qsteps[np.minimum(anchors[:, None] + np.arange(p - 1), n - 2)]
+        # the step into row r + t of each row's block
+        steps = np.repeat(qsteps[np.minimum(anchors[:, None] + np.arange(p - 1), n - 2)],
+                          count, axis=0)
         for t in range(1, p):
-            nb = len(anchors) - (anchors[-1] + t >= n)  # blocks that reach row r + t
+            nb = count * (len(anchors) - (anchors[-1] + t >= n))  # rows that reach row r + t
             s = steps[:nb, t - 1 : t]
             prev = slice(max(t - 1 - k0, 0), min(t + 2 * w, k1) - k0)  # row r + t - 1's window
             sl_lo = lo[:nb, prev]
@@ -122,10 +147,12 @@ def lb_ti(
             base = np.maximum(sl_lo - s, s - sl_up)
             grown = sl_up + s
             pad = grown * _PROP_SLACK
-            pad[s[:, 0] == 0.0] = 0.0  # a zero step leaves its intervals as they are
+            if stalls:  # a zero step leaves its intervals as they are
+                pad[s[:, 0] == 0.0] = 0.0
             np.maximum(base - pad, 0.0, out=sl_lo)
             np.add(grown, pad, out=sl_up)
             win = slice(max(t - k0, 0), min(t + 2 * w + 1, k1) - k0)  # row r + t's window
             np.minimum(best[:nb, win], lo[:nb, win], out=best[:nb, win])
-        np.minimum.at(colmin, cols[inside], best[inside])
-    return sum_with_abandon(colmin, abandon_above)
+        at = anchors[:, None, None] + np.arange(k0, k1) + np.arange(0, count * width, width)[:, None]
+        np.minimum.at(colmin, at.ravel(), best.ravel())
+    return colmin.reshape(count, width)[:, w : w + n]

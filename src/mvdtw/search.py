@@ -10,10 +10,11 @@ candidate is skipped only when a lower bound of its DTW distance already
 reaches d_best, and d_best only improves on exact distances, so every method
 returns the nearest neighbor the plain linear scan finds.
 
-The scan is executed in two stages: the envelope bound and the exact DTW
-are computed for whole batches of candidates at once, then the scan is
-replayed candidate by candidate from the recorded values.  Answers and
-counters are exactly those of the one-at-a-time scan (see nn_search).
+The scan is executed in two stages: the envelope bound, the exact DTW and
+the advanced bound are computed for whole batches of candidates at once,
+then the scan is replayed candidate by candidate from the recorded values.
+Answers and counters are exactly those of the one-at-a-time scan (see
+nn_search).
 
 Method and parameter selection on a data sample ranks configurations by a
 deterministic work model (DP cells and bound point-touches, dimension
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,13 +35,15 @@ from .core import (
     InvalidInputError, Method, SearchParams, as_array, as_series, sequential_sums,
 )
 from .dtw import dtw_rows, point_costs, row_cells
-from .lb_mv import build_envelope, envelope_deviations, lb_ad
-from .lb_pc import build_box_sets, lb_pc
-from .lb_ti import NeighborDistances, lb_ti, neighbor_steps
+from .lb_mv import build_envelope, envelope_deviations, lb_ad_terms
+from .lb_pc import build_box_sets, lb_pc_terms
+from .lb_ti import lb_ti_terms, neighbor_steps
 
 TUNE_CANDIDATE_SAMPLE = 23
 TUNE_QUERY_SAMPLE = 8
-_BLOCK = 32
+# Floats in the largest temporary of one block of a batch stage; each stage
+# sizes its blocks of candidates by its own per-candidate temporary.
+_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass
@@ -105,10 +109,21 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
     return stack
 
 
-def _blockwise(fn, stack: np.ndarray) -> np.ndarray:
-    """fn over blocks of _BLOCK candidates, concatenated, which keeps the
-    (block, n, D) temporaries of the batch stage small."""
-    return np.concatenate([fn(stack[b : b + _BLOCK]) for b in range(0, len(stack), _BLOCK)])
+def _blockwise(fn, stack: np.ndarray, floats_each: int) -> np.ndarray:
+    """fn over blocks of candidates, concatenated, where fn's temporaries
+    take `floats_each` floats per candidate: a block holds as many
+    candidates as fit in _BLOCK_FLOATS, and at least one."""
+    size = max(1, _BLOCK_FLOATS // floats_each)
+    return np.concatenate([fn(stack[b : b + size]) for b in range(0, len(stack), size)])
+
+
+def _prune_sums(terms: np.ndarray) -> tuple[list, list]:
+    """For (C, n) bound terms, the totals S[-1] and NaN-skipping peaks
+    fmax(S) of each row's prefix sums S.  sum_with_abandon(row, d) reaches
+    d exactly when S[-1] >= d or fmax(S) > d: it abandons at the first
+    prefix above d, also when a later prefix is NaN."""
+    sums = np.cumsum(terms, axis=1)
+    return sums[:, -1].tolist(), np.fmax.reduce(sums, axis=1).tolist()
 
 
 def nn_search(
@@ -127,11 +142,13 @@ def nn_search(
     minimum cell size.
 
     The work runs in two stages.  The batch stage computes the envelope bound
-    of every candidate at once and runs one batched DTW sweep (dtw_rows) over
-    every candidate the scan might have to compare exactly.  The replay stage
-    then walks the candidates in order, making the skip, trigger and abandon
-    decisions the one-at-a-time scan makes from the recorded values, so the
-    answer and every counter equal that scan's.
+    of every candidate at once, runs one batched DTW sweep (dtw_rows) over
+    every candidate the scan might have to compare exactly, and then runs the
+    advanced bound once over exactly the candidates the scan will trigger it
+    on.  The replay stage then walks the candidates in order, making the
+    skip, trigger, prune and abandon decisions the one-at-a-time scan makes
+    from the recorded values, so the answer and every counter equal that
+    scan's.
     """
     t_start = time.perf_counter()
     qa = as_series(query)
@@ -145,31 +162,38 @@ def nn_search(
     out = NnOutcome(best_index=0, best_distance=0.0)
 
     # Per-query preparation and the batched envelope bound, all charged to
-    # lb_time as bound overhead.
-    env = None
-    nd = None
-    boxes = None
+    # lb_time as bound overhead.  For the advanced bound: its kernel (the
+    # per-point terms of a stack of candidates), the floats its temporaries
+    # take per candidate, and its deterministic work-model price per
+    # evaluation (point-dimension touches, as for every bound).
     t0 = time.perf_counter()
     if method != Method.NONE:
         env = build_envelope(qa, w)
         out.work += n * dims
-        lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)), stack)
+        lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)),
+                               stack, n * dims)
     if adv == Method.LB_TI:
-        nd = NeighborDistances(query_steps=neighbor_steps(qa))
+        p = min(params.refresh_period, n)
+        qsteps = neighbor_steps(qa)
         out.work += n * dims
+        adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=qsteps)
+        adv_floats = -(-n // p) * (2 * w + p) * dims
+        adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
     elif adv == Method.LB_PC:
         boxes = build_box_sets(
             qa, w, params.group_width, params.quant_levels, params.max_boxes,
             params.min_cell_frac, dim_range,
         )
         out.work += n * dims * (1 + params.quant_levels)
+        adv_terms = partial(lb_pc_terms, grouping=boxes)
+        adv_floats = n * boxes.pad_lo.shape[1] * dims
+        adv_work = n * params.max_boxes * dims
+    elif adv == Method.LB_AD:
+        adv_terms = partial(lb_ad_terms, qa, w=w)
+        adv_floats = n * (2 * w + 1) * dims
+        adv_work = n * (2.0 * w + 1.0) * dims
     out.lb_time += time.perf_counter() - t0
-
-    # Deterministic per-evaluation work model (point-dimension touches).
     work_mv = n * dims
-    work_ti = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
-    work_pc = n * params.max_boxes * dims
-    work_ad = n * (2.0 * w + 1.0) * dims
 
     # Batch stage.  d_best only falls, and once candidate k has been scanned
     # it is at most the cost of k's diagonal path (an upper bound of k's DTW
@@ -183,12 +207,11 @@ def nn_search(
         upper = np.full(count, np.inf)
         need = np.arange(count)
     else:
-        diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa, b)), stack)
+        diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa, b)), stack, n * dims)
         upper = np.empty(count)
         upper[0] = np.inf
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
         need = np.flatnonzero(lb_totals < upper)
-        lb_totals = lb_totals.tolist()
     batch = stack if len(need) == count else stack[need]
     row_min, final = dtw_rows(qa, batch, w, drop_above=upper[need])
 
@@ -199,6 +222,29 @@ def nn_search(
     upper = upper.tolist()
     cells_after = row_cells(n, w).tolist()
     out.dtw_time += time.perf_counter() - t0
+
+    # Advanced-bound batch.  Every bound is sound, so the d_best candidate k
+    # meets is the smallest DTW distance among candidates 0..k-1: a skipped
+    # or abandoned candidate's distance is at least the d_best it met.  The
+    # sweep recorded those distances, and a candidate it left out or dropped
+    # is at least the d_best it meets (+inf here).  So the candidates the
+    # scan triggers are known now; their bound terms are computed at once
+    # and the replay only compares sums.
+    if adv is not None:
+        t0 = time.perf_counter()
+        trigger = _trigger(params, adv)
+        distances = np.full(count, np.inf)
+        distances[need] = final
+        met = np.minimum.accumulate(distances)[:-1]  # the d_best candidates 1.. meet
+        ahead = lb_totals[1:]
+        triggered = np.flatnonzero((ahead > trigger * met) & (ahead < met)) + 1
+        adv_slot = dict(zip(triggered.tolist(), range(len(triggered))))
+        adv_last, adv_peak = [], []
+        if len(triggered):
+            adv_last, adv_peak = _prune_sums(_blockwise(adv_terms, stack[triggered], adv_floats))
+        out.lb_time += time.perf_counter() - t0
+    if method != Method.NONE:
+        lb_totals = lb_totals.tolist()
 
     def exact(k: int, threshold: float) -> tuple[float, bool, int]:
         """dtw_banded(qa, stack[k], w, abandon_above=threshold), replayed."""
@@ -231,22 +277,18 @@ def nn_search(
             if b1 >= d_best:
                 out.dtw_skipped += 1
                 continue
-            if adv is not None and b1 > _trigger(params, adv) * d_best:
-                ca = stack[k]
-                t0 = time.perf_counter()
-                if adv == Method.LB_TI:
-                    b2 = lb_ti(qa, ca, w, refresh_period=params.refresh_period,
-                               neighbor=nd, abandon_above=d_best)
-                    out.work += work_ti
-                elif adv == Method.LB_PC:
-                    b2 = lb_pc(ca, boxes, abandon_above=d_best)
-                    out.work += work_pc
+            if adv is not None and b1 > trigger * d_best:
+                r = adv_slot.get(k)
+                if r is None:
+                    # Not triggered in the batch: only unsound upper bounds lead here.
+                    t0 = time.perf_counter()
+                    (last,), (peak,) = _prune_sums(adv_terms(stack[k : k + 1]))
+                    out.lb_time += time.perf_counter() - t0
                 else:
-                    b2 = lb_ad(qa, ca, w, abandon_above=d_best)
-                    out.work += work_ad
-                out.lb_time += time.perf_counter() - t0
+                    last, peak = adv_last[r], adv_peak[r]
+                out.work += adv_work
                 out.advanced_lb_evals += 1
-                if b2.value >= d_best:
+                if last >= d_best or peak > d_best:
                     out.dtw_skipped += 1
                     continue
         distance, abandoned, cells = exact(k, d_best if abandon else np.inf)

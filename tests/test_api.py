@@ -20,8 +20,10 @@ PUBLIC = [
     "write_native",
 ]
 
-# Names the benchmark's tracer rebinds on mvdtw.search (the search's layers).
-SEARCH_LAYERS = ("lb_ti", "lb_pc", "lb_ad", "build_envelope", "build_box_sets", "neighbor_steps")
+# Names the benchmark's tracer rebinds on mvdtw.search (the search's layers)
+# that the search still binds: it runs the advanced bounds through their
+# stacked *_terms kernels, not the per-pair lb_ti, lb_pc and lb_ad.
+SEARCH_LAYERS = ("build_envelope", "build_box_sets", "neighbor_steps")
 
 
 def test_public_names():

@@ -1,0 +1,120 @@
+"""The stacked bound kernels the search runs once per query, and the prune
+rule it reads from their terms."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvdtw import (
+    Method,
+    SearchParams,
+    build_box_sets,
+    lb_ad,
+    lb_pc,
+    lb_ti,
+    neighbor_steps,
+    nn_search,
+)
+from mvdtw.core import sum_with_abandon
+from mvdtw.lb_mv import lb_ad_terms
+from mvdtw.lb_pc import lb_pc_terms
+from mvdtw.lb_ti import lb_ti_terms
+from mvdtw.search import _prune_sums
+
+from oracles import reference_lb_ti
+
+
+def stacked_case(seed, kind, count, n, dims):
+    """A query and a (count, n, D) stack: random walks, iid noise, or values
+    near 1e160, whose squared differences overflow to +inf (and then give
+    inf - inf = NaN in the triangle bound's interval advance)."""
+    g = np.random.default_rng(seed)
+    data = g.normal(size=(count + 1, n, dims))
+    if kind == "walk":
+        data = np.cumsum(data, axis=1)
+    elif kind == "overflow":
+        data = np.round(data) * 1e160
+    return data[0], data[1:]
+
+
+def same_bits(a, b) -> bool:
+    return (a.value.hex(), a.abandoned) == (b.value.hex(), b.abandoned)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["walk", "iid", "overflow"]),
+    count=st.integers(1, 5),
+    n=st.integers(1, 24),
+    dims=st.integers(1, 10),
+    extra_window=st.integers(0, 27),
+    period=st.sampled_from([1, 2, 5, "n"]),
+)
+def test_terms_kernels_equal_the_per_pair_bounds(seed, kind, count, n, dims, extra_window, period):
+    window = extra_window % (n + 4)  # W in [0, n + 3]; W >= n is capped at n - 1
+    w = min(window, n - 1)
+    p = n if period == "n" else period
+    q, cas = stacked_case(seed, kind, count, n, dims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = build_box_sets(q, w, 6, 2, 6, 1e-5)
+        ti = lb_ti_terms(q, cas, w, p, neighbor_steps(q))
+        pc = lb_pc_terms(cas, boxes)
+        ad = lb_ad_terms(q, cas, w)
+        assert ti.shape == pc.shape == ad.shape == (count, n)
+        for k, c in enumerate(cas):
+            full = reference_lb_ti(q, c, window, "tip_top", p).value
+            for t in (None, 0.0, full, 0.5 * full):
+                assert same_bits(sum_with_abandon(ti[k], t),
+                                 lb_ti(q, c, window, refresh_period=p, abandon_above=t))
+                assert same_bits(sum_with_abandon(ti[k], t),
+                                 reference_lb_ti(q, c, window, "tip_top", p, abandon_above=t))
+                assert same_bits(sum_with_abandon(pc[k], t), lb_pc(c, boxes, abandon_above=t))
+                assert same_bits(sum_with_abandon(ad[k], t), lb_ad(q, c, window, abandon_above=t))
+
+
+def test_prune_rule_equals_sum_with_abandon():
+    g = np.random.default_rng(9)
+    rows = [g.random(7), np.zeros(7), np.array([1.0, 2.0, np.inf, 0.0]),
+            np.array([1.0, 2.0, np.nan, 0.0]), np.array([np.nan, 1.0]),
+            np.array([3.0, np.inf, np.nan]), np.array([0.5])]
+    for row in rows:
+        (last,), (peak,) = _prune_sums(row[None])
+        total = float(np.cumsum(row)[-1])
+        finite = [float(s) for s in np.cumsum(row) if math.isfinite(s)]
+        cuts = {0.0, 1.0, 2.5, 3.0, math.inf, *finite}
+        if math.isfinite(total):
+            cuts |= {math.nextafter(total, -math.inf), total, math.nextafter(total, math.inf)}
+        for d in cuts:
+            want = sum_with_abandon(row, d).value >= d
+            assert (last >= d or peak > d) == want, (row, d)
+
+
+@pytest.mark.parametrize("method, advanced, limit_mb", [
+    (Method.LB_AD, None, 96),  # one candidate's (n, 2W + 1, D) band takes ~75 MB
+    (Method.LB_TI, None, 24),
+    (Method.TC_DTW, Method.LB_TI, 24),
+    (Method.TC_DTW, Method.LB_PC, 24),
+])
+def test_batched_bounds_stay_in_budget_on_long_series(method, advanced, limit_mb):
+    import tracemalloc
+
+    # every candidate after the first is a little closer to the query than
+    # the one before it, so the scan triggers the advanced bound on each
+    g = np.random.default_rng(4)
+    q = g.normal(size=(2000, 3))
+    cands = [q + 3.0] + [q + (0.6 - 0.01 * k) for k in range(29)]
+    params = SearchParams(window=200, method=method, trigger_ti=0.001, trigger_pc=0.001)
+    tracemalloc.start()
+    try:
+        out = nn_search(q, cands, params, advanced=advanced)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.advanced_lb_evals == 29
+    # one block of all 29 would take ~33 MB for lb_ti, ~36 MB for lb_pc and
+    # over 2 GB for lb_ad
+    assert peak < limit_mb * 2**20

@@ -94,6 +94,34 @@ def test_ideal_speedup_at_least_speedup(data_file, capsys):
     assert float(row["ideal_speedup"]) >= float(row["speedup"]) - 1e-9
 
 
+def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypatch):
+    import mvdtw.cli as cli
+
+    search = cli.nn_search
+    outcomes = {}
+
+    def recording(q, candidates, params, **kw):
+        out = search(q, candidates, params, **kw)
+        outcomes.setdefault(params.method.value, []).append(out)
+        return out
+
+    monkeypatch.setattr(cli, "nn_search", recording)
+    args = ["--data", data_file, "--method", "none", "lb_ti", "lb_ad", "--window", "4",
+            "--reps", "1", "--seed", "7"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    columns = ["lb_mv_evals", "advanced_lb_evals", "abandon_count"]
+    assert list(rows[0])[-3:] == columns
+    for r in rows:
+        for col in columns:
+            assert int(r[col]) == sum(getattr(o, col) for o in outcomes[r["method"]]), col
+    assert int(rows[1]["advanced_lb_evals"]) > 0
+    _, out_json = run_cli(args + ["--emit", "json"], capsys)
+    for r, json_row in zip(rows, json.loads(out_json)["rows"]):
+        assert [json_row[col] for col in columns] == [int(r[col]) for col in columns]
+
+
 def test_emit_json_matches_csv(data_file, capsys):
     base = ["--data", data_file, "--method", "lb_mv", "--window", "4",
             "--reps", "1", "--seed", "5"]
