@@ -32,7 +32,7 @@ from .search import nn_search, selection_sample, tc_dtw_select, tune_params
 CSV_COLUMNS = [
     "dataset", "method", "window", "dims", "skip_pct", "speedup", "ideal_speedup",
     "dtw_computed", "dtw_skipped", "lb_time_s", "dtw_time_s", "total_time_s", "seed",
-    "lb_mv_evals", "advanced_lb_evals", "abandon_count",
+    "lb_mv_evals", "advanced_lb_evals", "abandon_count", "params",
 ]
 QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
 
@@ -81,6 +81,7 @@ class RunReport:
             "lb_mv_evals": self.lb_mv_evals,
             "advanced_lb_evals": self.advanced_lb_evals,
             "abandon_count": self.abandon_count,
+            "params": self.params,
         }
 
 
@@ -277,16 +278,15 @@ def emit_report(reports: list[RunReport], fmt: str = "csv", meta: dict | None = 
     if fmt == "json":
         return json.dumps({"meta": meta, "rows": [r.row() for r in reports]}, indent=2) + "\n"
     if fmt == "table":
-        header = CSV_COLUMNS + ["params"]
-        rows = [[_fmt_cell(r.row()[c]) for c in CSV_COLUMNS] + [r.params] for r in reports]
+        rows = [[_fmt_cell(r.row()[c]) for c in CSV_COLUMNS] for r in reports]
         widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
+                  for i, h in enumerate(CSV_COLUMNS)]
         out = [
-            "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)),
-            "  ".join("-" * widths[i] for i in range(len(header))),
+            "  ".join(h.ljust(widths[i]) for i, h in enumerate(CSV_COLUMNS)),
+            "  ".join("-" * width for width in widths),
         ]
         for row in rows:
-            out.append("  ".join(row[i].ljust(widths[i]) for i in range(len(header))))
+            out.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
         if meta:
             out.append("")
             out.extend(f"{k}: {v}" for k, v in meta.items())

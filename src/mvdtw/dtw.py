@@ -48,13 +48,14 @@ def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return sum_last(dev_hi * dev_hi + dev_lo * dev_lo)
 
 
-def cost_band(qa: np.ndarray, ca: np.ndarray, w: int) -> np.ndarray:
+def cost_band(qa: np.ndarray, ca: np.ndarray, w: int, rows: slice = slice(None)) -> np.ndarray:
     """Local cost band: entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w],
-    +inf where the column index falls outside [0, n-1].  Either argument may
-    be a (C, n, D) stack, which gives a (C, n, 2w + 1) band."""
+    +inf where the column index falls outside [0, n-1], for the rows i in
+    `rows` (all by default).  Either argument may be a (C, n, D) stack,
+    which gives a (C, rows, 2w + 1) band."""
     n = qa.shape[-2]
-    j = np.arange(n)[:, None] + np.arange(-w, w + 1)[None, :]
-    band = point_costs(qa[..., :, None, :], ca[..., np.clip(j, 0, n - 1), :])
+    j = np.arange(n)[rows, None] + np.arange(-w, w + 1)[None, :]
+    band = point_costs(qa[..., rows, None, :], ca[..., np.clip(j, 0, n - 1), :])
     np.copyto(band, _INF, where=(j < 0) | (j >= n))
     return band
 

@@ -18,6 +18,8 @@ import numpy as np
 from .core import BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon
 from .dtw import box_costs, cost_band
 
+_CHUNK_FLOATS = 1 << 15  # floats per candidate in each cost-band chunk of lb_ad
+
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
@@ -104,6 +106,10 @@ def lb_ad_terms(qa: np.ndarray, cas: np.ndarray, w: int) -> np.ndarray:
 
     `qa` is a validated (n, D) query, `cas` one (n, D) candidate or a
     (C, n, D) stack and `w` the effective window; the terms have `cas`'s
-    shape less its last axis.  Works on the (n, 2w + 1) cost band, so a
-    candidate's temporaries hold n * (2w + 1) * D floats."""
-    return cost_band(cas, qa, w).min(axis=-1)
+    shape less its last axis.  Works on the (n, 2w + 1) cost band in chunks
+    of rows, so a candidate's temporaries hold at most about
+    max(_CHUNK_FLOATS, (2w + 1) * D) floats each."""
+    n, dims = qa.shape
+    chunk = max(1, _CHUNK_FLOATS // ((2 * w + 1) * dims))
+    return np.concatenate([cost_band(cas, qa, w, slice(i, i + chunk)).min(axis=-1)
+                           for i in range(0, n, chunk)], axis=-1)

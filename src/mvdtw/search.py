@@ -10,11 +10,11 @@ candidate is skipped only when a lower bound of its DTW distance already
 reaches d_best, and d_best only improves on exact distances, so every method
 returns the nearest neighbor the plain linear scan finds.
 
-The scan is executed in two stages: the envelope bound, the exact DTW and
-the advanced bound are computed for whole batches of candidates at once,
-then the scan is replayed candidate by candidate from the recorded values.
-Answers and counters are exactly those of the one-at-a-time scan (see
-nn_search).
+The scan is executed as one batch pass: the envelope bound, the exact DTW
+and the advanced bound are computed for whole batches of candidates at once,
+and every decision of the scan is an array comparison against the d_best
+sequence those values determine.  Answers and counters are exactly those of
+the one-at-a-time scan (see nn_search).
 
 Method and parameter selection on a data sample ranks configurations by a
 deterministic work model (DP cells and bound point-touches, dimension
@@ -117,13 +117,13 @@ def _blockwise(fn, stack: np.ndarray, floats_each: int) -> np.ndarray:
     return np.concatenate([fn(stack[b : b + size]) for b in range(0, len(stack), size)])
 
 
-def _prune_sums(terms: np.ndarray) -> tuple[list, list]:
+def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For (C, n) bound terms, the totals S[-1] and NaN-skipping peaks
     fmax(S) of each row's prefix sums S.  sum_with_abandon(row, d) reaches
     d exactly when S[-1] >= d or fmax(S) > d: it abandons at the first
     prefix above d, also when a later prefix is NaN."""
     sums = np.cumsum(terms, axis=1)
-    return sums[:, -1].tolist(), np.fmax.reduce(sums, axis=1).tolist()
+    return sums[:, -1], np.fmax.reduce(sums, axis=1)
 
 
 def nn_search(
@@ -141,14 +141,15 @@ def nn_search(
     is the dataset's per-dimension value range, used by the clustering bound's
     minimum cell size.
 
-    The work runs in two stages.  The batch stage computes the envelope bound
-    of every candidate at once, runs one batched DTW sweep (dtw_rows) over
-    every candidate the scan might have to compare exactly, and then runs the
-    advanced bound once over exactly the candidates the scan will trigger it
-    on.  The replay stage then walks the candidates in order, making the
-    skip, trigger, prune and abandon decisions the one-at-a-time scan makes
-    from the recorded values, so the answer and every counter equal that
-    scan's.
+    The work runs as one batch pass: the envelope bound of every candidate
+    at once, one batched DTW sweep (dtw_rows) over every candidate the scan
+    might have to compare exactly, and the advanced bound once over exactly
+    the candidates the scan triggers it on.  Every skip, trigger, prune and
+    abandon decision is then a comparison of these values with the d_best
+    each candidate meets, so the answer and every counter equal the
+    one-at-a-time scan's.  Raises RuntimeError if the sweep missed a
+    candidate the scan compares, which only a diagonal-path cost below the
+    DTW distance could cause.
     """
     t_start = time.perf_counter()
     qa = as_series(query)
@@ -160,6 +161,11 @@ def nn_search(
     w = params.effective_window(n)
 
     out = NnOutcome(best_index=0, best_distance=0.0)
+    # Work-model charges in scan order: the per-query builds, then per
+    # candidate its envelope bound, advanced bound and DP cells (zero where
+    # the scan does not spend them).  Summed left to right at the end.
+    setup_work = []
+    charges = np.zeros((count, 3))
 
     # Per-query preparation and the batched envelope bound, all charged to
     # lb_time as bound overhead.  For the advanced bound: its kernel (the
@@ -169,13 +175,14 @@ def nn_search(
     t0 = time.perf_counter()
     if method != Method.NONE:
         env = build_envelope(qa, w)
-        out.work += n * dims
+        setup_work.append(n * dims)
+        charges[1:, 0] = n * dims
         lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)),
                                stack, n * dims)
     if adv == Method.LB_TI:
         p = min(params.refresh_period, n)
         qsteps = neighbor_steps(qa)
-        out.work += n * dims
+        setup_work.append(n * dims)
         adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=qsteps)
         adv_floats = -(-n // p) * (2 * w + p) * dims
         adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
@@ -184,7 +191,7 @@ def nn_search(
             qa, w, params.group_width, params.quant_levels, params.max_boxes,
             params.min_cell_frac, dim_range,
         )
-        out.work += n * dims * (1 + params.quant_levels)
+        setup_work.append(n * dims * (1 + params.quant_levels))
         adv_terms = partial(lb_pc_terms, grouping=boxes)
         adv_floats = n * boxes.pad_lo.shape[1] * dims
         adv_work = n * params.max_boxes * dims
@@ -193,115 +200,79 @@ def nn_search(
         adv_floats = n * (2 * w + 1) * dims
         adv_work = n * (2.0 * w + 1.0) * dims
     out.lb_time += time.perf_counter() - t0
-    work_mv = n * dims
 
-    # Batch stage.  d_best only falls, and once candidate k has been scanned
+    # DTW sweep.  d_best only falls, and once candidate k has been scanned
     # it is at most the cost of k's diagonal path (an upper bound of k's DTW
     # distance): the scan either compared k exactly or skipped it on a lower
     # bound at or above d_best.  So the d_best candidate k meets is at most
     # the prefix minimum `upper[k]` of the earlier diagonal costs, and k needs
-    # a DTW only if its envelope bound is below that.  The sweep drops k once
-    # a whole row exceeds upper[k], where any scan abandons it.
+    # a DTW only if its envelope bound is below that; candidate 0 always
+    # does.  The sweep drops k once a whole row exceeds upper[k], where any
+    # scan abandons it.
     t0 = time.perf_counter()
-    if method == Method.NONE:
-        upper = np.full(count, np.inf)
-        need = np.arange(count)
-    else:
+    upper = np.full(count, np.inf)
+    swept = np.ones(count, dtype=bool)
+    if method != Method.NONE:
         diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa, b)), stack, n * dims)
-        upper = np.empty(count)
-        upper[0] = np.inf
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
-        need = np.flatnonzero(lb_totals < upper)
-    batch = stack if len(need) == count else stack[need]
-    row_min, final = dtw_rows(qa, batch, w, drop_above=upper[need])
-
-    # Row i's frontier is the largest row minimum up to i, so the first row
-    # whose minimum exceeds a threshold is where the frontier first does.
-    frontier = np.maximum.accumulate(row_min, axis=1)
-    slot = dict(zip(need.tolist(), range(len(need))))
-    upper = upper.tolist()
-    cells_after = row_cells(n, w).tolist()
+        swept[1:] = lb_totals[1:] < upper[1:]
+    need = np.flatnonzero(swept)
+    row_min, final = dtw_rows(qa, stack if len(need) == count else stack[need], w,
+                              drop_above=upper[need])
     out.dtw_time += time.perf_counter() - t0
 
-    # Advanced-bound batch.  Every bound is sound, so the d_best candidate k
-    # meets is the smallest DTW distance among candidates 0..k-1: a skipped
-    # or abandoned candidate's distance is at least the d_best it met.  The
+    # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
+    # is the smallest DTW distance among candidates 0..k-1: a skipped or
+    # abandoned candidate's distance is at least the d_best it met.  The
     # sweep recorded those distances, and a candidate it left out or dropped
-    # is at least the d_best it meets (+inf here).  So the candidates the
-    # scan triggers are known now; their bound terms are computed at once
-    # and the replay only compares sums.
+    # is at least the d_best it meets (+inf here).  Candidate 0 meets +inf,
+    # and so does every candidate of `none`, which never abandons.  Then the
+    # skips on the envelope bound.
+    distances = np.full(count, np.inf)
+    distances[need] = final
+    met = np.full(count, np.inf)
+    compared = np.ones(count, dtype=bool)
+    if method != Method.NONE:
+        np.minimum.accumulate(distances[:-1], out=met[1:])
+        out.lb_mv_evals = count - 1
+        compared[1:] = ~(lb_totals[1:] >= met[1:])
+
+    # The advanced bound on the candidates it triggers on
+    # (trigger < bound / d_best < 1), computed at once.
     if adv is not None:
         t0 = time.perf_counter()
-        trigger = _trigger(params, adv)
-        distances = np.full(count, np.inf)
-        distances[need] = final
-        met = np.minimum.accumulate(distances)[:-1]  # the d_best candidates 1.. meet
-        ahead = lb_totals[1:]
-        triggered = np.flatnonzero((ahead > trigger * met) & (ahead < met)) + 1
-        adv_slot = dict(zip(triggered.tolist(), range(len(triggered))))
-        adv_last, adv_peak = [], []
+        band = compared[1:] & (lb_totals[1:] > _trigger(params, adv) * met[1:])
+        triggered = np.flatnonzero(band) + 1
         if len(triggered):
-            adv_last, adv_peak = _prune_sums(_blockwise(adv_terms, stack[triggered], adv_floats))
+            last, peak = _prune_sums(_blockwise(adv_terms, stack[triggered], adv_floats))
+            bar = met[triggered]
+            compared[triggered] = ~((last >= bar) | (peak > bar))
+        charges[triggered, 1] = adv_work
+        out.advanced_lb_evals = len(triggered)
         out.lb_time += time.perf_counter() - t0
-    if method != Method.NONE:
-        lb_totals = lb_totals.tolist()
 
-    def exact(k: int, threshold: float) -> tuple[float, bool, int]:
-        """dtw_banded(qa, stack[k], w, abandon_above=threshold), replayed."""
-        t0 = time.perf_counter()
-        r = slot.get(k)
-        if r is None or threshold > upper[k]:
-            # Not recorded by the batch: only an unsound bound, or an envelope
-            # bound that overflowed to +inf, leads here.
-            rows, fin = dtw_rows(qa, stack[k : k + 1], w)
-            rows, fr, fin = rows[0], np.maximum.accumulate(rows[0]), fin[0]
-        else:
-            rows, fr, fin = row_min[r], frontier[r], final[r]
-        i = int(fr.searchsorted(threshold, side="right"))
-        out.dtw_time += time.perf_counter() - t0
-        if i < n:
-            return float(rows[i]), True, cells_after[i]
-        return float(fin), bool(fin > threshold), cells_after[-1]
+    if (compared & ~swept).any() or (met[compared] > upper[compared]).any():
+        raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "
+                           "cost fell below its DTW distance")
 
-    d_best, _, cells = exact(0, np.inf)
-    out.dtw_computed += 1
-    out.work += cells * dims
-    best_idx = 0
+    # Exact DTW of the compared candidates, abandoned at d_best: at the first
+    # row whose frontier, the largest row minimum so far, exceeds it, or at
+    # the end if the distance does.  The sweep's rows are exact up to that
+    # row, since d_best <= upper there.
+    t0 = time.perf_counter()
+    bar = met[need]
+    frontier = np.maximum.accumulate(row_min, axis=1)
+    stop = (frontier <= bar[:, None]).sum(axis=1)  # rows the frontier stays within bar
+    kept = compared[need]
+    out.abandon_count = int((kept & ((stop < n) | (final > bar))).sum())
+    charges[need, 2] = np.where(kept, row_cells(n, w)[np.minimum(stop, n - 1)] * dims, 0)
+    out.dtw_time += time.perf_counter() - t0
 
-    abandon = method != Method.NONE
-    for k in range(1, count):
-        if method != Method.NONE:
-            out.lb_mv_evals += 1
-            out.work += work_mv
-            b1 = lb_totals[k]
-            if b1 >= d_best:
-                out.dtw_skipped += 1
-                continue
-            if adv is not None and b1 > trigger * d_best:
-                r = adv_slot.get(k)
-                if r is None:
-                    # Not triggered in the batch: only unsound upper bounds lead here.
-                    t0 = time.perf_counter()
-                    (last,), (peak,) = _prune_sums(adv_terms(stack[k : k + 1]))
-                    out.lb_time += time.perf_counter() - t0
-                else:
-                    last, peak = adv_last[r], adv_peak[r]
-                out.work += adv_work
-                out.advanced_lb_evals += 1
-                if last >= d_best or peak > d_best:
-                    out.dtw_skipped += 1
-                    continue
-        distance, abandoned, cells = exact(k, d_best if abandon else np.inf)
-        out.dtw_computed += 1
-        out.work += cells * dims
-        if abandoned:
-            out.abandon_count += 1
-        elif distance < d_best:
-            d_best = distance
-            best_idx = k
-
-    out.best_index = best_idx
-    out.best_distance = d_best
+    out.dtw_computed = int(compared.sum())
+    out.dtw_skipped = count - out.dtw_computed
+    out.work = float(sequential_sums(np.concatenate([setup_work, charges.ravel()])))
+    out.best_index = int(np.argmin(distances))  # the first minimum, as the scan's strict <
+    out.best_distance = float(distances[out.best_index])
     out.total_time = time.perf_counter() - t_start
     return out
 

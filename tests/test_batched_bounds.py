@@ -94,7 +94,7 @@ def test_prune_rule_equals_sum_with_abandon():
 
 
 @pytest.mark.parametrize("method, advanced, limit_mb", [
-    (Method.LB_AD, None, 96),  # one candidate's (n, 2W + 1, D) band takes ~75 MB
+    (Method.LB_AD, None, 24),
     (Method.LB_TI, None, 24),
     (Method.TC_DTW, Method.LB_TI, 24),
     (Method.TC_DTW, Method.LB_PC, 24),
@@ -116,5 +116,6 @@ def test_batched_bounds_stay_in_budget_on_long_series(method, advanced, limit_mb
         tracemalloc.stop()
     assert out.advanced_lb_evals == 29
     # one block of all 29 would take ~33 MB for lb_ti, ~36 MB for lb_pc and
-    # over 2 GB for lb_ad
+    # over 2 GB for lb_ad, and one candidate's whole (n, 2W + 1, D) cost band
+    # ~75 MB
     assert peak < limit_mb * 2**20

@@ -112,7 +112,7 @@ def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypat
     assert code == 0
     rows = parse_csv(out)
     columns = ["lb_mv_evals", "advanced_lb_evals", "abandon_count"]
-    assert list(rows[0])[-3:] == columns
+    assert list(rows[0])[-4:] == columns + ["params"]
     for r in rows:
         for col in columns:
             assert int(r[col]) == sum(getattr(o, col) for o in outcomes[r["method"]]), col
@@ -142,6 +142,21 @@ def test_emit_table(data_file, capsys):
     )
     assert code == 0
     assert "skip_pct" in out and "lb_mv" in out
+
+
+def test_params_column_equals_the_table_column(data_file, capsys):
+    args = ["--data", data_file, "--method", "none", "lb_ti", "tc_dtw", "--window", "4",
+            "--reps", "1", "--seed", "7"]
+    _, out_csv = run_cli(args, capsys)
+    _, out_json = run_cli(args + ["--emit", "json"], capsys)
+    _, out_table = run_cli(args + ["--emit", "table"], capsys)
+    header, _, *body = out_table.splitlines()[:5]
+    start = header.index("params")  # the last column, each left-justified
+    from_table = [line[start:].rstrip() for line in body[:3]]
+    assert [r["params"] for r in parse_csv(out_csv)] == from_table
+    assert [r["params"] for r in json.loads(out_json)["rows"]] == from_table
+    assert from_table[0] == "none"
+    assert from_table[2].startswith("tc_dtw(") and "e_pc=" in from_table[2]
 
 
 def test_out_file(data_file, tmp_path, capsys):

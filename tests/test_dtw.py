@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdtw import InvalidInputError, dtw_banded
-from mvdtw.dtw import dtw_rows, row_cells
+from mvdtw.core import sequential_sums
+from mvdtw.dtw import dtw_rows, point_costs, row_cells
 
 from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist
 
@@ -158,3 +159,29 @@ def test_batched_rows_drop_keeps_rows_up_to_the_drop(seed, n, dims, window, coun
             assert final[k] == math.inf
         else:
             assert rows[k].tolist() == full_rows[k].tolist() and final[k] == full_final[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["walk", "constant", "overflow"]),
+    n=st.integers(1, 40),
+    dims=st.integers(1, 10),
+    extra_window=st.integers(0, 43),
+)
+def test_diagonal_cost_bounds_dtw_from_above(seed, kind, n, dims, extra_window):
+    # The search's upper bound of a candidate's DTW distance, bit for bit:
+    # the diagonal path is one of the paths DTW minimizes over, and adding
+    # its costs left to right rounds no lower than the DP's sums do.  Values
+    # near 1e308 make point costs overflow to +inf.
+    window = extra_window % (n + 4)  # W in [0, n + 3]
+    g = np.random.default_rng(seed)
+    if kind == "walk":
+        q, c = np.cumsum(g.normal(size=(2, n, dims)), axis=1)
+    elif kind == "constant":
+        q, c = np.broadcast_to(g.integers(0, 3, size=(2, 1, dims)), (2, n, dims)).astype(float)
+    else:
+        q, c = np.clip(np.round(g.normal(size=(2, n, dims))), -1.0, 1.0) * 1e308
+    with np.errstate(over="ignore"):
+        diagonal = sequential_sums(point_costs(q, c))
+        assert diagonal >= dtw_banded(q, c, window).distance

@@ -245,22 +245,26 @@ def test_counters_match_reference_cascade(seed, kind, count, n, dims, extra_wind
     assert_matches_reference(q, cands, extra_window % (n + 4), trigger)
 
 
-def test_replay_falls_back_outside_the_batch(monkeypatch):
+def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
     # With every diagonal cost forced to zero, the upper bounds claim that
-    # no candidate after the first can need a DTW, so the batch computes only
-    # candidate 0 and every later DTW goes through the per-candidate fallback.
+    # no candidate after the first can need a DTW, so the sweep computes only
+    # candidate 0 and the scan's decisions cannot be read from it.
     import mvdtw.search as search
 
     monkeypatch.setattr(search, "point_costs", lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1]))
     for seed, kind in ((1, "walk"), (2, "iid"), (3, "plateau")):
         q, cands = search_case(seed, kind, 10, 14, 3)
-        assert_matches_reference(q, cands, 4, 0.5)
+        for method, advanced in CASCADES:
+            if method == Method.NONE:
+                continue  # compares every candidate, with no upper bounds
+            params = SearchParams(window=4, method=method, trigger_ti=0.5, trigger_pc=0.5)
+            with pytest.raises(RuntimeError, match="sweep missed"):
+                nn_search(q, cands, params, advanced=advanced)
 
 
 def test_overflowing_costs_match_reference():
     # finite inputs whose differences overflow: candidate 0's envelope bound
-    # and diagonal cost are both +inf, so the batch leaves it out and the
-    # replay computes it on its own
+    # and diagonal cost are both +inf, and the sweep still computes it
     q = np.array([[1e308], [1e308], [0.0]])
     cands = [np.array([[-1e308], [-1e308], [0.0]]), np.zeros((3, 1)), np.full((3, 1), 1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
