@@ -32,7 +32,7 @@ from .search import nn_search, selection_sample, tc_dtw_select, tune_params
 CSV_COLUMNS = [
     "dataset", "method", "window", "dims", "skip_pct", "speedup", "ideal_speedup",
     "dtw_computed", "dtw_skipped", "lb_time_s", "dtw_time_s", "total_time_s", "seed",
-    "lb_mv_evals", "advanced_lb_evals", "abandon_count", "params",
+    "lb_mv_evals", "advanced_lb_evals", "abandon_count", "params", "work",
 ]
 QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
 
@@ -62,6 +62,7 @@ class RunReport:
     advanced_lb_evals: int = 0
     abandon_count: int = 0
     params: str = ""
+    work: float = 0.0
 
     def row(self) -> dict:
         return {
@@ -82,6 +83,7 @@ class RunReport:
             "advanced_lb_evals": self.advanced_lb_evals,
             "abandon_count": self.abandon_count,
             "params": self.params,
+            "work": self.work,
         }
 
 
@@ -242,6 +244,7 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunR
         advanced_lb_evals=sum(o.advanced_lb_evals for o in run.outcomes),
         abandon_count=sum(o.abandon_count for o in run.outcomes),
         params=_describe_params(params, label),
+        work=sum(o.work for o in run.outcomes),
     )
 
 

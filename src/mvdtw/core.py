@@ -24,6 +24,14 @@ from typing import ClassVar
 
 import numpy as np
 
+# Floats in the largest temporary of one block of batched work: the search's
+# candidate blocks, lb_ad's cost-band chunks and dtw_rows' cost chunks are
+# each sized by what they need per candidate or per cell.
+BLOCK_FLOATS = 1 << 15
+# numpy adds a last axis of up to this many entries left to right (see
+# sum_last); longer axes it sums pairwise.
+LEFT_TO_RIGHT_DIMS = 7
+
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
@@ -117,7 +125,7 @@ def sum_last(x: np.ndarray) -> np.ndarray:
     tests pin both paths to numpy's result.
     """
     dims = x.shape[-1]
-    if not 2 <= dims <= 7 or x.size < 8 * dims**3:
+    if not 2 <= dims <= LEFT_TO_RIGHT_DIMS or x.size < 8 * dims**3:
         return x.sum(axis=-1)
     total = x[..., 0] + x[..., 1]
     for p in range(2, dims):

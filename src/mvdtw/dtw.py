@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import as_pair, sum_last
+from .core import BLOCK_FLOATS, LEFT_TO_RIGHT_DIMS, as_pair, sum_last
 
 _INF = float("inf")
 
@@ -122,35 +123,69 @@ def dtw_banded(q, c, window: int, abandon_above: float | None = None) -> DtwResu
 
 @lru_cache(maxsize=32)
 def _sweep_plan(n: int, w: int) -> tuple:
-    """Slices for each anti-diagonal s = i + j of an (n, w) band.
+    """Steps and cell layout of the anti-diagonals s = i + j of an (n, w) band.
 
-    Anti-diagonal s holds the cells with offset d = i - j in [-w, w] and the
-    parity of s; slot d + w + 1 of a (count, 2w + 3) buffer stores cell d,
-    with one +inf pad slot at each end.  Per step: query rows, candidate
-    columns (j falls as d rises, so walked backwards), the cells' slots, the
-    slots of their (i-1, j) and (i, j-1) neighbours on the previous
-    anti-diagonal, and the row this step completes (-1 if none).
+    dtw_rows keeps each anti-diagonal in an (n + 2, C) buffer whose entry
+    i + 1 holds the cell of row i, so entries 0 and n + 1 stand for rows -1
+    and n.  Returns (steps, first, ends).  Per step: the slice of its rows
+    i, which is also the buffer slice of rows i - 1, the buffer slice of its
+    rows, and the row this step completes (-1 if none).  Numbering the
+    band's cells by step and then by rising row, step s holds cells ends[s]
+    to ends[s+1] - 1, from row first[s] up (column s - i); dtw_rows builds
+    a chunk's cell indices from these, so only O(n) integers are cached per
+    (n, w).
     """
-    last = 2 * (n - 1)
     row_done = {i + min(n - 1, i + w): i for i in range(n)}
-    plan = []
-    for s in range(last + 1):
-        d_lo = max(-w, -s, s - last)
-        d_hi = min(w, s, last - s)
-        d_lo += (d_lo + s) & 1
-        d_hi -= (d_hi + s) & 1
+    steps, first, ends = [], [], [0]
+    for s in range(2 * n - 1):
+        i_lo = max(0, s - (n - 1), (s - w + 1) // 2)  # j <= n - 1, i - j >= -w
+        i_hi = min(n - 1, s, (s + w) // 2)
         done = row_done.get(s, -1)
-        if d_lo > d_hi:  # window 0: odd anti-diagonals are empty
-            plan.append((None, None, None, None, None, done))
+        if i_lo > i_hi:  # window 0: odd anti-diagonals are empty
+            steps.append((None, None, done))
+            first.append(0)
+            ends.append(ends[-1])
             continue
-        i_lo, i_hi = (s + d_lo) // 2, (s + d_hi) // 2
-        j_hi, j_lo = s - i_lo, s - i_hi
-        lo, hi = d_lo + w + 1, d_hi + w + 2
-        plan.append((
-            slice(i_lo, i_hi + 1), slice(j_hi, j_lo - 1 if j_lo > 0 else None, -1),
-            slice(lo, hi, 2), slice(lo - 1, hi - 1, 2), slice(lo + 1, hi + 1, 2), done,
-        ))
-    return tuple(plan)
+        steps.append((slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2), done))
+        first.append(i_lo)
+        ends.append(ends[-1] + i_hi - i_lo + 1)
+    return tuple(steps), np.array(first), tuple(ends)
+
+
+def _chunk_cells(first: np.ndarray, ends: tuple, s0: int, s1: int) -> tuple:
+    """Rows and columns of the cells of anti-diagonals s0..s1-1, in the
+    order of _sweep_plan's cell numbering."""
+    counts = np.diff(ends[s0 : s1 + 1])
+    rows = np.arange(ends[s1] - ends[s0]) + np.repeat(
+        first[s0:s1] - np.array(ends[s0:s1]) + ends[s0], counts)
+    return rows, np.repeat(np.arange(s0, s1), counts) - rows
+
+
+def _chunk_costs(qa: np.ndarray, cs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 scratch: np.ndarray | None) -> np.ndarray:
+    """Point costs of the cells (rows[k], cols[k]) for every candidate, as
+    (cells, C).
+
+    `cs` holds the candidates as dimension planes (D, n, C) when D is at
+    most LEFT_TO_RIGHT_DIMS: the squared differences are then added plane
+    by plane, left to right, which is the order of point_costs' sum and
+    gives its bits, in two (cells, C) temporaries taken from `scratch`
+    (the result is the first).  numpy sums longer points pairwise, so `cs`
+    is then the (C, n, D) stack and the costs come from point_costs on a
+    C-contiguous (C, cells, D) gather (take, not fancy indexing, whose
+    result is not C-contiguous).
+    """
+    if qa.shape[1] > LEFT_TO_RIGHT_DIMS:
+        return np.ascontiguousarray(point_costs(qa[rows], cs.take(cols, axis=1)).T)
+    count = cs.shape[-1]
+    total, diff = scratch[:, : len(rows) * count].reshape(2, len(rows), count)
+    for p, (plane, q) in enumerate(zip(cs, qa.T)):
+        plane.take(cols, axis=0, out=diff)
+        np.subtract(diff, q[rows, None], out=diff)
+        np.multiply(diff, diff, out=total if p == 0 else diff)
+        if p:
+            np.add(total, diff, out=total)
+    return np.sqrt(total, out=total)
 
 
 def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | None = None):
@@ -165,42 +200,66 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | N
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over
-    every candidate.  With `drop_above` (one threshold per candidate), a
-    candidate leaves the sweep after the first completed row whose minimum
-    exceeds its threshold.  Its rows up to that one are exact; later rows
-    hold partial minima or +inf, and its final stays +inf.
+    every candidate.  Candidates sit on the last, contiguous axis: each
+    anti-diagonal is an (n + 2, C) buffer indexed by row, so a step's cells
+    and their neighbours are contiguous (cells, C) blocks, and the row
+    minima are (n, C).  The point costs are computed a chunk of consecutive
+    anti-diagonals at a time (_chunk_costs): per dimension plane of the
+    (D, n, C) candidates, or, for points longer than LEFT_TO_RIGHT_DIMS, by
+    point_costs on a (C, cells, D) gather.  A chunk holds as many cells as
+    fit in BLOCK_FLOATS with their temporaries (C or C * D floats per cell),
+    and at least one anti-diagonal; no whole-band index or cost array is
+    kept.  With `drop_above` (one threshold per candidate), a candidate
+    leaves the sweep after the first completed row whose minimum exceeds its
+    threshold.  Its rows up to that one are exact; later rows hold partial
+    minima or +inf, and its final stays +inf.
     """
-    count, n, _ = cas.shape
-    row_min = np.full((count, n), _INF)
+    count, n, dims = cas.shape
+    steps, first, ends = _sweep_plan(n, w)
+    row_min = np.full((n, count), _INF)
     final = np.full(count, _INF)
     act = np.arange(count)
-    cs = cas
+    by_plane = dims <= LEFT_TO_RIGHT_DIMS
+    cs = np.ascontiguousarray(cas.transpose(2, 1, 0)) if by_plane else cas
+    per_cell = 1 if by_plane else dims  # floats per cell and candidate
+    # an anti-diagonal holds at most w + 1 cells
+    scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count))) if by_plane else None
     rows = row_min.copy()
     thr = None if drop_above is None else np.asarray(drop_above, dtype=np.float64)
-    # Buffers for anti-diagonals s-2, s-1 and s.  Before s = 0, a virtual
-    # cell (-1, -1) of value 0 makes cell (0, 0) cost exactly itself.
-    two_back, one_back, cur = np.full((3, count, 2 * w + 3), _INF)
-    two_back[:, w + 1] = 0.0
-    for q_rows, c_cols, here, up, left, done in _sweep_plan(n, w):
-        cur.fill(_INF)
-        if q_rows is not None:
-            cost = point_costs(qa[q_rows], cs[:, c_cols])
-            best = np.minimum(one_back[:, up], one_back[:, left])
-            np.minimum(best, two_back[:, here], out=best)
-            cells = cur[:, here]
-            np.add(cost, best, out=cells)
-            seg = rows[:, q_rows]
+    # Buffers for anti-diagonals s-2, s-1 and s, all +inf at first but for
+    # the virtual cell (-1, -1) of value 0, which makes cell (0, 0) cost
+    # exactly itself.  A step writes its rows and sets the row on either
+    # side to +inf (out of the band).  Step s reads rows first[s] - 1 up to
+    # its last row of s-1 and s-2, which lie within those edges because
+    # first[s] never falls and the last row rises by at most one per step;
+    # so no buffer needs refilling.
+    two_back, one_back, cur = np.full((3, n + 2, count), _INF)
+    two_back[0] = 0.0
+    chunk_end = 0
+    for s, (below, mine, done) in enumerate(steps):
+        if s == chunk_end:
+            fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // (len(act) * per_cell)) - 1
+            chunk_end, base = max(fit, s + 1), ends[s]
+            costs = _chunk_costs(qa, cs, *_chunk_cells(first, ends, s, chunk_end), scratch)
+        if below is not None:
+            cells = cur[mine]
+            np.minimum(one_back[below], one_back[mine], out=cells)  # (i-1, j), (i, j-1)
+            np.minimum(cells, two_back[below], out=cells)  # (i-1, j-1)
+            np.add(cells, costs[ends[s] - base : ends[s + 1] - base], out=cells)
+            cur[below.start] = cur[mine.stop] = _INF
+            seg = rows[below]
             np.minimum(seg, cells, out=seg)
         two_back, one_back, cur = one_back, cur, two_back
         if thr is not None and done >= 0:
-            keep = rows[:, done] <= thr
+            keep = rows[done] <= thr
             if not keep.all():
                 gone = ~keep
-                row_min[act[gone]] = rows[gone]
-                act, cs, rows, thr = act[keep], cs[keep], rows[keep], thr[keep]
-                two_back, one_back, cur = two_back[keep], one_back[keep], cur[keep]
+                row_min[:, act[gone]] = rows[:, gone]
+                act, rows, thr, costs = act[keep], rows[:, keep], thr[keep], costs[:, keep]
+                cs = cs[..., keep] if by_plane else cs[keep]
+                two_back, one_back, cur = two_back[:, keep], one_back[:, keep], cur[:, keep]
                 if not len(act):
-                    return row_min, final
-    row_min[act] = rows
-    final[act] = one_back[:, w + 1]  # cell (n-1, n-1): s = 2(n-1), d = 0
-    return row_min, final
+                    return row_min.T, final
+    row_min[:, act] = rows
+    final[act] = one_back[n]  # cell (n-1, n-1)
+    return row_min.T, final

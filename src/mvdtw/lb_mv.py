@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon
+from .core import (
+    BLOCK_FLOATS, BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon,
+)
 from .dtw import box_costs, cost_band
-
-_CHUNK_FLOATS = 1 << 15  # floats per candidate in each cost-band chunk of lb_ad
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +108,8 @@ def lb_ad_terms(qa: np.ndarray, cas: np.ndarray, w: int) -> np.ndarray:
     (C, n, D) stack and `w` the effective window; the terms have `cas`'s
     shape less its last axis.  Works on the (n, 2w + 1) cost band in chunks
     of rows, so a candidate's temporaries hold at most about
-    max(_CHUNK_FLOATS, (2w + 1) * D) floats each."""
+    max(BLOCK_FLOATS, (2w + 1) * D) floats each."""
     n, dims = qa.shape
-    chunk = max(1, _CHUNK_FLOATS // ((2 * w + 1) * dims))
+    chunk = max(1, BLOCK_FLOATS // ((2 * w + 1) * dims))
     return np.concatenate([cost_band(cas, qa, w, slice(i, i + chunk)).min(axis=-1)
                            for i in range(0, n, chunk)], axis=-1)

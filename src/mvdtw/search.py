@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    InvalidInputError, Method, SearchParams, as_array, as_series, sequential_sums,
+    BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_array, as_series, sequential_sums,
 )
 from .dtw import dtw_rows, point_costs, row_cells
 from .lb_mv import build_envelope, envelope_deviations, lb_ad_terms
@@ -41,9 +41,6 @@ from .lb_ti import lb_ti_terms, neighbor_steps
 
 TUNE_CANDIDATE_SAMPLE = 23
 TUNE_QUERY_SAMPLE = 8
-# Floats in the largest temporary of one block of a batch stage; each stage
-# sizes its blocks of candidates by its own per-candidate temporary.
-_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass
@@ -112,8 +109,8 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
 def _blockwise(fn, stack: np.ndarray, floats_each: int) -> np.ndarray:
     """fn over blocks of candidates, concatenated, where fn's temporaries
     take `floats_each` floats per candidate: a block holds as many
-    candidates as fit in _BLOCK_FLOATS, and at least one."""
-    size = max(1, _BLOCK_FLOATS // floats_each)
+    candidates as fit in BLOCK_FLOATS, and at least one."""
+    size = max(1, BLOCK_FLOATS // floats_each)
     return np.concatenate([fn(stack[b : b + size]) for b in range(0, len(stack), size)])
 
 
@@ -208,7 +205,7 @@ def nn_search(
     # the prefix minimum `upper[k]` of the earlier diagonal costs, and k needs
     # a DTW only if its envelope bound is below that; candidate 0 always
     # does.  The sweep drops k once a whole row exceeds upper[k], where any
-    # scan abandons it.
+    # scan abandons it; `none` never abandons (upper is all +inf there).
     t0 = time.perf_counter()
     upper = np.full(count, np.inf)
     swept = np.ones(count, dtype=bool)
@@ -218,7 +215,7 @@ def nn_search(
         swept[1:] = lb_totals[1:] < upper[1:]
     need = np.flatnonzero(swept)
     row_min, final = dtw_rows(qa, stack if len(need) == count else stack[need], w,
-                              drop_above=upper[need])
+                              drop_above=None if method == Method.NONE else upper[need])
     out.dtw_time += time.perf_counter() - t0
 
     # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it

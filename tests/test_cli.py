@@ -112,14 +112,18 @@ def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypat
     assert code == 0
     rows = parse_csv(out)
     columns = ["lb_mv_evals", "advanced_lb_evals", "abandon_count"]
-    assert list(rows[0])[-4:] == columns + ["params"]
+    assert list(rows[0])[-5:] == columns + ["params", "work"]
     for r in rows:
         for col in columns:
             assert int(r[col]) == sum(getattr(o, col) for o in outcomes[r["method"]]), col
     assert int(rows[1]["advanced_lb_evals"]) > 0
+    # the first pass of each method; `none` runs once, as the baseline
+    work = {m: sum(o.work for o in runs) for m, runs in outcomes.items()}
     _, out_json = run_cli(args + ["--emit", "json"], capsys)
     for r, json_row in zip(rows, json.loads(out_json)["rows"]):
         assert [json_row[col] for col in columns] == [int(r[col]) for col in columns]
+        assert r["work"] == cli._fmt_cell(work[r["method"]])
+        assert json_row["work"] == work[r["method"]] > 0
 
 
 def test_emit_json_matches_csv(data_file, capsys):
@@ -151,8 +155,9 @@ def test_params_column_equals_the_table_column(data_file, capsys):
     _, out_json = run_cli(args + ["--emit", "json"], capsys)
     _, out_table = run_cli(args + ["--emit", "table"], capsys)
     header, _, *body = out_table.splitlines()[:5]
-    start = header.index("params")  # the last column, each left-justified
-    from_table = [line[start:].rstrip() for line in body[:3]]
+    start = header.index("params")  # each column left-justified, `work` last
+    end = header.index("work", start)
+    from_table = [line[start:end].rstrip() for line in body[:3]]
     assert [r["params"] for r in parse_csv(out_csv)] == from_table
     assert [r["params"] for r in json.loads(out_json)["rows"]] == from_table
     assert from_table[0] == "none"

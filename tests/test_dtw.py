@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdtw import InvalidInputError, dtw_banded
-from mvdtw.core import sequential_sums
+from mvdtw import dtw as dtw_module
+from mvdtw.core import BLOCK_FLOATS, sequential_sums
 from mvdtw.dtw import dtw_rows, point_costs, row_cells
 
 from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist
@@ -104,6 +105,18 @@ def test_count_band_paths_sanity():
     assert count_band_paths(4, 0) == 1
 
 
+# dtw_rows' float budget for a chunk of point costs: every anti-diagonal its
+# own chunk, chunks of several anti-diagonals, and the default (one chunk at
+# these sizes, so drops fall in the middle of it).
+CHUNK_BUDGETS = (1, 200, BLOCK_FLOATS)
+
+
+def sweep(q, cands, w, budget, drop_above=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw_module, "BLOCK_FLOATS", budget)
+        return dtw_rows(q, cands, w, drop_above=drop_above)
+
+
 def replay(row_min, final, cells_after, threshold):
     """dtw_banded's abandoning decision, read off recorded rows."""
     for i, m in enumerate(row_min):
@@ -120,8 +133,9 @@ def replay(row_min, final, cells_after, threshold):
     extra_window=st.integers(0, 43),
     count=st.integers(1, 8),
     walk=st.booleans(),
+    budget=st.sampled_from(CHUNK_BUDGETS),
 )
-def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk):
+def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk, budget):
     window = extra_window % (n + 4)  # W in [0, n + 3]
     g = np.random.default_rng(seed)
     q = g.normal(size=(n, dims))
@@ -129,7 +143,7 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
     if walk:
         q, cands = np.cumsum(q, axis=0), np.cumsum(cands, axis=1)
     w = min(window, n - 1)
-    row_min, final = dtw_rows(q, cands, w)
+    row_min, final = sweep(q, cands, w, budget)
     cells_after = row_cells(n, w).tolist()
     for k in range(count):
         minima, dist = banded_row_minima(q, cands[k], window)
@@ -141,16 +155,17 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dims=st.integers(1, 5),
-       window=st.integers(0, 33), count=st.integers(1, 8))
-def test_batched_rows_drop_keeps_rows_up_to_the_drop(seed, n, dims, window, count):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dims=st.integers(1, 10),
+       window=st.integers(0, 33), count=st.integers(1, 8),
+       budget=st.sampled_from(CHUNK_BUDGETS))
+def test_batched_rows_drop_keeps_rows_up_to_the_drop(seed, n, dims, window, count, budget):
     g = np.random.default_rng(seed)
     q = np.cumsum(g.normal(size=(n, dims)), axis=0)
     cands = np.cumsum(g.normal(size=(count, n, dims)), axis=1)
     w = min(window, n - 1)
     full_rows, full_final = dtw_rows(q, cands, w)
     drop = full_final * g.uniform(0.0, 1.5, size=count)
-    rows, final = dtw_rows(q, cands, w, drop_above=drop)
+    rows, final = sweep(q, cands, w, budget, drop_above=drop)
     for k in range(count):
         over = np.flatnonzero(full_rows[k] > drop[k])
         if over.size:
