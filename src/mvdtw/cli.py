@@ -32,7 +32,7 @@ from .search import nn_search, selection_sample, tc_dtw_select, tune_params
 CSV_COLUMNS = [
     "dataset", "method", "window", "dims", "skip_pct", "speedup", "ideal_speedup",
     "dtw_computed", "dtw_skipped", "lb_time_s", "dtw_time_s", "total_time_s", "seed",
-    "lb_mv_evals", "advanced_lb_evals", "abandon_count", "params", "work",
+    "lb_mv_evals", "advanced_lb_evals", "abandon_count", "params", "work", "dtw_swept",
 ]
 QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
 
@@ -63,6 +63,7 @@ class RunReport:
     abandon_count: int = 0
     params: str = ""
     work: float = 0.0
+    dtw_swept: int = 0
 
     def row(self) -> dict:
         return {
@@ -84,6 +85,7 @@ class RunReport:
             "abandon_count": self.abandon_count,
             "params": self.params,
             "work": self.work,
+            "dtw_swept": self.dtw_swept,
         }
 
 
@@ -245,6 +247,7 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunR
         abandon_count=sum(o.abandon_count for o in run.outcomes),
         params=_describe_params(params, label),
         work=sum(o.work for o in run.outcomes),
+        dtw_swept=sum(o.dtw_swept for o in run.outcomes),
     )
 
 

@@ -128,25 +128,22 @@ def _sweep_plan(n: int, w: int) -> tuple:
     dtw_rows keeps each anti-diagonal in an (n + 2, C) buffer whose entry
     i + 1 holds the cell of row i, so entries 0 and n + 1 stand for rows -1
     and n.  Returns (steps, first, ends).  Per step: the slice of its rows
-    i, which is also the buffer slice of rows i - 1, the buffer slice of its
-    rows, and the row this step completes (-1 if none).  Numbering the
-    band's cells by step and then by rising row, step s holds cells ends[s]
-    to ends[s+1] - 1, from row first[s] up (column s - i); dtw_rows builds
-    a chunk's cell indices from these, so only O(n) integers are cached per
-    (n, w).
+    i, which is also the buffer slice of rows i - 1, and the buffer slice of
+    its rows (both None for an empty step).  Numbering the band's cells by
+    step and then by rising row, step s holds cells ends[s] to ends[s+1] - 1,
+    from row first[s] up (column s - i); dtw_rows builds a chunk's cell
+    indices from these, so only O(n) integers are cached per (n, w).
     """
-    row_done = {i + min(n - 1, i + w): i for i in range(n)}
     steps, first, ends = [], [], [0]
     for s in range(2 * n - 1):
         i_lo = max(0, s - (n - 1), (s - w + 1) // 2)  # j <= n - 1, i - j >= -w
         i_hi = min(n - 1, s, (s + w) // 2)
-        done = row_done.get(s, -1)
         if i_lo > i_hi:  # window 0: odd anti-diagonals are empty
-            steps.append((None, None, done))
+            steps.append((None, None))
             first.append(0)
             ends.append(ends[-1])
             continue
-        steps.append((slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2), done))
+        steps.append((slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2)))
         first.append(i_lo)
         ends.append(ends[-1] + i_hi - i_lo + 1)
     return tuple(steps), np.array(first), tuple(ends)
@@ -188,7 +185,7 @@ def _chunk_costs(qa: np.ndarray, cs: np.ndarray, rows: np.ndarray, cols: np.ndar
     return np.sqrt(total, out=total)
 
 
-def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | None = None):
+def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
     """Banded DTW of one query against a stack of candidates, all at once.
 
     `qa` is a validated (n, D) series, `cas` a validated (C, n, D) stack and
@@ -209,23 +206,18 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | N
     point_costs on a (C, cells, D) gather.  A chunk holds as many cells as
     fit in BLOCK_FLOATS with their temporaries (C or C * D floats per cell),
     and at least one anti-diagonal; no whole-band index or cost array is
-    kept.  With `drop_above` (one threshold per candidate), a candidate
-    leaves the sweep after the first completed row whose minimum exceeds its
-    threshold.  Its rows up to that one are exact; later rows hold partial
-    minima or +inf, and its final stays +inf.
+    kept.  Every candidate runs to the last row: a row minimum crosses a
+    search's threshold only near the end of the DP, so checking for it and
+    dropping candidates costs more than the rows it saves.
     """
     count, n, dims = cas.shape
     steps, first, ends = _sweep_plan(n, w)
-    row_min = np.full((n, count), _INF)
-    final = np.full(count, _INF)
-    act = np.arange(count)
     by_plane = dims <= LEFT_TO_RIGHT_DIMS
     cs = np.ascontiguousarray(cas.transpose(2, 1, 0)) if by_plane else cas
-    per_cell = 1 if by_plane else dims  # floats per cell and candidate
+    per_cell = count if by_plane else count * dims  # floats per cell
     # an anti-diagonal holds at most w + 1 cells
     scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count))) if by_plane else None
-    rows = row_min.copy()
-    thr = None if drop_above is None else np.asarray(drop_above, dtype=np.float64)
+    rows = np.full((n, count), _INF)
     # Buffers for anti-diagonals s-2, s-1 and s, all +inf at first but for
     # the virtual cell (-1, -1) of value 0, which makes cell (0, 0) cost
     # exactly itself.  A step writes its rows and sets the row on either
@@ -236,9 +228,9 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | N
     two_back, one_back, cur = np.full((3, n + 2, count), _INF)
     two_back[0] = 0.0
     chunk_end = 0
-    for s, (below, mine, done) in enumerate(steps):
+    for s, (below, mine) in enumerate(steps):
         if s == chunk_end:
-            fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // (len(act) * per_cell)) - 1
+            fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // per_cell) - 1
             chunk_end, base = max(fit, s + 1), ends[s]
             costs = _chunk_costs(qa, cs, *_chunk_cells(first, ends, s, chunk_end), scratch)
         if below is not None:
@@ -250,16 +242,4 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int, drop_above: np.ndarray | N
             seg = rows[below]
             np.minimum(seg, cells, out=seg)
         two_back, one_back, cur = one_back, cur, two_back
-        if thr is not None and done >= 0:
-            keep = rows[done] <= thr
-            if not keep.all():
-                gone = ~keep
-                row_min[:, act[gone]] = rows[:, gone]
-                act, rows, thr, costs = act[keep], rows[:, keep], thr[keep], costs[:, keep]
-                cs = cs[..., keep] if by_plane else cs[keep]
-                two_back, one_back, cur = two_back[:, keep], one_back[:, keep], cur[:, keep]
-                if not len(act):
-                    return row_min.T, final
-    row_min[:, act] = rows
-    final[act] = one_back[n]  # cell (n-1, n-1)
-    return row_min.T, final
+    return rows.T, one_back[n].copy()  # final: cell (n-1, n-1)

@@ -47,9 +47,10 @@ TUNE_QUERY_SAMPLE = 8
 class NnOutcome:
     """Result and instrumentation of one query's nearest-neighbor scan.
 
-    `abandon_count` counts early-abandoned DTW evaluations.  `work` is the
-    deterministic work-model total used for tuning decisions.  Timers are
-    seconds; lb_time + dtw_time <= total_time.
+    `abandon_count` counts early-abandoned DTW evaluations, `dtw_swept` the
+    candidates the batched sweep computed (the compared ones and more).
+    `work` is the deterministic work-model total used for tuning decisions.
+    Timers are seconds; lb_time + dtw_time <= total_time.
     """
 
     best_index: int
@@ -63,6 +64,7 @@ class NnOutcome:
     dtw_time: float = 0.0
     total_time: float = 0.0
     work: float = 0.0
+    dtw_swept: int = 0
 
 
 def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | None:
@@ -82,11 +84,22 @@ def _trigger(params: SearchParams, advanced: Method) -> float:
 
 
 def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
-    """Validate the candidates once, as a (C, n, D) float64 stack.
+    """Validate the candidates once, as a C-contiguous (C, n, D) float64 stack.
 
     Every candidate must have the query's shape and finite values; anything
     else raises InvalidInputError naming the first offending candidate.
+    Equal-shape arrays (1-D if univariate) convert in one call; the
+    candidates are visited one by one only to name an offender.
     """
+    try:
+        stack = np.ascontiguousarray(candidates, dtype=np.float64)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if stack.ndim == 2 and shape[1] == 1:
+            stack = stack[:, :, None]
+        if stack.shape[1:] == shape and len(stack) and np.isfinite(stack).all():
+            return stack
     arrays = []
     for k, c in enumerate(candidates):
         try:
@@ -139,14 +152,14 @@ def nn_search(
     minimum cell size.
 
     The work runs as one batch pass: the envelope bound of every candidate
-    at once, one batched DTW sweep (dtw_rows) over every candidate the scan
-    might have to compare exactly, and the advanced bound once over exactly
-    the candidates the scan triggers it on.  Every skip, trigger, prune and
-    abandon decision is then a comparison of these values with the d_best
-    each candidate meets, so the answer and every counter equal the
-    one-at-a-time scan's.  Raises RuntimeError if the sweep missed a
-    candidate the scan compares, which only a diagonal-path cost below the
-    DTW distance could cause.
+    at once, one batched DTW sweep (dtw_rows) to the last row of every
+    candidate the scan might have to compare exactly (`dtw_swept` of them),
+    and the advanced bound once over exactly the candidates the scan
+    triggers it on.  Every skip, trigger, prune and abandon decision is
+    then a comparison of these values with the d_best each candidate meets,
+    so the answer and every counter equal the one-at-a-time scan's.  Raises
+    RuntimeError if the sweep missed a candidate the scan compares, which
+    only a diagonal-path cost below the DTW distance could cause.
     """
     t_start = time.perf_counter()
     qa = as_series(query)
@@ -204,8 +217,8 @@ def nn_search(
     # bound at or above d_best.  So the d_best candidate k meets is at most
     # the prefix minimum `upper[k]` of the earlier diagonal costs, and k needs
     # a DTW only if its envelope bound is below that; candidate 0 always
-    # does.  The sweep drops k once a whole row exceeds upper[k], where any
-    # scan abandons it; `none` never abandons (upper is all +inf there).
+    # does, and so does every candidate of `none`.  The sweep runs each of
+    # them to the end, also those the scan will skip or abandon.
     t0 = time.perf_counter()
     upper = np.full(count, np.inf)
     swept = np.ones(count, dtype=bool)
@@ -214,16 +227,15 @@ def nn_search(
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
         swept[1:] = lb_totals[1:] < upper[1:]
     need = np.flatnonzero(swept)
-    row_min, final = dtw_rows(qa, stack if len(need) == count else stack[need], w,
-                              drop_above=None if method == Method.NONE else upper[need])
+    row_min, final = dtw_rows(qa, stack if len(need) == count else stack[need], w)
     out.dtw_time += time.perf_counter() - t0
 
     # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
     # is the smallest DTW distance among candidates 0..k-1: a skipped or
     # abandoned candidate's distance is at least the d_best it met.  The
-    # sweep recorded those distances, and a candidate it left out or dropped
-    # is at least the d_best it meets (+inf here).  Candidate 0 meets +inf,
-    # and so does every candidate of `none`, which never abandons.  Then the
+    # sweep computed those distances exactly, and a candidate it left out is
+    # at least the d_best it meets (+inf here).  Candidate 0 meets +inf, and
+    # so does every candidate of `none`, which never abandons.  Then the
     # skips on the envelope bound.
     distances = np.full(count, np.inf)
     distances[need] = final
@@ -248,14 +260,13 @@ def nn_search(
         out.advanced_lb_evals = len(triggered)
         out.lb_time += time.perf_counter() - t0
 
-    if (compared & ~swept).any() or (met[compared] > upper[compared]).any():
+    if (compared & ~swept).any():
         raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "
                            "cost fell below its DTW distance")
 
     # Exact DTW of the compared candidates, abandoned at d_best: at the first
     # row whose frontier, the largest row minimum so far, exceeds it, or at
-    # the end if the distance does.  The sweep's rows are exact up to that
-    # row, since d_best <= upper there.
+    # the end if the distance does.
     t0 = time.perf_counter()
     bar = met[need]
     frontier = np.maximum.accumulate(row_min, axis=1)
@@ -266,6 +277,7 @@ def nn_search(
     out.dtw_time += time.perf_counter() - t0
 
     out.dtw_computed = int(compared.sum())
+    out.dtw_swept = len(need)
     out.dtw_skipped = count - out.dtw_computed
     out.work = float(sequential_sums(np.concatenate([setup_work, charges.ravel()])))
     out.best_index = int(np.argmin(distances))  # the first minimum, as the scan's strict <

@@ -112,11 +112,14 @@ def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypat
     assert code == 0
     rows = parse_csv(out)
     columns = ["lb_mv_evals", "advanced_lb_evals", "abandon_count"]
-    assert list(rows[0])[-5:] == columns + ["params", "work"]
+    assert list(rows[0])[-6:] == columns + ["params", "work", "dtw_swept"]
+    columns.append("dtw_swept")
     for r in rows:
         for col in columns:
             assert int(r[col]) == sum(getattr(o, col) for o in outcomes[r["method"]]), col
+        assert int(r["dtw_computed"]) <= int(r["dtw_swept"])
     assert int(rows[1]["advanced_lb_evals"]) > 0
+    assert int(rows[0]["dtw_swept"]) == int(rows[0]["dtw_computed"])  # `none`
     # the first pass of each method; `none` runs once, as the baseline
     work = {m: sum(o.work for o in runs) for m, runs in outcomes.items()}
     _, out_json = run_cli(args + ["--emit", "json"], capsys)
@@ -155,7 +158,7 @@ def test_params_column_equals_the_table_column(data_file, capsys):
     _, out_json = run_cli(args + ["--emit", "json"], capsys)
     _, out_table = run_cli(args + ["--emit", "table"], capsys)
     header, _, *body = out_table.splitlines()[:5]
-    start = header.index("params")  # each column left-justified, `work` last
+    start = header.index("params")  # each column left-justified, `work` next
     end = header.index("work", start)
     from_table = [line[start:end].rstrip() for line in body[:3]]
     assert [r["params"] for r in parse_csv(out_csv)] == from_table

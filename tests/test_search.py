@@ -227,6 +227,10 @@ def assert_matches_reference(q, cands, window, trigger):
         want = reference_nn_search(q, cands, params, advanced=advanced)
         for name in COUNTER_FIELDS:
             assert getattr(got, name) == getattr(want, name), (method, advanced, name)
+        # the sweep computes every compared candidate, and `none` compares all
+        assert got.dtw_computed <= got.dtw_swept <= len(cands)
+        if method == Method.NONE:
+            assert got.dtw_swept == len(cands)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,9 +285,43 @@ def test_overflowing_costs_match_reference():
     "not a series",
 ])
 def test_bad_last_candidate_rejected_at_the_boundary(bad):
+    # the bad candidate sits first, in the middle and last
     g = np.random.default_rng(5)
     q = g.normal(size=(6, 2))
-    cands = [g.normal(size=(6, 2)) for _ in range(5)] + [bad]
-    for method, advanced in CASCADES:
-        with pytest.raises(InvalidInputError, match="candidate 5"):
-            nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced)
+    good = [g.normal(size=(6, 2)) for _ in range(5)]
+    for k in (0, 2, 5):
+        cands = good[:k] + [bad] + good[k:]
+        for method, advanced in CASCADES:
+            with pytest.raises(InvalidInputError, match=f"candidate {k}"):
+                nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced)
+
+
+def test_candidates_stack_as_one_by_one():
+    # One conversion of the whole candidate set must give the bytes of the
+    # per-candidate stack, and never write into a caller's array.
+    from mvdtw.core import MultivariateSeries, as_array
+    from mvdtw.search import _stack_candidates
+
+    g = np.random.default_rng(11)
+    block = g.normal(size=(6, 9, 2))
+    uni = g.normal(size=(6, 9))
+    cases = [
+        (g.normal(size=(9, 2)), list(block)),               # views into one array
+        (g.normal(size=(9, 2)), block),                     # one (C, n, D) array
+        (g.normal(size=(9, 2)), [MultivariateSeries(c) for c in block]),
+        (g.normal(size=9), list(uni)),                      # univariate, 1-D
+        (g.normal(size=9), uni),
+    ]
+    for q, cands in cases:
+        before = [np.array(as_array(c)) for c in cands]
+        want = np.stack(before)
+        got = _stack_candidates(cands, want.shape[1:])
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for method, advanced in CASCADES:
+            params = SearchParams(window=2, method=method, trigger_ti=0.5, trigger_pc=0.5)
+            out = nn_search(q, cands, params, advanced=advanced)
+            ref = nn_search(q, before, params, advanced=advanced)
+            assert [getattr(out, f) for f in COUNTER_FIELDS] == \
+                [getattr(ref, f) for f in COUNTER_FIELDS]
+        assert all(np.array_equal(as_array(c), b) for c, b in zip(cands, before))
