@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .core import InvalidInputError, Method, SearchParams
 from .dtw import dtw_banded
@@ -29,12 +30,13 @@ from .lb_pc import build_box_sets, lb_pc
 from .lb_ti import lb_ti
 from .search import nn_search, selection_sample, tc_dtw_select, tune_params
 
-CSV_COLUMNS = [
-    "dataset", "method", "window", "dims", "skip_pct", "speedup", "ideal_speedup",
-    "dtw_computed", "dtw_skipped", "lb_time_s", "dtw_time_s", "total_time_s", "seed",
-    "lb_mv_evals", "advanced_lb_evals", "abandon_count", "params", "work", "dtw_swept",
-]
 QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
+# RunReport fields rounded in every output, and their digits
+_ROUND_DIGITS = {"skip_pct": 4, "speedup": 4, "ideal_speedup": 4,
+                 "lb_time_s": 6, "dtw_time_s": 6, "total_time_s": 6}
+# RunReport fields that are the NnOutcome field of the same name, summed over queries
+_SUMMED_COUNTERS = ("dtw_computed", "dtw_skipped", "lb_mv_evals", "advanced_lb_evals",
+                    "abandon_count", "work", "dtw_swept")
 
 
 class ConfigError(ValueError):
@@ -43,7 +45,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunReport:
-    """One benchmark result row (one dataset/method/window/dims cell)."""
+    """One benchmark result row (one dataset/method/window/dims cell); the
+    field order is the column order of every output."""
 
     dataset: str
     method: str
@@ -66,27 +69,11 @@ class RunReport:
     dtw_swept: int = 0
 
     def row(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "window": self.window,
-            "dims": self.dims,
-            "skip_pct": round(self.skip_pct, 4),
-            "speedup": round(self.speedup, 4),
-            "ideal_speedup": round(self.ideal_speedup, 4),
-            "dtw_computed": self.dtw_computed,
-            "dtw_skipped": self.dtw_skipped,
-            "lb_time_s": round(self.lb_time_s, 6),
-            "dtw_time_s": round(self.dtw_time_s, 6),
-            "total_time_s": round(self.total_time_s, 6),
-            "seed": self.seed,
-            "lb_mv_evals": self.lb_mv_evals,
-            "advanced_lb_evals": self.advanced_lb_evals,
-            "abandon_count": self.abandon_count,
-            "params": self.params,
-            "work": self.work,
-            "dtw_swept": self.dtw_swept,
-        }
+        return {k: round(v, _ROUND_DIGITS[k]) if k in _ROUND_DIGITS else v
+                for k, v in asdict(self).items()}
+
+
+CSV_COLUMNS = [f.name for f in fields(RunReport)]
 
 
 @dataclass
@@ -102,12 +89,6 @@ class BenchConfig:
     emit: str = "csv"
     out: str | None = None
     verify: bool = False
-
-
-@dataclass
-class _MethodRun:
-    outcomes: list
-    wall_s: float
 
 
 def _load(path: str, fmt: str) -> Dataset:
@@ -146,31 +127,39 @@ def _verify_soundness(queries, candidates, params: SearchParams, dim_range) -> N
 
 
 def run_benchmark(config: BenchConfig) -> list[RunReport]:
-    """Run every configured combination and return one report per cell."""
-    if not config.data:
-        raise ConfigError("no dataset files given")
-    if not config.methods:
-        raise ConfigError("no methods given")
-    if not config.windows:
-        raise ConfigError("no window sizes given")
+    """Run every configured combination and return one report per cell.
+
+    Every configuration problem raises ConfigError here, before any search."""
+    for name in ("data", "methods", "windows", "dims"):
+        if not getattr(config, name):
+            raise ConfigError(f"no {name} given")
     if config.reps < 1:
         raise ConfigError("reps must be >= 1")
-    methods = [Method(m) for m in config.methods]
-    reports: list[RunReport] = []
-
-    # Load and validate every combination up front, so configuration problems
-    # surface before any benchmark work starts.
+    if not all(isinstance(w, numbers.Integral) and w >= 0 for w in config.windows):
+        raise ConfigError(f"windows must be integers >= 0, got {config.windows}")
+    try:
+        methods = [Method(m) for m in config.methods]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    dims = []
+    for d in config.dims:
+        try:
+            dims.append(d if d == "all" else int(d))
+        except (TypeError, ValueError):
+            raise ConfigError(f'dims expects integers or "all", got {d!r}') from None
+    for path in config.data:
+        if not os.path.exists(path):
+            raise ConfigError(f"no such file: {path}")
     loaded = [_load(path, config.fmt) for path in config.data]
     for ds_full in loaded:
-        for dims_spec in config.dims:
-            if dims_spec != "all" and not (1 <= int(dims_spec) <= ds_full.dims):
-                raise ConfigError(
-                    f"dims={dims_spec} out of range for {ds_full.name} (D={ds_full.dims})"
-                )
+        for d in dims:
+            if d != "all" and not 1 <= d <= ds_full.dims:
+                raise ConfigError(f"dims={d} out of range for {ds_full.name} (D={ds_full.dims})")
 
+    reports: list[RunReport] = []
     for ds_full in loaded:
-        for dims_spec in config.dims:
-            ds = ds_full if dims_spec == "all" else truncate_dims(ds_full, int(dims_spec))
+        for d in dims:
+            ds = ds_full if d == "all" else truncate_dims(ds_full, d)
             queries_ds, cands_ds = split(ds, QUERY_FRAC, config.seed)
             queries = queries_ds.series_list()
             candidates = cands_ds.series_list()
@@ -189,65 +178,55 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
     return reports
 
 
-def _measure(queries, candidates, params, advanced, dim_range, reps) -> _MethodRun:
-    """Search every query `reps` times, one after another; keeps the first
+def _measure(queries, candidates, params, advanced, dim_range, reps) -> tuple[list, float]:
+    """Search every query `reps` times, one after another; returns the first
     pass's outcomes and the mean wall time of all passes."""
     runs = []
     for _ in range(reps):
         t0 = time.perf_counter()
         outcomes = [nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range)
                     for q in queries]
-        runs.append(_MethodRun(outcomes, time.perf_counter() - t0))
-    return _MethodRun(runs[0].outcomes, sum(r.wall_s for r in runs) / reps)
+        runs.append((outcomes, time.perf_counter() - t0))
+    return runs[0][0], sum(wall for _, wall in runs) / reps
 
 
 def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunReport:
     params = SearchParams(window=window, method=method)
+    if config.tune:  # returns `none` and `lb_mv` params unchanged
+        params = tune_params(queries, candidates, params, seed=config.seed,
+                             dim_range=ds.dim_ranges)
     advanced = None
+    if method == Method.TC_DTW:
+        sq, sc = selection_sample(queries, candidates, config.seed)
+        advanced = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
     if method == Method.NONE:
-        run = baseline
+        outcomes, wall = baseline
     else:
-        if config.tune and method != Method.LB_MV:
-            params = tune_params(queries, candidates, params, seed=config.seed,
-                                 dim_range=ds.dim_ranges)
-        if method == Method.TC_DTW:
-            sq, sc = selection_sample(queries, candidates, config.seed)
-            advanced = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
-        run = _measure(queries, candidates, params, advanced, ds.dim_ranges, config.reps)
+        outcomes, wall = _measure(queries, candidates, params, advanced, ds.dim_ranges,
+                                  config.reps)
 
-    computed = sum(o.dtw_computed for o in run.outcomes)
-    skipped = sum(o.dtw_skipped for o in run.outcomes)
-    lb_time = sum(o.lb_time for o in run.outcomes)
-    dtw_time = sum(o.dtw_time for o in run.outcomes)
-    total = run.wall_s
+    sums = {name: sum(getattr(o, name) for o in outcomes) for name in _SUMMED_COUNTERS}
+    lb_time = sum(o.lb_time for o in outcomes)
     # Per-query search times on both sides, with this method's bound time
     # taken out: the speedup its pruning would give if bounds cost nothing.
-    base_sum = sum(o.total_time for o in baseline.outcomes)
-    own_sum = sum(o.total_time for o in run.outcomes)
-    ideal = base_sum / max(own_sum - lb_time, 1e-12)
-    label = method.value
-    if advanced is not None:
-        label = f"{method.value}({advanced.value})"
+    base_outcomes, base_wall = baseline
+    base_sum = sum(o.total_time for o in base_outcomes)
+    own_sum = sum(o.total_time for o in outcomes)
+    label = method.value if advanced is None else f"{method.value}({advanced.value})"
     return RunReport(
         dataset=ds.name,
         method=method.value,
         window=window,
         dims=ds.dims,
-        skip_pct=100.0 * skipped / (computed + skipped),
-        speedup=baseline.wall_s / total,
-        ideal_speedup=ideal,
-        dtw_computed=computed,
-        dtw_skipped=skipped,
+        skip_pct=100.0 * sums["dtw_skipped"] / (sums["dtw_computed"] + sums["dtw_skipped"]),
+        speedup=base_wall / wall,
+        ideal_speedup=base_sum / max(own_sum - lb_time, 1e-12),
         lb_time_s=lb_time,
-        dtw_time_s=dtw_time,
-        total_time_s=total,
+        dtw_time_s=sum(o.dtw_time for o in outcomes),
+        total_time_s=wall,
         seed=config.seed,
-        lb_mv_evals=sum(o.lb_mv_evals for o in run.outcomes),
-        advanced_lb_evals=sum(o.advanced_lb_evals for o in run.outcomes),
-        abandon_count=sum(o.abandon_count for o in run.outcomes),
         params=_describe_params(params, label),
-        work=sum(o.work for o in run.outcomes),
-        dtw_swept=sum(o.dtw_swept for o in run.outcomes),
+        **sums,
     )
 
 
@@ -309,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mvdtw-bench", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--data", nargs="+", required=True, help="dataset file(s)")
-    p.add_argument("--format", choices=["native", "ts"], default="native")
-    p.add_argument("--method", nargs="+", default=["tc_dtw"],
+    p.add_argument("--format", dest="fmt", choices=["native", "ts"], default="native")
+    p.add_argument("--method", dest="methods", nargs="+", default=["tc_dtw"],
                    choices=[m.value for m in Method])
-    p.add_argument("--window", nargs="+", type=int, default=[10, 20])
+    p.add_argument("--window", dest="windows", metavar="WINDOW", nargs="+", type=int,
+                   default=[10, 20])
     p.add_argument("--dims", nargs="+", default=["all"],
                    help='dimension counts to keep, or "all"')
     p.add_argument("--seed", type=int, default=42)
@@ -327,51 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args) -> BenchConfig:
-    dims = []
-    for d in args.dims:
-        if d == "all":
-            dims.append("all")
-        else:
-            try:
-                dims.append(int(d))
-            except ValueError:
-                raise ConfigError(f'--dims expects integers or "all", got {d!r}') from None
-    for w in args.window:
-        if w < 0:
-            raise ConfigError("--window must be >= 0")
-    return BenchConfig(
-        data=args.data,
-        fmt=args.format,
-        methods=[Method(m) for m in args.method],
-        windows=args.window,
-        dims=dims,
-        seed=args.seed,
-        reps=args.reps,
-        tune=args.tune,
-        emit=args.emit,
-        out=args.out,
-        verify=args.verify,
-    )
-
-
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    for path in config.data:
-        if not os.path.exists(path):
-            print(f"config error: no such file: {path}", file=sys.stderr)
-            return 1
-    if config.out and (os.path.isdir(config.out)
-                       or not os.path.isdir(os.path.dirname(os.path.abspath(config.out)))):
-        print(f"config error: --out is not a file in an existing directory: {config.out}",
-              file=sys.stderr)
-        return 1
-    try:
+        config = BenchConfig(**vars(build_parser().parse_args(argv)))
+        if config.out and (os.path.isdir(config.out)
+                           or not os.path.isdir(os.path.dirname(os.path.abspath(config.out)))):
+            raise ConfigError(f"--out is not a file in an existing directory: {config.out}")
         reports = run_benchmark(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -106,20 +106,25 @@ def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypat
         return out
 
     monkeypatch.setattr(cli, "nn_search", recording)
-    args = ["--data", data_file, "--method", "none", "lb_ti", "lb_ad", "--window", "4",
+    methods = ["none", "lb_mv", "lb_ti", "lb_pc", "tc_dtw", "lb_ad"]
+    args = ["--data", data_file, "--method", *methods, "--window", "4",
             "--reps", "1", "--seed", "7"]
     code, out = run_cli(args, capsys)
     assert code == 0
     rows = parse_csv(out)
-    columns = ["lb_mv_evals", "advanced_lb_evals", "abandon_count"]
-    assert list(rows[0])[-6:] == columns + ["params", "work", "dtw_swept"]
-    columns.append("dtw_swept")
+    assert [r["method"] for r in rows] == methods
+    assert list(rows[0])[-6:] == ["lb_mv_evals", "advanced_lb_evals", "abandon_count",
+                                  "params", "work", "dtw_swept"]
+    # every integer column that sums the NnOutcome field of the same name
+    columns = ["dtw_computed", "dtw_skipped", "lb_mv_evals", "advanced_lb_evals",
+               "abandon_count", "dtw_swept"]
     for r in rows:
         for col in columns:
             assert int(r[col]) == sum(getattr(o, col) for o in outcomes[r["method"]]), col
         assert int(r["dtw_computed"]) <= int(r["dtw_swept"])
-    assert int(rows[1]["advanced_lb_evals"]) > 0
-    assert int(rows[0]["dtw_swept"]) == int(rows[0]["dtw_computed"])  # `none`
+    by_method = {r["method"]: r for r in rows}
+    assert int(by_method["lb_ti"]["advanced_lb_evals"]) > 0
+    assert int(by_method["none"]["dtw_swept"]) == int(by_method["none"]["dtw_computed"])
     # the first pass of each method; `none` runs once, as the baseline
     work = {m: sum(o.work for o in runs) for m, runs in outcomes.items()}
     _, out_json = run_cli(args + ["--emit", "json"], capsys)
@@ -136,7 +141,7 @@ def test_emit_json_matches_csv(data_file, capsys):
     _, out_json = run_cli(base + ["--emit", "json"], capsys)
     csv_row = parse_csv(out_csv)[0]
     json_row = json.loads(out_json)["rows"][0]
-    assert set(json_row) == set(CSV_COLUMNS)
+    assert list(json_row) == CSV_COLUMNS
     for col in COUNTER_COLUMNS:
         assert str(json_row[col]) == csv_row[col]
 
@@ -244,13 +249,24 @@ def test_emit_report_empty_and_round_trip():
         emit_report([report], "yaml")
 
 
-def test_run_benchmark_rejects_bad_config(data_file):
-    with pytest.raises(ConfigError):
-        run_benchmark(BenchConfig(data=[], methods=[Method.NONE]))
-    with pytest.raises(ConfigError):
-        run_benchmark(BenchConfig(data=[data_file], methods=[]))
-    with pytest.raises(ConfigError):
-        run_benchmark(BenchConfig(data=[data_file], methods=[Method.NONE], windows=[]))
+def test_run_benchmark_rejects_bad_config(data_file, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before the config was checked")
+
+    monkeypatch.setattr("mvdtw.cli.nn_search", no_search)
+    bad = [
+        dict(data=[], methods=[Method.NONE]),
+        dict(data=[data_file], methods=[]),
+        dict(data=[data_file], methods=[Method.NONE], windows=[]),
+        dict(data=[data_file], methods=[Method.NONE], windows=[4, -1]),
+        dict(data=[data_file], methods=[Method.NONE], windows=[2.5]),
+        dict(data=[data_file], methods=[Method.NONE], dims=["x"]),
+        dict(data=[data_file], methods=[Method.NONE], dims=[1, 3]),
+        dict(data=[data_file], methods=[Method.NONE], reps=0),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ConfigError):
+            run_benchmark(BenchConfig(**kwargs))
 
 
 def test_tc_dtw_method_label_reports_choice(tmp_path):
