@@ -11,9 +11,10 @@ Each arithmetic rule has one owner, which every bound and the search call,
 so the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad,
 the batched search equal to the one-pair scan) need no hand-kept copies:
 array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
-sums over dimensions `sum_last`; point distances `dtw.point_costs`;
-point-to-box distances `dtw.box_costs`; bound sums and abandoning
-`sum_with_abandon`, with `sequential_sums` for batches.
+integer and window checks `as_int`/`as_window`; point distances
+`dtw.point_costs`; point-to-box distances `dtw.box_costs`; bound sums and
+abandoning `sum_with_abandon`; and every float total, over dimensions, bound
+terms or work charges alike, `sequential_sums`, which adds left to right.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import numpy as np
 # candidate blocks, lb_ad's cost-band chunks and dtw_rows' cost chunks are
 # each sized by what they need per candidate or per cell.
 BLOCK_FLOATS = 1 << 15
-# numpy adds a last axis of up to this many entries left to right (see
-# sum_last); longer axes it sums pairwise.
-LEFT_TO_RIGHT_DIMS = 7
+# sequential_sums adds inputs of at least this many rows a column at a time.
+SUM_BY_COLUMN_ROWS = 256
 
 
 class InvalidInputError(ValueError):
@@ -78,16 +78,30 @@ def as_series(x) -> np.ndarray:
     return a
 
 
+def as_int(value, name: str, least: int) -> int:
+    """`value` as an int >= `least`; 3 and 3.0 pass, 2.5 and "3" raise
+    InvalidInputError."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def as_window(window, n: int) -> int:
+    """A warping window checked by as_int (>= 0), capped at n - 1."""
+    return min(as_int(window, "window", 0), n - 1)
+
+
 def as_pair(q, c, window: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Validate a pair of equal-shape series and a window >= 0; returns both
-    as (n, D) arrays and the window capped at n - 1."""
+    """Validate a pair of equal-shape series and a window; returns both as
+    (n, D) arrays and the window as as_window gives it."""
     qa = as_series(q)
     ca = as_series(c)
     if qa.shape != ca.shape:
         raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
-    if window < 0:
-        raise InvalidInputError("window must be >= 0")
-    return qa, ca, min(int(window), qa.shape[0] - 1)
+    return qa, ca, as_window(window, qa.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,25 +126,6 @@ class MultivariateSeries:
     @property
     def dims(self) -> int:
         return self.values.shape[1]
-
-
-def sum_last(x: np.ndarray) -> np.ndarray:
-    """`x.sum(axis=-1)`, bit for bit, but fast on large batches.
-
-    numpy reduces a short last axis with a costly per-row inner loop.  It
-    adds an axis of up to seven entries left to right, so adding the columns
-    one at a time gives the same bits several times faster once the batch is
-    large; small inputs and longer axes go to numpy.  Point distances must
-    stay bit-identical between the bounds and the DTW cell costs, and the
-    tests pin both paths to numpy's result.
-    """
-    dims = x.shape[-1]
-    if not 2 <= dims <= LEFT_TO_RIGHT_DIMS or x.size < 8 * dims**3:
-        return x.sum(axis=-1)
-    total = x[..., 0] + x[..., 1]
-    for p in range(2, dims):
-        total += x[..., p]
-    return total
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,20 @@ def sum_with_abandon(per_point: np.ndarray, abandon_above: float | None) -> Boun
     return BoundResult(total, False)
 
 
-def sequential_sums(per_point: np.ndarray) -> np.ndarray:
+def sequential_sums(x: np.ndarray) -> np.ndarray:
     """Totals over the last axis, added left to right: the bits
-    sum_with_abandon gives each row when nothing is abandoned."""
-    return np.cumsum(per_point, axis=-1)[..., -1]
+    sum_with_abandon gives each row when nothing is abandoned.  numpy's axis
+    sums leave their order open (they go pairwise on long or strided axes).
+    Few rows go to np.add.accumulate (np.cumsum without its wrapper's cost),
+    many are added a column at a time; both add in the same order.  A long
+    1-D array is one row."""
+    width = x.shape[-1]
+    if width < 2 or x.size < SUM_BY_COLUMN_ROWS * width:
+        return np.add.accumulate(x, axis=-1)[..., -1]
+    total = x[..., 0] + x[..., 1]
+    for p in range(2, width):
+        total += x[..., p]
+    return total
 
 
 @dataclass(frozen=True)
@@ -177,11 +182,11 @@ class SearchParams:
 
     Fields, chosen by the caller (window, method) or tuned on a sample by
     `search.tune_params` (the other three):
-    window          warping window size W >= 0 (capped at n-1 when applied)
+    window          warping window size W, an integer >= 0 (capped at n-1)
     method          search strategy (see Method)
     trigger_ti      triggering threshold for the triangle bound, in (0, 1)
     trigger_pc      triggering threshold for the clustering bound, in (0, 1)
-    quant_levels    quantization level: cells per dimension (>= 1)
+    quant_levels    quantization level: cells per dimension, an integer >= 1
 
     Fixed constants, read from the class or any instance:
     refresh_period  period of true-distance refreshes in the periodic
@@ -205,14 +210,12 @@ class SearchParams:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        if self.window < 0:
-            raise InvalidInputError("window must be >= 0")
+        object.__setattr__(self, "window", as_int(self.window, "window", 0))
         for name in ("trigger_ti", "trigger_pc"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise InvalidInputError(f"{name} must be in (0, 1)")
-        if self.quant_levels < 1:
-            raise InvalidInputError("quant_levels must be >= 1")
+        object.__setattr__(self, "quant_levels", as_int(self.quant_levels, "quant_levels", 1))
 
     def effective_window(self, n: int) -> int:
         return min(self.window, n - 1)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BLOCK_FLOATS, LEFT_TO_RIGHT_DIMS, as_pair, sum_last
+from .core import BLOCK_FLOATS, as_pair, sequential_sums
 
 _INF = float("inf")
 
@@ -37,7 +37,7 @@ def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lb_ad and the triangle bound's steps and true distances all go through
     it, so kernels and bounds agree bit for bit (box distances: box_costs)."""
     diff = a - b
-    return np.sqrt(sum_last(diff * diff))
+    return np.sqrt(sequential_sums(diff * diff))
 
 
 def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -46,7 +46,7 @@ def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     measure through it, so their per-point floors compare exactly."""
     dev_hi = np.maximum(x - hi, 0.0)
     dev_lo = np.maximum(lo - x, 0.0)
-    return sum_last(dev_hi * dev_hi + dev_lo * dev_lo)
+    return sequential_sums(dev_hi * dev_hi + dev_lo * dev_lo)
 
 
 def cost_band(qa: np.ndarray, ca: np.ndarray, w: int, rows: slice = slice(None)) -> np.ndarray:
@@ -159,21 +159,14 @@ def _chunk_cells(first: np.ndarray, ends: tuple, s0: int, s1: int) -> tuple:
 
 
 def _chunk_costs(qa: np.ndarray, cs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 scratch: np.ndarray | None) -> np.ndarray:
-    """Point costs of the cells (rows[k], cols[k]) for every candidate, as
-    (cells, C).
+                 scratch: np.ndarray) -> np.ndarray:
+    """Point costs of the cells (rows[k], cols[k]) for every candidate of
+    the (D, n, C) dimension planes `cs`, as (cells, C).
 
-    `cs` holds the candidates as dimension planes (D, n, C) when D is at
-    most LEFT_TO_RIGHT_DIMS: the squared differences are then added plane
-    by plane, left to right, which is the order of point_costs' sum and
-    gives its bits, in two (cells, C) temporaries taken from `scratch`
-    (the result is the first).  numpy sums longer points pairwise, so `cs`
-    is then the (C, n, D) stack and the costs come from point_costs on a
-    C-contiguous (C, cells, D) gather (take, not fancy indexing, whose
-    result is not C-contiguous).
+    The squared differences are added plane by plane, left to right, the
+    order of point_costs' sequential_sums, so the bits are its own; the two
+    (cells, C) temporaries come from `scratch` (the result is the first).
     """
-    if qa.shape[1] > LEFT_TO_RIGHT_DIMS:
-        return np.ascontiguousarray(point_costs(qa[rows], cs.take(cols, axis=1)).T)
     count = cs.shape[-1]
     total, diff = scratch[:, : len(rows) * count].reshape(2, len(rows), count)
     for p, (plane, q) in enumerate(zip(cs, qa.T)):
@@ -201,22 +194,19 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
     anti-diagonal is an (n + 2, C) buffer indexed by row, so a step's cells
     and their neighbours are contiguous (cells, C) blocks, and the row
     minima are (n, C).  The point costs are computed a chunk of consecutive
-    anti-diagonals at a time (_chunk_costs): per dimension plane of the
-    (D, n, C) candidates, or, for points longer than LEFT_TO_RIGHT_DIMS, by
-    point_costs on a (C, cells, D) gather.  A chunk holds as many cells as
-    fit in BLOCK_FLOATS with their temporaries (C or C * D floats per cell),
-    and at least one anti-diagonal; no whole-band index or cost array is
-    kept.  Every candidate runs to the last row: a row minimum crosses a
-    search's threshold only near the end of the DP, so checking for it and
-    dropping candidates costs more than the rows it saves.
+    anti-diagonals at a time, per dimension plane of the (D, n, C)
+    candidates (_chunk_costs).  A chunk holds as many cells as fit in
+    BLOCK_FLOATS with their temporaries (C floats per cell), and at least
+    one anti-diagonal; no whole-band index or cost array is kept.  Every
+    candidate runs to the last row: a row minimum crosses a search's
+    threshold only near the end of the DP, so checking for it and dropping
+    candidates costs more than the rows it saves.
     """
-    count, n, dims = cas.shape
+    count, n, _ = cas.shape
     steps, first, ends = _sweep_plan(n, w)
-    by_plane = dims <= LEFT_TO_RIGHT_DIMS
-    cs = np.ascontiguousarray(cas.transpose(2, 1, 0)) if by_plane else cas
-    per_cell = count if by_plane else count * dims  # floats per cell
+    cs = np.ascontiguousarray(cas.transpose(2, 1, 0))
     # an anti-diagonal holds at most w + 1 cells
-    scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count))) if by_plane else None
+    scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count)))
     rows = np.full((n, count), _INF)
     # Buffers for anti-diagonals s-2, s-1 and s, all +inf at first but for
     # the virtual cell (-1, -1) of value 0, which makes cell (0, 0) cost
@@ -230,7 +220,7 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
     chunk_end = 0
     for s, (below, mine) in enumerate(steps):
         if s == chunk_end:
-            fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // per_cell) - 1
+            fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // count) - 1
             chunk_end, base = max(fit, s + 1), ends[s]
             costs = _chunk_costs(qa, cs, *_chunk_cells(first, ends, s, chunk_end), scratch)
         if below is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BLOCK_FLOATS, BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon,
+    BLOCK_FLOATS, BoundResult, InvalidInputError, as_pair, as_series, as_window, sum_with_abandon,
 )
 from .dtw import box_costs, cost_band
 
@@ -56,10 +56,8 @@ def _window_reduce(op: np.ufunc, blocks: np.ndarray, n: int) -> np.ndarray:
 def build_envelope(q, window: int) -> Envelope:
     """Build the windowed max/min envelope of a series."""
     qa = as_series(q)
-    if window < 0:
-        raise InvalidInputError("window must be >= 0")
     n, dims = qa.shape
-    w = min(int(window), n - 1)
+    w = as_window(window, n)
     # Copies of the end points (w before, w or more after, to whole blocks)
     # make every window 2w + 1 rows long without adding a value it lacks.
     k = 2 * w + 1

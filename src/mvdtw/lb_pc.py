@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_series, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_int, as_series, as_window, sum_with_abandon
 from .dtw import box_costs
 
 
@@ -59,7 +59,7 @@ def _grouped_cells(
 ) -> _GroupedCells:
     """Quantize every expanded window of a query in one batched pass."""
     n, dims = qa.shape
-    w = min(int(window), n - 1)
+    w = as_window(window, n)
     groups = (n - 1) // group_width + 1
     g_arr = np.arange(groups)
     a = np.maximum(0, g_arr * group_width - w)
@@ -143,15 +143,17 @@ def build_box_sets(
     `max_boxes` cells are non-empty, the cells are ordered lexicographically
     by cell index and all cells from position max_boxes-1 onward merge into
     a single union box.  `dim_range` is the reference range of the cell-size
-    floor (normally the dataset's normalized value range); it defaults to
-    the query's own range.  All windows are quantized in one batched pass.
+    floor (normally the dataset's normalized value range), D finite values;
+    it defaults to the query's own range.  All windows are quantized in one
+    batched pass.
     """
     qa = as_series(q)
-    if window < 0:
-        raise InvalidInputError("window must be >= 0")
-    if group_width < 1 or levels < 1 or max_boxes < 1:
-        raise InvalidInputError("group_width, levels and max_boxes must be >= 1")
+    group_width = as_int(group_width, "group_width", 1)
+    levels = as_int(levels, "levels", 1)
+    max_boxes = as_int(max_boxes, "max_boxes", 1)
     ref = qa.max(axis=0) - qa.min(axis=0) if dim_range is None else np.asarray(dim_range, np.float64)
+    if ref.shape != qa.shape[1:] or not np.isfinite(ref).all():
+        raise InvalidInputError(f"dim_range must be {qa.shape[1]} finite values, got {ref}")
     cells = _grouped_cells(qa, window, group_width, levels, min_cell_frac, ref)
     return _cap_cells(cells, max_boxes)
 

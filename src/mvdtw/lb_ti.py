@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BoundResult, InvalidInputError, as_pair, as_series, sum_with_abandon
+from .core import BoundResult, as_int, as_pair, as_series, sum_with_abandon
 from .dtw import point_costs
 
 _PROP_SLACK = 2.0 ** -46
@@ -72,8 +72,7 @@ def lb_ti(
         precomputed adjacent-point distances of `q`; built if omitted
     """
     qa, ca, w = as_pair(q, c, window)
-    if refresh_period < 1:
-        raise InvalidInputError("refresh_period must be >= 1")
+    refresh_period = as_int(refresh_period, "refresh_period", 1)
     qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
     return sum_with_abandon(lb_ti_terms(qa, ca[None], w, refresh_period, qsteps)[0],
                             abandon_above)

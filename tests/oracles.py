@@ -2,11 +2,13 @@
 
 Everything here is written for clarity, not speed: plain loops, no shared
 code with the package beyond the point-distance definition (Euclidean,
-non-squared), which is the contract itself.  Two exceptions compare bit
+non-squared), which is the contract itself.  Three exceptions compare bit
 for bit and so reuse package code: the reference cascade runs the package's
 single-pair bounds and DTW one candidate at a time, in scan order, to check
 the batched search counter for counter; banded_row_minima runs the DP over
-the package's own cost band.
+the package's own cost band; and reference_lb_ti measures its true
+distances with the package's point_costs, since a distance whose
+dimensions were added in another order could land above the DTW by an ulp.
 
 reference_lb_ti (every triangle-bound variant, with an interval trace) and
 quantize_cluster (one window's grid boxes) are the general forms of what the
@@ -39,6 +41,7 @@ from mvdtw import (
     neighbor_steps,
 )
 from mvdtw.core import as_series
+from mvdtw.dtw import point_costs
 from mvdtw.search import _advanced_method, _trigger
 
 
@@ -294,12 +297,6 @@ def ti_extend_top(lo: float, up: float, step: float) -> tuple[float, float]:
     return ti_advance(lo, up, step)
 
 
-def dists_to_rows(p: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Distances from point `p` to every row of `block` ((m, D) -> (m,))."""
-    diff = block - p
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
 def reference_lb_ti(
     q,
     c,
@@ -349,7 +346,7 @@ def reference_lb_ti(
     colmin = np.full(n, math.inf)
 
     hi = min(w, n - 1)
-    d0 = dists_to_rows(qa[0], ca[: hi + 1])
+    d0 = point_costs(qa[0], ca[: hi + 1])
     lo_arr[: hi + 1] = d0
     up_arr[: hi + 1] = d0
     colmin[: hi + 1] = d0
@@ -364,7 +361,7 @@ def reference_lb_ti(
         lo = max(0, i - w)
         hi = min(n - 1, i + w)
         if refreshing and i % refresh_period == 0:
-            d = dists_to_rows(qa[i], ca[lo : hi + 1])
+            d = point_costs(qa[i], ca[lo : hi + 1])
             lo_arr[lo : hi + 1] = d
             up_arr[lo : hi + 1] = d
         else:
@@ -379,8 +376,7 @@ def reference_lb_ti(
                 sl_up[:] = t + pad
             if hi > prev_hi:  # the window gained its top slot, column hi
                 if true_top:
-                    diff = qa[i] - ca[hi]
-                    lo_arr[hi] = up_arr[hi] = float(np.sqrt((diff * diff).sum()))
+                    lo_arr[hi] = up_arr[hi] = float(point_costs(qa[i], ca[hi]))
                 else:
                     lo_arr[hi], up_arr[hi] = ti_extend_top(
                         float(lo_arr[hi - 1]), float(up_arr[hi - 1]), float(csteps[hi - 1])

@@ -9,7 +9,7 @@ from mvdtw import (
     InvalidInputError, Method, MultivariateSeries, SearchParams, build_box_sets, build_envelope,
     dtw_banded, lb_ad, lb_mv, lb_ti, nn_search,
 )
-from mvdtw.core import sum_last
+from mvdtw.core import SUM_BY_COLUMN_ROWS, sequential_sums
 from mvdtw.dtw import point_costs
 
 points = st.lists(
@@ -30,16 +30,29 @@ def test_point_distance_examples():
     assert pair_cost((1,), (4,)) == 3.0
 
 
-@pytest.mark.parametrize("dims", range(1, 11))
-def test_sum_last_matches_numpy_bit_for_bit(dims):
-    # the column-by-column path must give numpy's bits on either side of the
-    # size switch, or DTW costs and bound distances could drift apart by ulps
+def left_to_right(x):
+    total = x[..., 0].copy()
+    for p in range(1, x.shape[-1]):
+        total = total + x[..., p]
+    return total
+
+
+@pytest.mark.parametrize("dims", [*range(1, 11), 24, 40])
+def test_sequential_sums_adds_left_to_right(dims):
+    # every point distance, bound total and work charge adds in this one
+    # order, on either side of the row-count switch, or DTW costs and bound
+    # distances could drift apart by ulps; numpy's own axis sums go pairwise
+    # on long axes and on dimension-major views
     g = np.random.default_rng(dims)
-    for shape in [(1,), (3,), (5, 7), (8 * dims * dims,), (40, 21), (3, 50, 11)]:
+    rows = SUM_BY_COLUMN_ROWS
+    for shape in [(), (1,), (3,), (rows - 1,), (rows,), (5, 7), (40, 21), (3, 50, 11)]:
         x = g.random(shape + (dims,)) * 10.0 ** g.uniform(-4, 4, shape + (dims,))
-        assert np.array_equal(sum_last(x), x.sum(axis=-1))
-    v = g.random(dims)
-    assert sum_last(v) == v.sum()
+        assert np.array_equal(sequential_sums(x), left_to_right(x))
+        planes = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        view = np.moveaxis(planes, 0, -1)  # dimension-major, not contiguous
+        assert np.array_equal(sequential_sums(view), left_to_right(x))
+    long = g.random(1000 * dims) * 10.0 ** g.uniform(-4, 4, 1000 * dims)
+    assert sequential_sums(long) == left_to_right(long)
 
 
 @given(points, points, points)
@@ -81,23 +94,48 @@ def test_search_params_defaults_and_validation():
     assert p.method is Method.TC_DTW
     assert p.effective_window(8) == 7  # capped at n-1
     assert p.effective_window(100) == 10
-    with pytest.raises(InvalidInputError):
-        SearchParams(window=-1)
+    assert SearchParams(window=3.0).window == 3
+    for bad in (-1, 2.5, "3", None, float("inf")):
+        with pytest.raises(InvalidInputError, match="window"):
+            SearchParams(window=bad)
+    for bad in (0, 2.5, "2"):
+        with pytest.raises(InvalidInputError, match="quant_levels"):
+            SearchParams(window=1, quant_levels=bad)
     with pytest.raises(InvalidInputError):
         SearchParams(window=1, trigger_ti=1.0)
     SearchParams(window=1, method="lb_ti")  # strings coerce to the enum
 
 
-@pytest.mark.parametrize("call", [
-    lambda q: dtw_banded(q, q, -1),
-    lambda q: lb_ad(q, q, -1),
-    lambda q: lb_ti(q, q, -1),
-    lambda q: build_envelope(q, -1),
-    lambda q: build_box_sets(q, -1, 2, 2, 6, 1e-5),
-], ids=["dtw_banded", "lb_ad", "lb_ti", "build_envelope", "build_box_sets"])
-def test_negative_window_rejected(call):
+WINDOW_CALLS = {
+    "dtw_banded": lambda q, w: dtw_banded(q, q, w),
+    "lb_ad": lambda q, w: lb_ad(q, q, w),
+    "lb_ti": lambda q, w: lb_ti(q, q, w),
+    "build_envelope": lambda q, w: build_envelope(q, w),
+    "build_box_sets": lambda q, w: build_box_sets(q, w, 2, 2, 6, 1e-5),
+}
+
+
+# a negative window under the call's name; a fractional or text one too
+@pytest.mark.parametrize("name, window", [pytest.param(name, -1, id=name) for name in WINDOW_CALLS] + [
+    pytest.param(name, bad, id=f"{name}-{kind}") for name in WINDOW_CALLS
+    for kind, bad in (("fraction", 2.5), ("text", "3"))])
+def test_negative_window_rejected(name, window):
     with pytest.raises(InvalidInputError, match="window"):
-        call(np.arange(12.0).reshape(6, 2))
+        WINDOW_CALLS[name](np.arange(12.0).reshape(6, 2), window)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((2.5, 2, 6), "group_width"), ((2, 2.5, 6), "levels"), ((2, 2, 0), "max_boxes"),
+    ((2, 2, 6, np.ones(2)), "dim_range"), ((2, 2, 6, [1.0, np.nan, 1.0]), "dim_range"),
+])
+def test_box_set_arguments_rejected(args, match):
+    q = np.arange(18.0).reshape(6, 3)
+    with pytest.raises(InvalidInputError, match=match):
+        build_box_sets(q, 1, *args[:3], 1e-5, *args[3:])
+    if match == "dim_range":  # nn_search hands dim_range on to build_box_sets
+        params = SearchParams(window=1, method=Method.LB_PC)
+        with pytest.raises(InvalidInputError, match="dim_range"):
+            nn_search(q, [q, q + 1.0], params, dim_range=args[3])
 
 
 @pytest.mark.parametrize("bad", [[["a", "b"]], [[1.0, 2.0], [3.0]]], ids=["text", "ragged"])

@@ -129,7 +129,7 @@ def replay(row_min, final, cells_after, threshold):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 40),
-    dims=st.integers(1, 10),
+    dims=st.sampled_from([*range(1, 11), 24]),
     extra_window=st.integers(0, 43),
     count=st.integers(1, 8),
     walk=st.booleans(),

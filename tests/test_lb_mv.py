@@ -78,12 +78,13 @@ def test_lb_ad_identical_series_is_zero(rng):
 
 
 def test_lb_ad_equals_masked_cross_distances(rng):
-    # the (n, n, D) formulation the band replaced, bit for bit
+    # the (n, n, D) formulation the band replaced, bit for bit, with each
+    # distance's dimensions added left to right as point_costs adds them
     for _ in range(60):
         q, c, w = random_instance(rng, max_n=30, max_dims=10, max_window=34)
         n = len(q)
         diff = c[:, None, :] - q[None, :, :]
-        dists = np.sqrt((diff * diff).sum(axis=-1))
+        dists = np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
         i = np.arange(n)
         dists[np.abs(i[:, None] - i[None, :]) > min(w, n - 1)] = np.inf
         assert lb_ad(q, c, w).value == float(np.cumsum(dists.min(axis=1))[-1])

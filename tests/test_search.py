@@ -239,7 +239,7 @@ def assert_matches_reference(q, cands, window, trigger):
     kind=st.sampled_from(["walk", "iid", "plateau", "constant"]),
     count=st.integers(1, 12),
     n=st.integers(1, 16),
-    dims=st.integers(1, 10),
+    dims=st.sampled_from([*range(1, 11), 24]),
     extra_window=st.integers(0, 19),
     trigger=st.sampled_from([0.05, 0.5, 0.95]),
 )
