@@ -11,26 +11,29 @@ Each arithmetic rule has one owner, which every bound and the search call,
 so the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad,
 the batched search equal to the one-pair scan) need no hand-kept copies:
 array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
-integer and window checks `as_int`/`as_window`; point distances
-`dtw.point_costs`; point-to-box distances `dtw.box_costs`; bound sums and
+integer and window checks `as_int`/`as_window`; the candidates' (D, n, C)
+plane set `search._stack_candidates`; dimension-first point distances
+`dtw.point_costs` and point-to-box distances `dtw.box_costs`; bound sums and
 abandoning `sum_with_abandon`; and every float total, over dimensions, bound
-terms or work charges alike, `sequential_sums`, which adds left to right.
+terms or work charges alike, `sequential_sums`, which adds its leading axis
+left to right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import ClassVar
 
 import numpy as np
 
 # Floats in the largest temporary of one block of batched work: the search's
-# candidate blocks, lb_ad's cost-band chunks and dtw_rows' cost chunks are
-# each sized by what they need per candidate or per cell.
+# candidate blocks and dtw_rows' cost chunks are each sized by what they need
+# per candidate or per cell.
 BLOCK_FLOATS = 1 << 15
-# sequential_sums adds inputs of at least this many rows a column at a time.
-SUM_BY_COLUMN_ROWS = 256
+# sequential_sums adds inputs of at least this many columns a plane at a time.
+SUM_BY_PLANE_COLUMNS = 256
 
 
 class InvalidInputError(ValueError):
@@ -161,18 +164,17 @@ def sum_with_abandon(per_point: np.ndarray, abandon_above: float | None) -> Boun
 
 
 def sequential_sums(x: np.ndarray) -> np.ndarray:
-    """Totals over the last axis, added left to right: the bits
-    sum_with_abandon gives each row when nothing is abandoned.  numpy's axis
-    sums leave their order open (they go pairwise on long or strided axes).
-    Few rows go to np.add.accumulate (np.cumsum without its wrapper's cost),
-    many are added a column at a time; both add in the same order.  A long
-    1-D array is one row."""
-    width = x.shape[-1]
-    if width < 2 or x.size < SUM_BY_COLUMN_ROWS * width:
-        return np.add.accumulate(x, axis=-1)[..., -1]
-    total = x[..., 0] + x[..., 1]
+    """Totals over the leading axis, added left to right: the bits
+    sum_with_abandon gives each column.  numpy's axis sums leave their order
+    open (they go pairwise on long or strided axes).  Few columns go to
+    np.add.accumulate (np.cumsum without its wrapper's cost), many are added
+    a plane at a time, in the same order.  A 1-D array is one column."""
+    width = x.shape[0]
+    if width < 2 or x.size < SUM_BY_PLANE_COLUMNS * width:
+        return np.add.accumulate(x, axis=0)[-1]
+    total = x[0] + x[1]
     for p in range(2, width):
-        total += x[..., p]
+        total += x[p]
     return total
 
 
@@ -213,8 +215,8 @@ class SearchParams:
         object.__setattr__(self, "window", as_int(self.window, "window", 0))
         for name in ("trigger_ti", "trigger_pc"):
             v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise InvalidInputError(f"{name} must be in (0, 1)")
+            if not (isinstance(v, Real) and 0.0 < v < 1.0):
+                raise InvalidInputError(f"{name} must be a number in (0, 1), got {v!r}")
         object.__setattr__(self, "quant_levels", as_int(self.quant_levels, "quant_levels", 1))
 
     def effective_window(self, n: int) -> int:

@@ -33,30 +33,29 @@ class DtwResult:
 
 
 def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between broadcast rows of `a` and `b`.  DTW cells,
-    lb_ad and the triangle bound's steps and true distances all go through
-    it, so kernels and bounds agree bit for bit (box distances: box_costs)."""
+    """Euclidean distances between broadcast dimension-first points of `a`
+    and `b`.  DTW cells, lb_ad and the triangle bound's steps and true
+    distances all go through it, so kernels and bounds agree bit for bit."""
     diff = a - b
     return np.sqrt(sequential_sums(diff * diff))
 
 
 def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from broadcast rows of `x` to the
-    axis-aligned boxes [lo, hi] (zero inside a box).  lb_mv and lb_pc both
-    measure through it, so their per-point floors compare exactly."""
+    """Squared Euclidean distances from broadcast dimension-first points of
+    `x` to the axis-aligned boxes [lo, hi] (zero inside a box).  lb_mv and
+    lb_pc both measure through it, so their per-point floors compare exactly."""
     dev_hi = np.maximum(x - hi, 0.0)
     dev_lo = np.maximum(lo - x, 0.0)
     return sequential_sums(dev_hi * dev_hi + dev_lo * dev_lo)
 
 
-def cost_band(qa: np.ndarray, ca: np.ndarray, w: int, rows: slice = slice(None)) -> np.ndarray:
-    """Local cost band: entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w],
-    +inf where the column index falls outside [0, n-1], for the rows i in
-    `rows` (all by default).  Either argument may be a (C, n, D) stack,
-    which gives a (C, rows, 2w + 1) band."""
-    n = qa.shape[-2]
-    j = np.arange(n)[rows, None] + np.arange(-w, w + 1)[None, :]
-    band = point_costs(qa[..., rows, None, :], ca[..., np.clip(j, 0, n - 1), :])
+def cost_band(qa: np.ndarray, ca: np.ndarray, w: int) -> np.ndarray:
+    """Local cost band of two (n, D) series: entry (i, k) is
+    d(q_i, c_{i-w+k}) for k in [0, 2w], +inf where the column index falls
+    outside [0, n-1]."""
+    n = len(qa)
+    j = np.arange(n)[:, None] + np.arange(-w, w + 1)
+    band = point_costs(qa.T[:, :, None], ca.T[:, np.clip(j, 0, n - 1)])
     np.copyto(band, _INF, where=(j < 0) | (j >= n))
     return band
 
@@ -158,18 +157,18 @@ def _chunk_cells(first: np.ndarray, ends: tuple, s0: int, s1: int) -> tuple:
     return rows, np.repeat(np.arange(s0, s1), counts) - rows
 
 
-def _chunk_costs(qa: np.ndarray, cs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _chunk_costs(qa: np.ndarray, planes: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
     """Point costs of the cells (rows[k], cols[k]) for every candidate of
-    the (D, n, C) dimension planes `cs`, as (cells, C).
+    the (D, n, C) plane set `planes`, as (cells, C).
 
     The squared differences are added plane by plane, left to right, the
     order of point_costs' sequential_sums, so the bits are its own; the two
     (cells, C) temporaries come from `scratch` (the result is the first).
     """
-    count = cs.shape[-1]
+    count = planes.shape[-1]
     total, diff = scratch[:, : len(rows) * count].reshape(2, len(rows), count)
-    for p, (plane, q) in enumerate(zip(cs, qa.T)):
+    for p, (plane, q) in enumerate(zip(planes, qa.T)):
         plane.take(cols, axis=0, out=diff)
         np.subtract(diff, q[rows, None], out=diff)
         np.multiply(diff, diff, out=total if p == 0 else diff)
@@ -178,15 +177,15 @@ def _chunk_costs(qa: np.ndarray, cs: np.ndarray, rows: np.ndarray, cols: np.ndar
     return np.sqrt(total, out=total)
 
 
-def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
-    """Banded DTW of one query against a stack of candidates, all at once.
+def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
+    """Banded DTW of one query against a set of candidates, all at once.
 
-    `qa` is a validated (n, D) series, `cas` a validated (C, n, D) stack and
-    `w` the effective window (0 <= w <= n-1).  Returns (row_min, final):
-    row_min[c, i] is the minimum of DP row i for candidate c and final[c]
-    its DTW distance, both bit-identical to what dtw_banded computes for the
-    pair.  Reading rows in order until the first minimum above a threshold
-    replays dtw_banded's abandoning exactly.
+    `qa` is a validated (n, D) series, `planes` the candidates' validated
+    (D, n, C) plane set and `w` the effective window (0 <= w <= n-1).
+    Returns (row_min, final): row_min[i, c] is the minimum of DP row i for
+    candidate c and final[c] its DTW distance, both bit-identical to what
+    dtw_banded computes for the pair.  Reading rows in order until the first
+    minimum above a threshold replays dtw_banded's abandoning exactly.
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over
@@ -194,17 +193,15 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
     anti-diagonal is an (n + 2, C) buffer indexed by row, so a step's cells
     and their neighbours are contiguous (cells, C) blocks, and the row
     minima are (n, C).  The point costs are computed a chunk of consecutive
-    anti-diagonals at a time, per dimension plane of the (D, n, C)
-    candidates (_chunk_costs).  A chunk holds as many cells as fit in
-    BLOCK_FLOATS with their temporaries (C floats per cell), and at least
-    one anti-diagonal; no whole-band index or cost array is kept.  Every
-    candidate runs to the last row: a row minimum crosses a search's
-    threshold only near the end of the DP, so checking for it and dropping
-    candidates costs more than the rows it saves.
+    anti-diagonals at a time, per dimension plane (_chunk_costs).  A chunk
+    holds as many cells as fit in BLOCK_FLOATS with their temporaries (C
+    floats per cell), and at least one anti-diagonal; no whole-band index or
+    cost array is kept.  Every candidate runs to the last row: a row minimum
+    crosses a search's threshold only near the end of the DP, so checking
+    for it and dropping candidates costs more than the rows it saves.
     """
-    count, n, _ = cas.shape
+    _, n, count = planes.shape
     steps, first, ends = _sweep_plan(n, w)
-    cs = np.ascontiguousarray(cas.transpose(2, 1, 0))
     # an anti-diagonal holds at most w + 1 cells
     scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count)))
     rows = np.full((n, count), _INF)
@@ -222,7 +219,7 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
         if s == chunk_end:
             fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // count) - 1
             chunk_end, base = max(fit, s + 1), ends[s]
-            costs = _chunk_costs(qa, cs, *_chunk_cells(first, ends, s, chunk_end), scratch)
+            costs = _chunk_costs(qa, planes, *_chunk_cells(first, ends, s, chunk_end), scratch)
         if below is not None:
             cells = cur[mine]
             np.minimum(one_back[below], one_back[mine], out=cells)  # (i-1, j), (i, j-1)
@@ -232,4 +229,4 @@ def dtw_rows(qa: np.ndarray, cas: np.ndarray, w: int):
             seg = rows[below]
             np.minimum(seg, cells, out=seg)
         two_back, one_back, cur = one_back, cur, two_back
-    return rows.T, one_back[n].copy()  # final: cell (n-1, n-1)
+    return rows, one_back[n].copy()  # final: cell (n-1, n-1)

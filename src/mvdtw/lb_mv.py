@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BLOCK_FLOATS, BoundResult, InvalidInputError, as_pair, as_series, as_window, sum_with_abandon,
-)
-from .dtw import box_costs, cost_band
+from .core import BoundResult, InvalidInputError, as_pair, as_series, as_window, sum_with_abandon
+from .dtw import box_costs, point_costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +65,10 @@ def build_envelope(q, window: int) -> Envelope:
                     lower=_window_reduce(np.minimum, blocks, n), window=w)
 
 
-def envelope_deviations(ca: np.ndarray, env: Envelope) -> np.ndarray:
-    """Per-point distance (box_costs) from candidate points to the envelope box.
-
-    `ca` is one (n, D) series or a (C, n, D) stack of them."""
-    return np.sqrt(box_costs(ca, env.lower, env.upper))
+def envelope_deviations(planes: np.ndarray, env: Envelope) -> np.ndarray:
+    """Per-point distance (box_costs) from candidate points to the envelope
+    box: (n, C) terms of a (D, n, C) plane set."""
+    return np.sqrt(box_costs(planes, env.lower.T[..., None], env.upper.T[..., None]))
 
 
 def lb_mv(c, env: Envelope, abandon_above: float | None = None) -> BoundResult:
@@ -83,7 +80,7 @@ def lb_mv(c, env: Envelope, abandon_above: float | None = None) -> BoundResult:
     ca = as_series(c)
     if ca.shape != env.upper.shape:
         raise InvalidInputError(f"shape mismatch: {ca.shape} vs {env.upper.shape}")
-    return sum_with_abandon(envelope_deviations(ca, env), abandon_above)
+    return sum_with_abandon(envelope_deviations(ca.T[..., None], env)[:, 0], abandon_above)
 
 
 def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
@@ -95,19 +92,20 @@ def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
     distances, at the cost of O(n * W * D) work per pair.
     """
     qa, ca, w = as_pair(q, c, window)
-    return sum_with_abandon(lb_ad_terms(qa, ca, w), abandon_above)
+    return sum_with_abandon(lb_ad_terms(qa, ca.T[..., None], w)[:, 0], abandon_above)
 
 
-def lb_ad_terms(qa: np.ndarray, cas: np.ndarray, w: int) -> np.ndarray:
-    """Per-point terms of lb_ad: the distance from each candidate point to
-    the nearest query point in its window.
-
-    `qa` is a validated (n, D) query, `cas` one (n, D) candidate or a
-    (C, n, D) stack and `w` the effective window; the terms have `cas`'s
-    shape less its last axis.  Works on the (n, 2w + 1) cost band in chunks
-    of rows, so a candidate's temporaries hold at most about
-    max(BLOCK_FLOATS, (2w + 1) * D) floats each."""
-    n, dims = qa.shape
-    chunk = max(1, BLOCK_FLOATS // ((2 * w + 1) * dims))
-    return np.concatenate([cost_band(cas, qa, w, slice(i, i + chunk)).min(axis=-1)
-                           for i in range(0, n, chunk)], axis=-1)
+def lb_ad_terms(qa: np.ndarray, planes: np.ndarray, w: int) -> np.ndarray:
+    """Per-point terms of lb_ad, (n, C) for a validated (n, D) query, a
+    (D, n, C) plane set and the effective window `w`: the distance from each
+    candidate point to the nearest query point in its window.  One pass per
+    window offset o takes the costs d(c_j, q_{j+o}) of every in-range j at
+    once, so the temporaries hold a few times D * n floats per candidate."""
+    n = len(qa)
+    qt = qa.T[..., None]
+    terms = point_costs(planes, qt)
+    for o in range(1, w + 1):
+        for seg, c, q in ((terms[: n - o], planes[:, : n - o], qt[:, o:]),
+                          (terms[o:], planes[:, o:], qt[:, : n - o])):
+            np.minimum(seg, point_costs(c, q), out=seg)
+    return terms

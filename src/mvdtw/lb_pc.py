@@ -125,6 +125,18 @@ def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
     return BoxGrouping(cells.group_width, cells.n, pad_lo, pad_hi, n_boxes)
 
 
+def as_dim_range(dim_range, qa: np.ndarray) -> np.ndarray:
+    """The reference range of the cell-size floor for the (n, D) series
+    `qa`: `dim_range` as D finite floats, or qa's own range when None."""
+    try:
+        ref = np.ptp(qa, axis=0) if dim_range is None else np.asarray(dim_range, np.float64)
+        if ref.shape == qa.shape[1:] and np.isfinite(ref).all():
+            return ref
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"dim_range must be {qa.shape[1]} finite values, got {dim_range!r}")
+
+
 def build_box_sets(
     q,
     window: int,
@@ -143,17 +155,14 @@ def build_box_sets(
     `max_boxes` cells are non-empty, the cells are ordered lexicographically
     by cell index and all cells from position max_boxes-1 onward merge into
     a single union box.  `dim_range` is the reference range of the cell-size
-    floor (normally the dataset's normalized value range), D finite values;
-    it defaults to the query's own range.  All windows are quantized in one
-    batched pass.
+    floor (normally the dataset's normalized value range), checked by
+    as_dim_range.  All windows are quantized in one batched pass.
     """
     qa = as_series(q)
     group_width = as_int(group_width, "group_width", 1)
     levels = as_int(levels, "levels", 1)
     max_boxes = as_int(max_boxes, "max_boxes", 1)
-    ref = qa.max(axis=0) - qa.min(axis=0) if dim_range is None else np.asarray(dim_range, np.float64)
-    if ref.shape != qa.shape[1:] or not np.isfinite(ref).all():
-        raise InvalidInputError(f"dim_range must be {qa.shape[1]} finite values, got {ref}")
+    ref = as_dim_range(dim_range, qa)
     cells = _grouped_cells(qa, window, group_width, levels, min_cell_frac, ref)
     return _cap_cells(cells, max_boxes)
 
@@ -166,18 +175,15 @@ def lb_pc(c, grouping: BoxGrouping, abandon_above: float | None = None) -> Bound
     shape = (grouping.n, grouping.pad_lo.shape[2])
     if ca.shape != shape:
         raise InvalidInputError(f"shape mismatch: {ca.shape} vs {shape}")
-    return sum_with_abandon(lb_pc_terms(ca, grouping), abandon_above)
+    return sum_with_abandon(lb_pc_terms(ca.T[..., None], grouping)[:, 0], abandon_above)
 
 
-def lb_pc_terms(cas: np.ndarray, grouping: BoxGrouping) -> np.ndarray:
-    """Per-point terms of lb_pc: the distance from each candidate point to
-    the nearest box of its expanded window.
-
-    `cas` is one validated (n, D) candidate or a (C, n, D) stack of the
-    grouping's shape; the terms have its shape less the last axis.  A
-    candidate's temporaries hold n * K * D floats, K the widest box set."""
-    # index i's box set is set i // group_width
-    lo, hi = (pad.repeat(grouping.group_width, axis=0)[: grouping.n]
+def lb_pc_terms(planes: np.ndarray, grouping: BoxGrouping) -> np.ndarray:
+    """Per-point terms of lb_pc, (n, C) for a validated (D, n, C) plane set
+    of the grouping's shape: the distance from each candidate point to the
+    nearest box of its expanded window.  A candidate's temporaries hold
+    n * K * D floats, K the widest box set."""
+    # index i's box set is set i // group_width; boxes as (D, n, K, 1)
+    lo, hi = (pad.transpose(2, 0, 1).repeat(grouping.group_width, axis=1)[:, : grouping.n, :, None]
               for pad in (grouping.pad_lo, grouping.pad_hi))
-    d2 = box_costs(cas[..., :, None, :], lo, hi)
-    return np.sqrt(d2.min(axis=-1))
+    return np.sqrt(box_costs(planes[:, :, None], lo, hi).min(axis=1))

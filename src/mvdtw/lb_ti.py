@@ -45,8 +45,8 @@ _INF = float("inf")
 
 def neighbor_steps(series) -> np.ndarray:
     """Distances between consecutive points of a series, shape (n-1,)."""
-    a = as_series(series)
-    return point_costs(a[1:], a[:-1])
+    a = as_series(series).T
+    return point_costs(a[:, 1:], a[:, :-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,23 +74,24 @@ def lb_ti(
     qa, ca, w = as_pair(q, c, window)
     refresh_period = as_int(refresh_period, "refresh_period", 1)
     qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
-    return sum_with_abandon(lb_ti_terms(qa, ca[None], w, refresh_period, qsteps)[0],
+    return sum_with_abandon(lb_ti_terms(qa, ca.T[..., None], w, refresh_period, qsteps)[:, 0],
                             abandon_above)
 
 
-def lb_ti_terms(qa: np.ndarray, cas: np.ndarray, w: int, refresh_period: int,
+def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
                 qsteps: np.ndarray) -> np.ndarray:
-    """Per-point terms of lb_ti for a (C, n, D) stack of candidates: term
-    (c, j) is the smallest floor candidate c's column j gets over every row
-    whose window holds it.
+    """Per-point terms of lb_ti for a (D, n, C) plane set of candidates:
+    term (j, c) is the smallest floor candidate c's column j gets over every
+    row whose window holds it.
 
-    `qa` is a validated (n, D) query, `cas` a validated stack of its shape,
-    `w` the effective window, `refresh_period` >= 1 and `qsteps` the query's
-    neighbor_steps.  Returns a (C, n) array.  Each candidate advances at most
-    _CHUNK_SLOTS interval slots at once, about (n / P) * (2w + P) when the
-    series is short, and its temporaries hold D floats per slot.
+    `qa` is a validated (n, D) query, `planes` a validated plane set of its
+    shape, `w` the effective window, `refresh_period` >= 1 and `qsteps` the
+    query's neighbor_steps.  Returns an (n, C) array.  Each candidate
+    advances at most _CHUNK_SLOTS interval slots at once, about
+    (n / P) * (2w + P) when the series is short, and its temporaries hold D
+    floats per slot.
     """
-    count, n, dims = cas.shape
+    dims, n, count = planes.shape
     p = min(refresh_period, n)
 
     # Rows fall into blocks of p, each starting at a re-anchored row r.  No
@@ -101,12 +102,9 @@ def lb_ti_terms(qa: np.ndarray, cas: np.ndarray, w: int, refresh_period: int,
     # true distance.  A column's term is its smallest floor over every row
     # whose window holds it, across blocks.
     span = 2 * w + p
-    # each candidate edge-extended: column j at row j + w
-    padded = np.empty((count, w + n + span, dims))
-    padded[:, :w] = cas[:, :1]
-    padded[:, w : w + n] = cas
-    padded[:, w + n :] = cas[:, -1:]
-    cs, rs, ds = padded.strides
+    # the candidates edge-extended: column j at j + w
+    padded = planes[:, np.clip(np.arange(-w, n + span), 0, n - 1)]
+    ds, rs, cs = padded.strides
     stalls = not qsteps.all()  # the query repeats a point somewhere
     # Smallest floors, flat: candidate c's column j at c * width + w + j, with
     # room for the columns outside [0, n) that edge slots hold, so every slot
@@ -122,12 +120,12 @@ def lb_ti_terms(qa: np.ndarray, cas: np.ndarray, w: int, refresh_period: int,
         # One interval row per (block, candidate), block-major, so the rows
         # of the blocks that reach a given row offset form a prefix.
         shape = (len(anchors), count, k1 - k0)
-        points = as_strided(padded[:, first + k0 :], (*shape, dims), (p * rs, cs, rs, ds),
+        points = as_strided(padded[:, first + k0 :], (dims, *shape), (ds, p * rs, cs, rs),
                             writeable=False)
         lo = np.empty(shape)
-        lo[..., :top0] = point_costs(qa[anchors, None, None], points[..., :top0, :])
+        lo[..., :top0] = point_costs(qa.T[:, anchors, None, None], points[..., :top0])
         tops = np.minimum(anchors[:, None] + np.arange(k0 + top0 - 2 * w, k1 - 2 * w), n - 1)
-        lo[..., top0:] = point_costs(qa[tops[:, None]], points[..., top0:, :])
+        lo[..., top0:] = point_costs(qa.T[:, tops[:, None]], points[..., top0:])
         lo = lo.reshape(-1, k1 - k0)
         up = lo.copy()
         best = lo.copy()  # smallest floor of each slot over the block's rows so far
@@ -154,4 +152,4 @@ def lb_ti_terms(qa: np.ndarray, cas: np.ndarray, w: int, refresh_period: int,
             np.minimum(best[:nb, win], lo[:nb, win], out=best[:nb, win])
         at = anchors[:, None, None] + np.arange(k0, k1) + np.arange(0, count * width, width)[:, None]
         np.minimum.at(colmin, at.ravel(), best.ravel())
-    return colmin.reshape(count, width)[:, w : w + n]
+    return colmin.reshape(count, width)[:, w : w + n].T

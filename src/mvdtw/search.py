@@ -36,7 +36,7 @@ from .core import (
 )
 from .dtw import dtw_rows, point_costs, row_cells
 from .lb_mv import build_envelope, envelope_deviations, lb_ad_terms
-from .lb_pc import build_box_sets, lb_pc_terms
+from .lb_pc import as_dim_range, build_box_sets, lb_pc_terms
 from .lb_ti import lb_ti_terms, neighbor_steps
 
 TUNE_CANDIDATE_SAMPLE = 23
@@ -84,7 +84,8 @@ def _trigger(params: SearchParams, advanced: Method) -> float:
 
 
 def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
-    """Validate the candidates once, as a C-contiguous (C, n, D) float64 stack.
+    """Validate the candidates once, as the C-contiguous (D, n, C) float64
+    plane set every batched kernel reads (dimension, point, candidate).
 
     Every candidate must have the query's shape and finite values; anything
     else raises InvalidInputError naming the first offending candidate.
@@ -92,48 +93,47 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
     candidates are visited one by one only to name an offender.
     """
     try:
-        stack = np.ascontiguousarray(candidates, dtype=np.float64)
+        stack = np.asarray(candidates, dtype=np.float64)
     except (TypeError, ValueError):
-        pass
-    else:
-        if stack.ndim == 2 and shape[1] == 1:
-            stack = stack[:, :, None]
-        if stack.shape[1:] == shape and len(stack) and np.isfinite(stack).all():
-            return stack
-    arrays = []
-    for k, c in enumerate(candidates):
-        try:
-            a = as_array(c)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"candidate {k}: {exc}") from None
-        if a.shape != shape:
-            raise InvalidInputError(f"candidate {k} has shape {a.shape}, query has {shape}")
-        arrays.append(a)
-    if not arrays:
-        raise InvalidInputError("candidate list is empty")
-    stack = np.stack(arrays)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise InvalidInputError(f"candidate {k} contains non-finite values")
-    return stack
+        stack = np.empty((0, 0, 0))
+    if stack.ndim == 2 and shape[1] == 1:
+        stack = stack[:, :, None]
+    if stack.shape[1:] != shape or not len(stack) or not np.isfinite(stack).all():
+        arrays = []
+        for k, c in enumerate(candidates):
+            try:
+                a = as_array(c)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"candidate {k}: {exc}") from None
+            if a.shape != shape:
+                raise InvalidInputError(f"candidate {k} has shape {a.shape}, query has {shape}")
+            arrays.append(a)
+        if not arrays:
+            raise InvalidInputError("candidate list is empty")
+        stack = np.stack(arrays)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise InvalidInputError(f"candidate {k} contains non-finite values")
+    return np.ascontiguousarray(stack.transpose(2, 1, 0))
 
 
-def _blockwise(fn, stack: np.ndarray, floats_each: int) -> np.ndarray:
-    """fn over blocks of candidates, concatenated, where fn's temporaries
-    take `floats_each` floats per candidate: a block holds as many
-    candidates as fit in BLOCK_FLOATS, and at least one."""
+def _blockwise(fn, planes: np.ndarray, floats_each: int) -> np.ndarray:
+    """fn over blocks of a plane set's candidates (its last axis), joined on
+    that axis, where fn's temporaries take `floats_each` floats per
+    candidate: a block holds as many as fit in BLOCK_FLOATS, at least one."""
     size = max(1, BLOCK_FLOATS // floats_each)
-    return np.concatenate([fn(stack[b : b + size]) for b in range(0, len(stack), size)])
+    return np.concatenate([fn(planes[..., b : b + size])
+                           for b in range(0, planes.shape[-1], size)], axis=-1)
 
 
 def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For (C, n) bound terms, the totals S[-1] and NaN-skipping peaks
-    fmax(S) of each row's prefix sums S.  sum_with_abandon(row, d) reaches
-    d exactly when S[-1] >= d or fmax(S) > d: it abandons at the first
-    prefix above d, also when a later prefix is NaN."""
-    sums = np.cumsum(terms, axis=1)
-    return sums[:, -1], np.fmax.reduce(sums, axis=1)
+    """For (n, C) bound terms, the totals S[-1] and NaN-skipping peaks
+    fmax(S) of each column's prefix sums S.  sum_with_abandon(column, d)
+    reaches d exactly when S[-1] >= d or fmax(S) > d: it abandons at the
+    first prefix above d, also when a later prefix is NaN."""
+    sums = np.cumsum(terms, axis=0)
+    return sums[-1], np.fmax.reduce(sums, axis=0)
 
 
 def nn_search(
@@ -149,7 +149,7 @@ def nn_search(
     DTW against the first candidate.  `advanced` names the second-step bound
     when params.method is TC_DTW (fill it from tc_dtw_select).  `dim_range`
     is the dataset's per-dimension value range, used by the clustering bound's
-    minimum cell size.
+    minimum cell size; it is checked for every method.
 
     The work runs as one batch pass: the envelope bound of every candidate
     at once, one batched DTW sweep (dtw_rows) to the last row of every
@@ -164,8 +164,9 @@ def nn_search(
     t_start = time.perf_counter()
     qa = as_series(query)
     n, dims = qa.shape
-    stack = _stack_candidates(candidates, qa.shape)
-    count = stack.shape[0]
+    ref = as_dim_range(dim_range, qa)
+    planes = _stack_candidates(candidates, qa.shape)
+    count = planes.shape[-1]
     method = params.method
     adv = _advanced_method(params, advanced)
     w = params.effective_window(n)
@@ -179,7 +180,7 @@ def nn_search(
 
     # Per-query preparation and the batched envelope bound, all charged to
     # lb_time as bound overhead.  For the advanced bound: its kernel (the
-    # per-point terms of a stack of candidates), the floats its temporaries
+    # per-point terms of a plane set), the floats its temporaries
     # take per candidate, and its deterministic work-model price per
     # evaluation (point-dimension touches, as for every bound).
     t0 = time.perf_counter()
@@ -188,26 +189,23 @@ def nn_search(
         setup_work.append(n * dims)
         charges[1:, 0] = n * dims
         lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)),
-                               stack, n * dims)
+                               planes, n * dims)
     if adv == Method.LB_TI:
         p = min(params.refresh_period, n)
-        qsteps = neighbor_steps(qa)
         setup_work.append(n * dims)
-        adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=qsteps)
+        adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=neighbor_steps(qa))
         adv_floats = -(-n // p) * (2 * w + p) * dims
         adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
     elif adv == Method.LB_PC:
-        boxes = build_box_sets(
-            qa, w, params.group_width, params.quant_levels, params.max_boxes,
-            params.min_cell_frac, dim_range,
-        )
+        boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
+                               params.max_boxes, params.min_cell_frac, ref)
         setup_work.append(n * dims * (1 + params.quant_levels))
         adv_terms = partial(lb_pc_terms, grouping=boxes)
         adv_floats = n * boxes.pad_lo.shape[1] * dims
         adv_work = n * params.max_boxes * dims
     elif adv == Method.LB_AD:
         adv_terms = partial(lb_ad_terms, qa, w=w)
-        adv_floats = n * (2 * w + 1) * dims
+        adv_floats = n * dims
         adv_work = n * (2.0 * w + 1.0) * dims
     out.lb_time += time.perf_counter() - t0
 
@@ -223,11 +221,12 @@ def nn_search(
     upper = np.full(count, np.inf)
     swept = np.ones(count, dtype=bool)
     if method != Method.NONE:
-        diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa, b)), stack, n * dims)
+        diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa.T[..., None], b)),
+                              planes, n * dims)
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
         swept[1:] = lb_totals[1:] < upper[1:]
     need = np.flatnonzero(swept)
-    row_min, final = dtw_rows(qa, stack if len(need) == count else stack[need], w)
+    row_min, final = dtw_rows(qa, planes if len(need) == count else planes[..., need], w)
     out.dtw_time += time.perf_counter() - t0
 
     # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
@@ -253,7 +252,7 @@ def nn_search(
         band = compared[1:] & (lb_totals[1:] > _trigger(params, adv) * met[1:])
         triggered = np.flatnonzero(band) + 1
         if len(triggered):
-            last, peak = _prune_sums(_blockwise(adv_terms, stack[triggered], adv_floats))
+            last, peak = _prune_sums(_blockwise(adv_terms, planes[..., triggered], adv_floats))
             bar = met[triggered]
             compared[triggered] = ~((last >= bar) | (peak > bar))
         charges[triggered, 1] = adv_work
@@ -269,8 +268,8 @@ def nn_search(
     # the end if the distance does.
     t0 = time.perf_counter()
     bar = met[need]
-    frontier = np.maximum.accumulate(row_min, axis=1)
-    stop = (frontier <= bar[:, None]).sum(axis=1)  # rows the frontier stays within bar
+    frontier = np.maximum.accumulate(row_min, axis=0)
+    stop = (frontier <= bar).sum(axis=0)  # rows the frontier stays within bar
     kept = compared[need]
     out.abandon_count = int((kept & ((stop < n) | (final > bar))).sum())
     charges[need, 2] = np.where(kept, row_cells(n, w)[np.minimum(stop, n - 1)] * dims, 0)

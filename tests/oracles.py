@@ -10,6 +10,11 @@ the package's own cost band; and reference_lb_ti measures its true
 distances with the package's point_costs, since a distance whose
 dimensions were added in another order could land above the DTW by an ulp.
 
+reference_lb_ad_terms and reference_lb_pc_terms are the batched lb_ad and
+lb_pc formulas written dimension last, over a (C, n, D) stack, with their
+own left-to-right dimension sum; the package's dimension-first kernels must
+equal them bit for bit.
+
 reference_lb_ti (every triangle-bound variant, with an interval trace) and
 quantize_cluster (one window's grid boxes) are the general forms of what the
 package deploys; the package's lb_ti and build_box_sets must equal them bit
@@ -134,6 +139,38 @@ def naive_lb_ad(q, c, window: int) -> float:
         hi = min(n - 1, i + w)
         total += min(point_dist(c[i], q[j]) for j in range(lo, hi + 1))
     return total
+
+
+def dims_last_sums(x: np.ndarray) -> np.ndarray:
+    """Totals over the last axis of (..., D) points, added left to right."""
+    total = x[..., 0]
+    for p in range(1, x.shape[-1]):
+        total = total + x[..., p]
+    return total
+
+
+def reference_lb_ad_terms(q, stack, w: int) -> np.ndarray:
+    """(C, n) lb_ad terms of a (C, n, D) stack of candidates, dimension last:
+    the minimum of each candidate point's (2w + 1)-wide cost band against
+    the query, +inf where the band leaves the series."""
+    n = len(q)
+    j = np.arange(n)[:, None] + np.arange(-w, w + 1)
+    diff = stack[:, :, None, :] - q[np.clip(j, 0, n - 1)]
+    band = np.sqrt(dims_last_sums(diff * diff))
+    band[:, (j < 0) | (j >= n)] = math.inf
+    return band.min(axis=-1)
+
+
+def reference_lb_pc_terms(stack, grouping) -> np.ndarray:
+    """(C, n) lb_pc terms of a (C, n, D) stack of candidates, dimension last:
+    the squared distance from each point to every box slot of its expanded
+    window as one (C, n, K, D) array, its least slot, then the root."""
+    lo, hi = (pad.repeat(grouping.group_width, axis=0)[: grouping.n]
+              for pad in (grouping.pad_lo, grouping.pad_hi))
+    x = stack[:, :, None, :]
+    dev_hi = np.maximum(x - hi, 0.0)
+    dev_lo = np.maximum(lo - x, 0.0)
+    return np.sqrt(dims_last_sums(dev_hi * dev_hi + dev_lo * dev_lo).min(axis=-1))
 
 
 def naive_box_dist(point, lo, hi) -> float:
@@ -346,7 +383,7 @@ def reference_lb_ti(
     colmin = np.full(n, math.inf)
 
     hi = min(w, n - 1)
-    d0 = point_costs(qa[0], ca[: hi + 1])
+    d0 = point_costs(qa[0, :, None], ca[: hi + 1].T)
     lo_arr[: hi + 1] = d0
     up_arr[: hi + 1] = d0
     colmin[: hi + 1] = d0
@@ -361,7 +398,7 @@ def reference_lb_ti(
         lo = max(0, i - w)
         hi = min(n - 1, i + w)
         if refreshing and i % refresh_period == 0:
-            d = point_costs(qa[i], ca[lo : hi + 1])
+            d = point_costs(qa[i, :, None], ca[lo : hi + 1].T)
             lo_arr[lo : hi + 1] = d
             up_arr[lo : hi + 1] = d
         else:

@@ -1,5 +1,5 @@
-"""The stacked bound kernels the search runs once per query, and the prune
-rule it reads from their terms."""
+"""The batched bound kernels the search runs once per query on its (D, n, C)
+plane set, and the prune rule it reads from their terms."""
 
 import math
 
@@ -22,9 +22,9 @@ from mvdtw.core import sum_with_abandon
 from mvdtw.lb_mv import lb_ad_terms
 from mvdtw.lb_pc import lb_pc_terms
 from mvdtw.lb_ti import lb_ti_terms
-from mvdtw.search import _prune_sums
+from mvdtw.search import _prune_sums, _stack_candidates
 
-from oracles import reference_lb_ti
+from oracles import reference_lb_ad_terms, reference_lb_pc_terms, reference_lb_ti
 
 
 def stacked_case(seed, kind, count, n, dims):
@@ -44,6 +44,10 @@ def same_bits(a, b) -> bool:
     return (a.value.hex(), a.abandoned) == (b.value.hex(), b.abandoned)
 
 
+def same_array_bits(a, b) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -59,21 +63,26 @@ def test_terms_kernels_equal_the_per_pair_bounds(seed, kind, count, n, dims, ext
     w = min(window, n - 1)
     p = n if period == "n" else period
     q, cas = stacked_case(seed, kind, count, n, dims)
+    planes = _stack_candidates(cas, q.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         boxes = build_box_sets(q, w, 6, 2, 6, 1e-5)
-        ti = lb_ti_terms(q, cas, w, p, neighbor_steps(q))
-        pc = lb_pc_terms(cas, boxes)
-        ad = lb_ad_terms(q, cas, w)
-        assert ti.shape == pc.shape == ad.shape == (count, n)
+        ti = lb_ti_terms(q, planes, w, p, neighbor_steps(q))
+        pc = lb_pc_terms(planes, boxes)
+        ad = lb_ad_terms(q, planes, w)
+        assert ti.shape == pc.shape == ad.shape == (n, count)
+        # the per-pair lb_pc and lb_ad run these kernels on one candidate, so
+        # the dimension-last formulas are the independent check
+        assert same_array_bits(pc.T, reference_lb_pc_terms(cas, boxes))
+        assert same_array_bits(ad.T, reference_lb_ad_terms(q, cas, w))
         for k, c in enumerate(cas):
             full = reference_lb_ti(q, c, window, "tip_top", p).value
             for t in (None, 0.0, full, 0.5 * full):
-                assert same_bits(sum_with_abandon(ti[k], t),
+                assert same_bits(sum_with_abandon(ti[:, k], t),
                                  lb_ti(q, c, window, refresh_period=p, abandon_above=t))
-                assert same_bits(sum_with_abandon(ti[k], t),
+                assert same_bits(sum_with_abandon(ti[:, k], t),
                                  reference_lb_ti(q, c, window, "tip_top", p, abandon_above=t))
-                assert same_bits(sum_with_abandon(pc[k], t), lb_pc(c, boxes, abandon_above=t))
-                assert same_bits(sum_with_abandon(ad[k], t), lb_ad(q, c, window, abandon_above=t))
+                assert same_bits(sum_with_abandon(pc[:, k], t), lb_pc(c, boxes, abandon_above=t))
+                assert same_bits(sum_with_abandon(ad[:, k], t), lb_ad(q, c, window, abandon_above=t))
 
 
 def test_prune_rule_equals_sum_with_abandon():
@@ -82,7 +91,7 @@ def test_prune_rule_equals_sum_with_abandon():
             np.array([1.0, 2.0, np.nan, 0.0]), np.array([np.nan, 1.0]),
             np.array([3.0, np.inf, np.nan]), np.array([0.5])]
     for row in rows:
-        (last,), (peak,) = _prune_sums(row[None])
+        (last,), (peak,) = _prune_sums(row[:, None])
         total = float(np.cumsum(row)[-1])
         finite = [float(s) for s in np.cumsum(row) if math.isfinite(s)]
         cuts = {0.0, 1.0, 2.5, 3.0, math.inf, *finite}

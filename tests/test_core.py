@@ -9,7 +9,7 @@ from mvdtw import (
     InvalidInputError, Method, MultivariateSeries, SearchParams, build_box_sets, build_envelope,
     dtw_banded, lb_ad, lb_mv, lb_ti, nn_search,
 )
-from mvdtw.core import SUM_BY_COLUMN_ROWS, sequential_sums
+from mvdtw.core import SUM_BY_PLANE_COLUMNS, sequential_sums
 from mvdtw.dtw import point_costs
 
 points = st.lists(
@@ -23,7 +23,8 @@ def pair_cost(a, b) -> float:
 
 
 def test_point_distance_examples():
-    assert point_costs(np.zeros((3, 2)), np.array([[0.0, 0.0], [3.0, 4.0], [-3.0, 4.0]])).tolist() == [
+    # dimension-first: the points are columns
+    assert point_costs(np.zeros((2, 3)), np.array([[0.0, 3.0, -3.0], [0.0, 4.0, 4.0]])).tolist() == [
         0.0, 5.0, 5.0]
     assert pair_cost((0, 0), (0, 0)) == 0.0
     assert pair_cost((0, 0), (3, 4)) == 5.0
@@ -31,25 +32,25 @@ def test_point_distance_examples():
 
 
 def left_to_right(x):
-    total = x[..., 0].copy()
-    for p in range(1, x.shape[-1]):
-        total = total + x[..., p]
+    total = x[0].copy()
+    for p in range(1, x.shape[0]):
+        total = total + x[p]
     return total
 
 
 @pytest.mark.parametrize("dims", [*range(1, 11), 24, 40])
 def test_sequential_sums_adds_left_to_right(dims):
     # every point distance, bound total and work charge adds in this one
-    # order, on either side of the row-count switch, or DTW costs and bound
-    # distances could drift apart by ulps; numpy's own axis sums go pairwise
-    # on long axes and on dimension-major views
+    # order, on either side of the column-count switch, or DTW costs and
+    # bound distances could drift apart by ulps; numpy's own axis sums go
+    # pairwise on long axes and on dimension-major views
     g = np.random.default_rng(dims)
-    rows = SUM_BY_COLUMN_ROWS
-    for shape in [(), (1,), (3,), (rows - 1,), (rows,), (5, 7), (40, 21), (3, 50, 11)]:
-        x = g.random(shape + (dims,)) * 10.0 ** g.uniform(-4, 4, shape + (dims,))
+    cols = SUM_BY_PLANE_COLUMNS
+    for shape in [(), (1,), (3,), (cols - 1,), (cols,), (5, 7), (40, 21), (3, 50, 11)]:
+        x = g.random((dims,) + shape) * 10.0 ** g.uniform(-4, 4, (dims,) + shape)
         assert np.array_equal(sequential_sums(x), left_to_right(x))
-        planes = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-        view = np.moveaxis(planes, 0, -1)  # dimension-major, not contiguous
+        points = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+        view = np.moveaxis(points, -1, 0)  # a .T view of dimension-last points
         assert np.array_equal(sequential_sums(view), left_to_right(x))
     long = g.random(1000 * dims) * 10.0 ** g.uniform(-4, 4, 1000 * dims)
     assert sequential_sums(long) == left_to_right(long)
@@ -101,8 +102,10 @@ def test_search_params_defaults_and_validation():
     for bad in (0, 2.5, "2"):
         with pytest.raises(InvalidInputError, match="quant_levels"):
             SearchParams(window=1, quant_levels=bad)
-    with pytest.raises(InvalidInputError):
-        SearchParams(window=1, trigger_ti=1.0)
+    for name in ("trigger_ti", "trigger_pc"):
+        for bad in (1.0, 0.0, "0.5", None, float("nan"), np.array([0.5, 0.5])):
+            with pytest.raises(InvalidInputError, match=name):
+                SearchParams(window=1, **{name: bad})
     SearchParams(window=1, method="lb_ti")  # strings coerce to the enum
 
 

@@ -9,6 +9,7 @@ from mvdtw import InvalidInputError, dtw_banded
 from mvdtw import dtw as dtw_module
 from mvdtw.core import BLOCK_FLOATS, sequential_sums
 from mvdtw.dtw import dtw_rows, point_costs, row_cells
+from mvdtw.search import _stack_candidates
 
 from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist
 
@@ -112,9 +113,10 @@ CHUNK_BUDGETS = (1, 200, BLOCK_FLOATS)
 
 
 def sweep(q, cands, w, budget):
+    """dtw_rows of a (C, n, D) stack, under a chunk budget."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dtw_module, "BLOCK_FLOATS", budget)
-        return dtw_rows(q, cands, w)
+        return dtw_rows(q, _stack_candidates(cands, q.shape), w)
 
 
 def replay(row_min, final, cells_after, threshold):
@@ -147,7 +149,7 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
     cells_after = row_cells(n, w).tolist()
     for k in range(count):
         minima, dist = banded_row_minima(q, cands[k], window)
-        assert row_min[k].tolist() == minima
+        assert row_min[:, k].tolist() == minima
         assert final[k] == dist == dtw_banded(q, cands[k], window).distance
         for t in {*minima, *(math.nextafter(m, -math.inf) for m in minima)}:
             r = dtw_banded(q, cands[k], window, abandon_above=t)
@@ -165,12 +167,12 @@ def test_batched_rows_of_a_subset_equal_the_full_sweep(seed, n, dims, window, co
     q = np.cumsum(g.normal(size=(n, dims)), axis=0)
     cands = np.cumsum(g.normal(size=(count, n, dims)), axis=1)
     w = min(window, n - 1)
-    full_rows, full_final = dtw_rows(q, cands, w)
+    full_rows, full_final = dtw_rows(q, _stack_candidates(cands, q.shape), w)
     need = np.flatnonzero(g.random(count) < 0.5)
     if not need.size:
         need = g.integers(0, count, size=1)
     rows, final = sweep(q, cands[need], w, budget)
-    assert rows.tolist() == full_rows[need].tolist()
+    assert rows.tolist() == full_rows[:, need].tolist()
     assert final.tolist() == full_final[need].tolist()
 
 
@@ -196,5 +198,5 @@ def test_diagonal_cost_bounds_dtw_from_above(seed, kind, n, dims, extra_window):
     else:
         q, c = np.clip(np.round(g.normal(size=(2, n, dims))), -1.0, 1.0) * 1e308
     with np.errstate(over="ignore"):
-        diagonal = sequential_sums(point_costs(q, c))
+        diagonal = sequential_sums(point_costs(q.T, c.T))
         assert diagonal >= dtw_banded(q, c, window).distance

@@ -255,7 +255,7 @@ def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
     # candidate 0 and the scan's decisions cannot be read from it.
     import mvdtw.search as search
 
-    monkeypatch.setattr(search, "point_costs", lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+    monkeypatch.setattr(search, "point_costs", lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape)[1:]))
     for seed, kind in ((1, "walk"), (2, "iid"), (3, "plateau")):
         q, cands = search_case(seed, kind, 10, 14, 3)
         for method, advanced in CASCADES:
@@ -273,6 +273,35 @@ def test_overflowing_costs_match_reference():
     cands = [np.array([[-1e308], [-1e308], [0.0]]), np.zeros((3, 1)), np.full((3, 1), 1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_matches_reference(q, cands, 1, 0.5)
+
+
+@pytest.mark.parametrize("dim_range", [np.ones(2), [1.0, np.nan, 1.0], "abc"],
+                         ids=["short", "nan", "text"])
+def test_bad_dim_range_rejected_by_every_cascade(dim_range):
+    # checked at the boundary, also where no clustering bound reads it
+    q, cands = search_case(3, "walk", 4, 6, 3)
+    for method, advanced in CASCADES:
+        with pytest.raises(InvalidInputError, match="dim_range"):
+            nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced,
+                      dim_range=dim_range)
+
+
+def test_one_candidate_blocks_change_nothing(monkeypatch):
+    # the batched stages cut the plane set into blocks of candidates; one
+    # candidate per block must give the bits of one block for all
+    import mvdtw.search as search
+
+    for seed, kind in ((1, "walk"), (2, "plateau"), (3, "iid")):
+        q, cands = search_case(seed, kind, 12, 14, 3)
+        for method, advanced in CASCADES:
+            params = SearchParams(window=4, method=method, trigger_ti=0.5, trigger_pc=0.5)
+            whole = nn_search(q, cands, params, advanced=advanced)
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "BLOCK_FLOATS", 1)
+                blocks = nn_search(q, cands, params, advanced=advanced)
+            for name in (*COUNTER_FIELDS, "dtw_swept"):
+                assert getattr(blocks, name) == getattr(whole, name), (method, advanced, name)
+            assert blocks.work.hex() == whole.work.hex()
 
 
 @pytest.mark.parametrize("bad", [
@@ -314,8 +343,8 @@ def test_candidates_stack_as_one_by_one():
     ]
     for q, cands in cases:
         before = [np.array(as_array(c)) for c in cands]
-        want = np.stack(before)
-        got = _stack_candidates(cands, want.shape[1:])
+        want = np.stack(before).transpose(2, 1, 0)  # (D, n, C) planes
+        got = _stack_candidates(cands, before[0].shape)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for method, advanced in CASCADES:
