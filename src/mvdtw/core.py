@@ -13,10 +13,11 @@ the batched search equal to the one-pair scan) need no hand-kept copies:
 array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
 integer and window checks `as_int`/`as_window`; the candidates' (D, n, C)
 plane set `search._stack_candidates`; dimension-first point distances
-`dtw.point_costs` and point-to-box distances `dtw.box_costs`; bound sums and
-abandoning `sum_with_abandon`; and every float total, over dimensions, bound
-terms or work charges alike, `sequential_sums`, which adds its leading axis
-left to right.
+`dtw.point_costs` and point-to-box distances `dtw.box_costs`; every float
+total, over dimensions, bound terms or work charges alike, `sequential_sums`,
+which adds its leading axis left to right; and the prune rule, abandoning a
+candidate at the first prefix of its bound terms above d_best,
+`search._prune_sums`.
 """
 
 from __future__ import annotations
@@ -133,39 +134,14 @@ class MultivariateSeries:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Value of a DTW lower bound, with an early-abandon flag.
-
-    When `abandoned` is true the value is a valid partial sum that already
-    exceeds the threshold the computation was given; it is still a lower
-    bound of the full bound value (all summands are nonnegative).
-    """
+    """Value of a DTW lower bound: the sum of its per-point terms."""
 
     value: float
-    abandoned: bool = False
-
-
-def sum_with_abandon(per_point: np.ndarray, abandon_above: float | None) -> BoundResult:
-    """Sum nonnegative per-point contributions left to right, stopping at the
-    first prefix that exceeds `abandon_above`.
-
-    Every bound sums in this order, so per-point dominance between two
-    bounds carries over to their sums exactly.  Like a left-to-right scan,
-    it abandons at the first prefix above the threshold even when a later
-    term is NaN (inf - inf from overflowed distances).
-    """
-    sums = per_point.cumsum()
-    total = float(sums[-1])
-    if abandon_above is None or total <= abandon_above:
-        return BoundResult(total, False)
-    over = np.flatnonzero(sums > abandon_above)
-    if len(over):
-        return BoundResult(float(sums[over[0]]), True)
-    return BoundResult(total, False)
 
 
 def sequential_sums(x: np.ndarray) -> np.ndarray:
-    """Totals over the leading axis, added left to right: the bits
-    sum_with_abandon gives each column.  numpy's axis sums leave their order
+    """Totals over the leading axis, added left to right: the last of each
+    column's prefix sums (np.cumsum).  numpy's axis sums leave their order
     open (they go pairwise on long or strided axes).  Few columns go to
     np.add.accumulate (np.cumsum without its wrapper's cost), many are added
     a plane at a time, in the same order.  A 1-D array is one column."""

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .core import InvalidInputError
+from .core import InvalidInputError, as_int
 
 _MISSING_TOKENS = {"na", "nan", "?"}
 
@@ -263,7 +264,8 @@ def normalize(ds: RawDataset | Dataset) -> Dataset:
 
 def truncate_dims(ds: Dataset, dims_used: int) -> Dataset:
     """Keep the first `dims_used` dimensions of every point."""
-    if not (1 <= dims_used <= ds.dims):
+    dims_used = as_int(dims_used, "dims_used", 1)
+    if dims_used > ds.dims:
         raise InvalidInputError(f"dims_used must be in [1, {ds.dims}], got {dims_used}")
     if dims_used == ds.dims:
         return ds
@@ -281,8 +283,9 @@ def split(ds: Dataset, query_frac: float = 0.3, seed: int = 0) -> tuple[Dataset,
     A seeded shuffle selects round(S * query_frac) query series; both sides
     keep their original file order.
     """
-    if not (0.0 < query_frac < 1.0):
-        raise InvalidInputError("query_frac must be in (0, 1)")
+    if not (isinstance(query_frac, Real) and 0.0 < query_frac < 1.0):
+        raise InvalidInputError(f"query_frac must be a number in (0, 1), got {query_frac!r}")
+    seed = as_int(seed, "seed", 0)
     s = ds.num_series
     k = int(round(s * query_frac))
     if k < 1 or k >= s:

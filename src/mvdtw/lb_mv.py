@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_pair, as_series, as_window, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_pair, as_series, as_window, sequential_sums
 from .dtw import box_costs, point_costs
 
 
@@ -71,7 +71,7 @@ def envelope_deviations(planes: np.ndarray, env: Envelope) -> np.ndarray:
     return np.sqrt(box_costs(planes, env.lower.T[..., None], env.upper.T[..., None]))
 
 
-def lb_mv(c, env: Envelope, abandon_above: float | None = None) -> BoundResult:
+def lb_mv(c, env: Envelope) -> BoundResult:
     """Envelope lower bound of the banded DTW distance.
 
     Sums, over candidate indices, the Euclidean distance (box_costs) from each
@@ -80,10 +80,10 @@ def lb_mv(c, env: Envelope, abandon_above: float | None = None) -> BoundResult:
     ca = as_series(c)
     if ca.shape != env.upper.shape:
         raise InvalidInputError(f"shape mismatch: {ca.shape} vs {env.upper.shape}")
-    return sum_with_abandon(envelope_deviations(ca.T[..., None], env)[:, 0], abandon_above)
+    return BoundResult(float(sequential_sums(envelope_deviations(ca.T[..., None], env)[:, 0])))
 
 
-def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
+def lb_ad(q, c, window: int) -> BoundResult:
     """All-distances lower bound: for every candidate point, the distance to
     the nearest query point inside its window, summed over candidate indices.
 
@@ -92,7 +92,7 @@ def lb_ad(q, c, window: int, abandon_above: float | None = None) -> BoundResult:
     distances, at the cost of O(n * W * D) work per pair.
     """
     qa, ca, w = as_pair(q, c, window)
-    return sum_with_abandon(lb_ad_terms(qa, ca.T[..., None], w)[:, 0], abandon_above)
+    return BoundResult(float(sequential_sums(lb_ad_terms(qa, ca.T[..., None], w)[:, 0])))
 
 
 def lb_ad_terms(qa: np.ndarray, planes: np.ndarray, w: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_int, as_series, as_window, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_int, as_series, as_window, sequential_sums
 from .dtw import box_costs
 
 
@@ -167,7 +167,7 @@ def build_box_sets(
     return _cap_cells(cells, max_boxes)
 
 
-def lb_pc(c, grouping: BoxGrouping, abandon_above: float | None = None) -> BoundResult:
+def lb_pc(c, grouping: BoxGrouping) -> BoundResult:
     """Clustering lower bound: each candidate point pays the distance to the
     nearest box of the box set covering its window, measured by box_costs
     and summed over indices."""
@@ -175,7 +175,7 @@ def lb_pc(c, grouping: BoxGrouping, abandon_above: float | None = None) -> Bound
     shape = (grouping.n, grouping.pad_lo.shape[2])
     if ca.shape != shape:
         raise InvalidInputError(f"shape mismatch: {ca.shape} vs {shape}")
-    return sum_with_abandon(lb_pc_terms(ca.T[..., None], grouping)[:, 0], abandon_above)
+    return BoundResult(float(sequential_sums(lb_pc_terms(ca.T[..., None], grouping)[:, 0])))
 
 
 def lb_pc_terms(planes: np.ndarray, grouping: BoxGrouping) -> np.ndarray:

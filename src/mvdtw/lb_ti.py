@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BoundResult, as_int, as_pair, as_series, sum_with_abandon
+from .core import BoundResult, InvalidInputError, as_int, as_pair, as_series, sequential_sums
 from .dtw import point_costs
 
 _PROP_SLACK = 2.0 ** -46
@@ -56,26 +56,39 @@ class NeighborDistances:
     query_steps: np.ndarray
 
 
+def _as_query_steps(neighbor: NeighborDistances, n: int) -> np.ndarray:
+    """`neighbor.query_steps` as n - 1 finite floats >= 0, else
+    InvalidInputError."""
+    try:
+        steps = np.asarray(neighbor.query_steps, dtype=np.float64)
+        if steps.shape == (n - 1,) and np.isfinite(steps).all() and (steps >= 0.0).all():
+            return steps
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"neighbor must hold {n - 1} finite query steps >= 0, "
+                            f"got {getattr(neighbor, 'query_steps', neighbor)!r}")
+
+
 def lb_ti(
     q,
     c,
     window: int,
     refresh_period: int = 5,
     neighbor: NeighborDistances | None = None,
-    abandon_above: float | None = None,
 ) -> BoundResult:
     """Triangle-inequality lower bound of the banded DTW distance.
 
     refresh_period
         rows between re-anchoring the whole window at true distances (>= 1)
     neighbor
-        precomputed adjacent-point distances of `q`; built if omitted
+        precomputed adjacent-point distances of `q`, n - 1 finite values
+        >= 0; built if omitted
     """
     qa, ca, w = as_pair(q, c, window)
     refresh_period = as_int(refresh_period, "refresh_period", 1)
-    qsteps = neighbor_steps(qa) if neighbor is None else neighbor.query_steps
-    return sum_with_abandon(lb_ti_terms(qa, ca.T[..., None], w, refresh_period, qsteps)[:, 0],
-                            abandon_above)
+    qsteps = neighbor_steps(qa) if neighbor is None else _as_query_steps(neighbor, len(qa))
+    terms = lb_ti_terms(qa, ca.T[..., None], w, refresh_period, qsteps)
+    return BoundResult(float(sequential_sums(terms[:, 0])))
 
 
 def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,

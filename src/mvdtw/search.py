@@ -4,7 +4,7 @@ For every query, candidates are scanned in their given order while the best
 exact DTW distance so far (d_best) shrinks.  Each candidate first faces the
 cheap envelope bound; if that fails to prune and the bound lands in the
 triggering band (trigger < bound/d_best < 1), the configured advanced bound
-gets a chance; only then is the exact banded DTW computed, itself abandoned
+gets a chance; only then is the exact banded DTW computed, itself stopped
 as soon as a whole DP row exceeds d_best.  Bounds never change answers: a
 candidate is skipped only when a lower bound of its DTW distance already
 reaches d_best, and d_best only improves on exact distances, so every method
@@ -47,7 +47,7 @@ TUNE_QUERY_SAMPLE = 8
 class NnOutcome:
     """Result and instrumentation of one query's nearest-neighbor scan.
 
-    `abandon_count` counts early-abandoned DTW evaluations, `dtw_swept` the
+    `abandon_count` counts DTW evaluations stopped early, `dtw_swept` the
     candidates the batched sweep computed (the compared ones and more).
     `work` is the deterministic work-model total used for tuning decisions.
     Timers are seconds; lb_time + dtw_time <= total_time.
@@ -68,15 +68,17 @@ class NnOutcome:
 
 
 def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | None:
-    """Resolve which bound runs at the cascade's second step, if any."""
+    """Resolve which bound runs at the cascade's second step, if any.
+    `advanced` resolves TC_DTW and is rejected with any other method."""
     method = params.method
-    if method in (Method.NONE, Method.LB_MV):
-        return None
     if method == Method.TC_DTW:
         if advanced not in (Method.LB_TI, Method.LB_PC):
             raise InvalidInputError("TC_DTW must be resolved with tc_dtw_select first")
         return advanced
-    return method
+    if advanced is not None:
+        raise InvalidInputError(f"advanced={advanced!r} applies only to method tc_dtw, "
+                                f"not {method.value}")
+    return None if method in (Method.NONE, Method.LB_MV) else method
 
 
 def _trigger(params: SearchParams, advanced: Method) -> float:
@@ -129,9 +131,11 @@ def _blockwise(fn, planes: np.ndarray, floats_each: int) -> np.ndarray:
 
 def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For (n, C) bound terms, the totals S[-1] and NaN-skipping peaks
-    fmax(S) of each column's prefix sums S.  sum_with_abandon(column, d)
-    reaches d exactly when S[-1] >= d or fmax(S) > d: it abandons at the
-    first prefix above d, also when a later prefix is NaN."""
+    fmax(S) of each column's prefix sums S.  This is the search's one prune
+    rule: the one-at-a-time scan adds a candidate's terms left to right and
+    prunes it at the first prefix above d_best, or at a total >= d_best, so
+    it prunes exactly when S[-1] >= d_best or fmax(S) > d_best, also when a
+    later prefix is NaN (inf - inf from overflowed distances)."""
     sums = np.cumsum(terms, axis=0)
     return sums[-1], np.fmax.reduce(sums, axis=0)
 
@@ -231,7 +235,7 @@ def nn_search(
 
     # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
     # is the smallest DTW distance among candidates 0..k-1: a skipped or
-    # abandoned candidate's distance is at least the d_best it met.  The
+    # stopped candidate's distance is at least the d_best it met.  The
     # sweep computed those distances exactly, and a candidate it left out is
     # at least the d_best it meets (+inf here).  Candidate 0 meets +inf, and
     # so does every candidate of `none`, which never abandons.  Then the
@@ -263,7 +267,7 @@ def nn_search(
         raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "
                            "cost fell below its DTW distance")
 
-    # Exact DTW of the compared candidates, abandoned at d_best: at the first
+    # Exact DTW of the compared candidates, stopped at d_best: at the first
     # row whose frontier, the largest row minimum so far, exceeds it, or at
     # the end if the distance does.
     t0 = time.perf_counter()

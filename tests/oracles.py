@@ -4,11 +4,17 @@ Everything here is written for clarity, not speed: plain loops, no shared
 code with the package beyond the point-distance definition (Euclidean,
 non-squared), which is the contract itself.  Three exceptions compare bit
 for bit and so reuse package code: the reference cascade runs the package's
-single-pair bounds and DTW one candidate at a time, in scan order, to check
-the batched search counter for counter; banded_row_minima runs the DP over
-the package's own cost band; and reference_lb_ti measures its true
-distances with the package's point_costs, since a distance whose
+per-point bound kernels and single-pair DTW one candidate at a time, in scan
+order, to check the batched search counter for counter; banded_row_minima
+runs the DP over the package's own cost band; and reference_lb_ti measures
+its true distances with the package's point_costs, since a distance whose
 dimensions were added in another order could land above the DTW by an ulp.
+
+The reference cascade owns the scan's prune rule, sum_with_abandon: a
+candidate's bound terms are added left to right and it is pruned at the
+first prefix above d_best.  The package's bounds return plain totals, and
+its search applies the rule in batch (search._prune_sums), which must agree
+with sum_with_abandon on every column.
 
 reference_lb_ad_terms and reference_lb_pc_terms are the batched lb_ad and
 lb_pc formulas written dimension last, over a (C, n, D) stack, with their
@@ -34,19 +40,17 @@ from mvdtw import (
     BoundResult,
     InvalidInputError,
     Method,
-    NeighborDistances,
     NnOutcome,
     build_box_sets,
     build_envelope,
     dtw_banded,
-    lb_ad,
-    lb_mv,
-    lb_pc,
-    lb_ti,
     neighbor_steps,
 )
 from mvdtw.core import as_series
 from mvdtw.dtw import point_costs
+from mvdtw.lb_mv import envelope_deviations, lb_ad_terms
+from mvdtw.lb_pc import lb_pc_terms
+from mvdtw.lb_ti import lb_ti_terms
 from mvdtw.search import _advanced_method, _trigger
 
 
@@ -183,9 +187,29 @@ def naive_box_dist(point, lo, hi) -> float:
     return math.sqrt(s)
 
 
+def sum_with_abandon(per_point: np.ndarray, abandon_above: float) -> float:
+    """Sum nonnegative per-point contributions left to right, stopping at the
+    first prefix that exceeds `abandon_above`; the scan prunes a candidate
+    when the result reaches its d_best.
+
+    Every bound sums in this order, so per-point dominance between two
+    bounds carries over to their sums exactly.  Like a left-to-right scan,
+    it abandons at the first prefix above the threshold even when a later
+    term is NaN (inf - inf from overflowed distances).
+    """
+    sums = per_point.cumsum()
+    total = float(sums[-1])
+    if total <= abandon_above:
+        return total
+    over = np.flatnonzero(sums > abandon_above)
+    return float(sums[over[0]]) if len(over) else total
+
+
 def reference_nn_search(query, candidates, params, advanced=None, dim_range=None) -> NnOutcome:
-    """The search cascade run one candidate at a time: every bound and every
-    DTW is a single-pair call, in scan order."""
+    """The search cascade run one candidate at a time, in scan order: every
+    DTW is a single-pair call, and every bound's per-point terms come from
+    the package kernel on that one candidate, as (D, n, 1) planes (what the
+    per-pair bounds wrap), pruned by sum_with_abandon at d_best."""
     t_start = time.perf_counter()
     qa = as_series(query)
     cas = [as_series(c) for c in candidates]
@@ -200,14 +224,14 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
 
     # Per-query preparation, all charged to lb_time as bound overhead.
     env = None
-    nd = None
+    qsteps = None
     boxes = None
     t0 = time.perf_counter()
     if method != Method.NONE:
         env = build_envelope(qa, w)
         out.work += n * dims
     if adv == Method.LB_TI:
-        nd = NeighborDistances(query_steps=neighbor_steps(qa))
+        qsteps = neighbor_steps(qa)
         out.work += n * dims
     elif adv == Method.LB_PC:
         boxes = build_box_sets(
@@ -234,30 +258,31 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     abandon = None if method == Method.NONE else True
     for k in range(1, len(cas)):
         ca = cas[k]
+        planes = ca.T[..., None]
         if method != Method.NONE:
             t0 = time.perf_counter()
-            b1 = lb_mv(ca, env, abandon_above=d_best)
+            b1 = sum_with_abandon(envelope_deviations(planes, env)[:, 0], d_best)
             out.lb_time += time.perf_counter() - t0
             out.lb_mv_evals += 1
             out.work += work_mv
-            if b1.value >= d_best:
+            if b1 >= d_best:
                 out.dtw_skipped += 1
                 continue
-            if adv is not None and b1.value > _trigger(params, adv) * d_best:
+            if adv is not None and b1 > _trigger(params, adv) * d_best:
                 t0 = time.perf_counter()
                 if adv == Method.LB_TI:
-                    b2 = lb_ti(qa, ca, w, refresh_period=params.refresh_period,
-                               neighbor=nd, abandon_above=d_best)
+                    terms = lb_ti_terms(qa, planes, w, params.refresh_period, qsteps)
                     out.work += work_ti
                 elif adv == Method.LB_PC:
-                    b2 = lb_pc(ca, boxes, abandon_above=d_best)
+                    terms = lb_pc_terms(planes, boxes)
                     out.work += work_pc
                 else:
-                    b2 = lb_ad(qa, ca, w, abandon_above=d_best)
+                    terms = lb_ad_terms(qa, planes, w)
                     out.work += work_ad
+                b2 = sum_with_abandon(terms[:, 0], d_best)
                 out.lb_time += time.perf_counter() - t0
                 out.advanced_lb_evals += 1
-                if b2.value >= d_best:
+                if b2 >= d_best:
                     out.dtw_skipped += 1
                     continue
         t0 = time.perf_counter()
@@ -341,9 +366,8 @@ def reference_lb_ti(
     variant: TiVariant = TiVariant.TIP_TOP,
     refresh_period: int = 5,
     neighbor=None,
-    abandon_above: float | None = None,
     trace: list | None = None,
-):
+) -> BoundResult:
     """Triangle-inequality lower bound of the banded DTW distance.
 
     variant
@@ -376,7 +400,6 @@ def reference_lb_ti(
     refreshing = variant in (TiVariant.TIP, TiVariant.TIP_TOP)
     true_top = variant in (TiVariant.TOP, TiVariant.TIP_TOP)
     csteps = None if true_top else neighbor_steps(ca)
-    threshold = math.inf if abandon_above is None else float(abandon_above)
 
     lo_arr = np.empty(n)  # interval floors, indexed by candidate column
     up_arr = np.empty(n)
@@ -390,8 +413,6 @@ def reference_lb_ti(
     if trace is not None:
         trace.append((0, 0, hi, lo_arr[: hi + 1].copy(), up_arr[: hi + 1].copy()))
 
-    running = 0.0
-    next_final = 0
     prev_lo = 0
     prev_hi = hi
     for i in range(1, n):
@@ -421,19 +442,12 @@ def reference_lb_ti(
         np.minimum(colmin[lo : hi + 1], lo_arr[lo : hi + 1], out=colmin[lo : hi + 1])
         if trace is not None:
             trace.append((i, lo, hi, lo_arr[lo : hi + 1].copy(), up_arr[lo : hi + 1].copy()))
-        while next_final <= i - w:
-            running += float(colmin[next_final])
-            next_final += 1
-            if running > threshold:
-                return BoundResult(running, True)
         prev_lo, prev_hi = lo, hi
 
-    while next_final < n:
-        running += float(colmin[next_final])
-        next_final += 1
-        if running > threshold:
-            return BoundResult(running, True)
-    return BoundResult(running, False)
+    running = 0.0
+    for v in colmin:
+        running += float(v)
+    return BoundResult(running)
 
 
 # --- grid boxes of one window ---------------------------------------------

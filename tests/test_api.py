@@ -21,8 +21,10 @@ PUBLIC = [
 ]
 
 # Names the benchmark's tracer rebinds on mvdtw.search (the search's layers)
-# that the search still binds: it runs the advanced bounds through their
-# stacked *_terms kernels, not the per-pair lb_ti, lb_pc and lb_ad.
+# that the search still binds: it runs the bounds through their stacked
+# kernels, not the per-pair lb_mv, lb_ti, lb_pc and lb_ad.  So the tracer's
+# prune count, read from an `abandon_above` keyword of a bound call, meets no
+# call, and the bounds need not take the keyword.
 SEARCH_LAYERS = ("build_envelope", "build_box_sets", "neighbor_steps")
 
 
@@ -39,7 +41,9 @@ def test_search_binds_the_traced_layers():
 
 
 def test_benchmark_calls_run(tmp_path):
-    # the benchmark's set-up, search and pair-timing calls, keyword for keyword
+    # the benchmark's set-up, search and pair-timing calls, keyword for keyword:
+    # BoundResult.value, lb_ti's refresh_period= and neighbor=, and
+    # NeighborDistances(query_steps=)
     path = tmp_path / "tiny.mts"
     for family in ("iid_noise_dataset", "smooth_walk_dataset", "clustered_dataset"):
         mvdtw.write_native(getattr(synth, family)(12, 10, 2, 42), path)
@@ -80,12 +84,7 @@ def test_benchmark_calls_run(tmp_path):
         mvdtw.lb_pc(c, boxes),
         mvdtw.lb_ad(q, c, w),
     ]
+    # the bounds return their totals; only dtw_banded abandons early
     for b in bounds:
+        assert isinstance(b, mvdtw.BoundResult)
         assert b.value <= exact.distance
-    # the tracer counts prunes through the abandon_above keyword
-    for b in (
-        mvdtw.lb_ti(q, c, w, refresh_period=p.refresh_period, neighbor=nd, abandon_above=0.0),
-        mvdtw.lb_pc(c, boxes, abandon_above=0.0),
-        mvdtw.lb_ad(q, c, w, abandon_above=0.0),
-    ):
-        assert b.abandoned == (b.value > 0.0)

@@ -151,8 +151,9 @@ def test_truncate_dims(rng):
     assert np.array_equal(cut.dim_ranges, ds.dim_ranges[:2])
     with pytest.raises(InvalidInputError):
         truncate_dims(ds, 0)
-    with pytest.raises(InvalidInputError):
-        truncate_dims(ds, 5)
+    for bad in (5, 2.5, "2", None):
+        with pytest.raises(InvalidInputError, match="dims_used"):
+            truncate_dims(ds, bad)
 
 
 def test_split_deterministic_and_order_preserving():
@@ -178,5 +179,9 @@ def test_split_edge_cases():
         split(ds, 0.01, seed=0)
     with pytest.raises(InvalidInputError):
         split(ds, 0.99, seed=0)
-    with pytest.raises(InvalidInputError):
-        split(ds, 1.5, seed=0)
+    for bad in (1.5, "0.5", None, float("nan")):
+        with pytest.raises(InvalidInputError, match="query_frac"):
+            split(ds, bad, seed=0)
+    for bad in (2.5, "2", -1):
+        with pytest.raises(InvalidInputError, match="seed"):
+            split(ds, 0.5, seed=bad)

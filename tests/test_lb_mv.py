@@ -129,17 +129,3 @@ def test_univariate_matches_classic_envelope_bound(rng):
         env = build_envelope(q, w)
         expected = np.maximum(c - env.upper, 0.0) + np.maximum(env.lower - c, 0.0)
         assert lb_mv(c, env).value == pytest.approx(float(expected.sum()), rel=1e-12)
-
-
-def test_abandoning_behaviour(rng):
-    q = np.cumsum(rng.normal(size=(30, 2)), axis=0)
-    c = np.cumsum(rng.normal(size=(30, 2)), axis=0) + 10.0
-    env = build_envelope(q, 3)
-    full = lb_mv(c, env)
-    assert not full.abandoned
-    cut = lb_mv(c, env, abandon_above=full.value / 2.0)
-    assert cut.abandoned
-    assert full.value / 2.0 < cut.value <= full.value
-    ad_full = lb_ad(q, c, 3)
-    ad_cut = lb_ad(q, c, 3, abandon_above=ad_full.value / 2.0)
-    assert ad_cut.abandoned and ad_cut.value <= ad_full.value

@@ -200,14 +200,3 @@ def test_shape_mismatch(rng):
         lb_pc(rng.normal(size=(9, 2)), grouping)
     with pytest.raises(InvalidInputError):
         lb_pc(rng.normal(size=(8, 3)), grouping)
-
-
-def test_abandoning(rng):
-    q = np.cumsum(rng.normal(size=(30, 2)), axis=0)
-    c = np.cumsum(rng.normal(size=(30, 2)), axis=0) + 9.0
-    grouping = build_box_sets(q, 4, 2, 2, 6, 1e-5)
-    full = lb_pc(c, grouping)
-    assert not full.abandoned and full.value > 0.0
-    cut = lb_pc(c, grouping, abandon_above=full.value / 2.0)
-    assert cut.abandoned
-    assert full.value / 2.0 < cut.value <= full.value

@@ -79,12 +79,12 @@ def test_per_candidate_skip_subset(rng):
             skipped = set()
             d_best = dtw_banded(q, cands[0], w).distance
             for k in range(1, len(cands)):
-                b1 = lb_mv(cands[k], env, abandon_above=d_best)
+                b1 = lb_mv(cands[k], env)
                 if b1.value >= d_best:
                     skipped.add(k)
                     continue
                 if advanced is not None and b1.value > 0.1 * d_best:
-                    b2 = lb_ad(q, cands[k], w, abandon_above=d_best)
+                    b2 = lb_ad(q, cands[k], w)
                     if b2.value >= d_best:
                         skipped.add(k)
                         continue
@@ -130,6 +130,10 @@ def test_unresolved_tc_dtw_rejected(rng):
     q, cands = small_problem(rng, num_series=4)
     with pytest.raises(InvalidInputError):
         nn_search(q, cands, SearchParams(window=3, method=Method.TC_DTW))
+    # `advanced` resolves tc_dtw only; any other method rejects it
+    for method in (m for m in Method if m != Method.TC_DTW):
+        with pytest.raises(InvalidInputError, match="advanced"):
+            nn_search(q, cands, SearchParams(window=2, method=method), advanced=Method.LB_PC)
 
 
 def test_counters_deterministic_and_timers_sane(rng):
@@ -202,13 +206,21 @@ CASCADES = [(m, None) for m in Method if m != Method.TC_DTW] + [
 
 
 def search_case(seed, kind, count, n, dims):
-    """A query and its candidates: random walks, iid noise, plateaus (many
-    equal point costs), or constant series and repeated candidates (ties)."""
+    """A query and its candidates: random walks, iid noise, values near
+    1e160 (every nonzero squared difference overflows to +inf), random walks
+    that all jump by 1e160 at one index (finite distances, but the triangle
+    bound's totals turn NaN from inf - inf), plateaus (many equal point
+    costs), or constant series and repeated candidates (ties)."""
     g = np.random.default_rng(seed)
     if kind == "walk":
         data = np.cumsum(g.normal(size=(count + 1, n, dims)), axis=1)
     elif kind == "iid":
         data = g.normal(size=(count + 1, n, dims))
+    elif kind == "overflow":
+        data = np.round(g.normal(size=(count + 1, n, dims))) * 1e160
+    elif kind == "jump":
+        data = np.cumsum(g.normal(size=(count + 1, n, dims)), axis=1)
+        data[:, g.integers(0, n):] += 1e160
     elif kind == "plateau":
         steps = g.normal(size=(count + 1, n, dims)) * (g.random((count + 1, n, 1)) < 0.3)
         data = np.cumsum(steps, axis=1)
@@ -236,7 +248,7 @@ def assert_matches_reference(q, cands, window, trigger):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["walk", "iid", "plateau", "constant"]),
+    kind=st.sampled_from(["walk", "iid", "overflow", "jump", "plateau", "constant"]),
     count=st.integers(1, 12),
     n=st.integers(1, 16),
     dims=st.sampled_from([*range(1, 11), 24]),
@@ -246,7 +258,8 @@ def assert_matches_reference(q, cands, window, trigger):
 def test_counters_match_reference_cascade(seed, kind, count, n, dims, extra_window, trigger):
     # window ranges over [0, n + 3]: W >= n is capped at n - 1
     q, cands = search_case(seed, kind, count, n, dims)
-    assert_matches_reference(q, cands, extra_window % (n + 4), trigger)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_reference(q, cands, extra_window % (n + 4), trigger)
 
 
 def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
@@ -266,13 +279,23 @@ def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
                 nn_search(q, cands, params, advanced=advanced)
 
 
-def test_overflowing_costs_match_reference():
+def test_overflowing_costs_match_reference(monkeypatch):
     # finite inputs whose differences overflow: candidate 0's envelope bound
     # and diagonal cost are both +inf, and the sweep still computes it
+    import oracles
+
     q = np.array([[1e308], [1e308], [0.0]])
     cands = [np.array([[-1e308], [-1e308], [0.0]]), np.zeros((3, 1)), np.full((3, 1), 1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_matches_reference(q, cands, 1, 0.5)
+        # lb_ti totals turn NaN here, and the scan prunes a candidate at the
+        # first prefix above d_best, which a rule on totals alone would miss
+        q, cands = search_case(27612182, "jump", 6, 11, 1)
+        assert_matches_reference(q, cands, 2, 0.5)
+        params = SearchParams(window=2, method=Method.LB_TI, trigger_ti=0.5)
+        want = oracles.reference_nn_search(q, cands, params)
+        monkeypatch.setattr(oracles, "sum_with_abandon", lambda terms, d: float(terms.cumsum()[-1]))
+        assert oracles.reference_nn_search(q, cands, params).dtw_skipped < want.dtw_skipped
 
 
 @pytest.mark.parametrize("dim_range", [np.ones(2), [1.0, np.nan, 1.0], "abc"],
