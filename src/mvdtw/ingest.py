@@ -90,16 +90,23 @@ def _parse_value(token: str, path: str, line_no: int) -> float:
         raise ParseError(f"{path}, line {line_no}: non-numeric token {token!r}") from None
 
 
+def _native_tokens(rows: list, dims: int, path: str):
+    """The value tokens of the native format's (line number, line) rows, in
+    order, each line checked to hold `dims` of them when it is reached."""
+    for no, ln in rows:
+        tokens = ln.split()
+        if len(tokens) != dims:
+            raise ParseError(f"{path}, line {no}: expected {dims} values, found {len(tokens)}")
+        yield from tokens
+
+
 def parse_native(path) -> RawDataset:
     """Parse the native MTS text format."""
     path = os.fspath(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    content = [
-        (no, ln.strip())
-        for no, ln in enumerate(lines, start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    content = [(no, ln) for no, ln in enumerate(map(str.strip, lines), start=1)
+               if ln and not ln.startswith("#")]
     if not content:
         raise ParseError(f"{path}: empty file")
     head_no, head = content[0]
@@ -117,12 +124,13 @@ def parse_native(path) -> RawDataset:
         raise ParseError(
             f"{path}: expected {num_series * length} value lines, found {len(rows)}"
         )
-    values = np.empty((num_series * length, dims))
-    for r, (no, ln) in enumerate(rows):
-        tokens = ln.split()
-        if len(tokens) != dims:
-            raise ParseError(f"{path}, line {no}: expected {dims} values, found {len(tokens)}")
-        values[r] = [_parse_value(t, path, no) for t in tokens]
+    try:  # one numpy call, each token as float() reads it
+        values = np.fromiter(map(float, _native_tokens(rows, dims, path)), np.float64,
+                             len(rows) * dims)
+    except ValueError:  # a missing value, or a line to name
+        values = np.empty((len(rows), dims))
+        for r, (no, ln) in enumerate(rows):
+            values[r] = [_parse_value(t, path, no) for t in _native_tokens([(no, ln)], dims, path)]
     name = os.path.splitext(os.path.basename(path))[0]
     return RawDataset(name, values.reshape(num_series, length, dims), "native")
 

@@ -29,15 +29,15 @@ class BoxGrouping:
     """Box sets of all expanded windows of one query, ready for evaluation.
 
     Expanded window g covers the windows of query indices
-    [g * group_width, (g + 1) * group_width).  `pad_lo`/`pad_hi` stack every
-    set's boxes into (G, K_max, D) arrays padded with +inf/-inf so unused
-    slots evaluate to infinite distance; `box_counts[g]` is set g's box count.
+    [g * group_width, (g + 1) * group_width).  `lo`/`hi` hold, dimension
+    first, the box set covering each query index as (D, n, K_max) arrays,
+    padded with +inf/-inf so unused slots evaluate to infinite distance;
+    `box_counts[g]` is set g's box count.
     """
 
     group_width: int
-    n: int
-    pad_lo: np.ndarray
-    pad_hi: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     box_counts: np.ndarray
 
 
@@ -117,12 +117,14 @@ def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
     box_lo = np.minimum.reduceat(cells.cell_lo, seg_starts, axis=0)
     box_hi = np.maximum.reduceat(cells.cell_hi, seg_starts, axis=0)
 
-    kmax = int(n_boxes.max())
-    pad_lo = np.full((groups, kmax, dims), np.inf)
-    pad_hi = np.full((groups, kmax, dims), -np.inf)
-    pad_lo[box_group, slot] = box_lo
-    pad_hi[box_group, slot] = box_hi
-    return BoxGrouping(cells.group_width, cells.n, pad_lo, pad_hi, n_boxes)
+    # lo and hi of every set padded to K_max slots with +inf/-inf, then laid
+    # out dimension first, index i getting set i // group_width
+    pads = np.full((2, groups, int(n_boxes.max()), dims), np.inf)
+    pads[1] = -np.inf
+    pads[0, box_group, slot] = box_lo
+    pads[1, box_group, slot] = box_hi
+    lo, hi = pads.transpose(0, 3, 1, 2).repeat(cells.group_width, axis=2)[:, :, : cells.n]
+    return BoxGrouping(cells.group_width, lo, hi, n_boxes)
 
 
 def as_dim_range(dim_range, qa: np.ndarray) -> np.ndarray:
@@ -172,7 +174,7 @@ def lb_pc(c, grouping: BoxGrouping) -> BoundResult:
     nearest box of the box set covering its window, measured by box_costs
     and summed over indices."""
     ca = as_series(c)
-    shape = (grouping.n, grouping.pad_lo.shape[2])
+    shape = grouping.lo.shape[1::-1]  # (n, D)
     if ca.shape != shape:
         raise InvalidInputError(f"shape mismatch: {ca.shape} vs {shape}")
     return BoundResult(float(sequential_sums(lb_pc_terms(ca.T[..., None], grouping)[:, 0])))
@@ -183,7 +185,5 @@ def lb_pc_terms(planes: np.ndarray, grouping: BoxGrouping) -> np.ndarray:
     of the grouping's shape: the distance from each candidate point to the
     nearest box of its expanded window.  A candidate's temporaries hold
     n * K * D floats, K the widest box set."""
-    # index i's box set is set i // group_width; boxes as (D, n, K, 1)
-    lo, hi = (pad.transpose(2, 0, 1).repeat(grouping.group_width, axis=1)[:, : grouping.n, :, None]
-              for pad in (grouping.pad_lo, grouping.pad_hi))
-    return np.sqrt(box_costs(planes[:, :, None], lo, hi).min(axis=1))
+    costs = box_costs(planes[:, :, None], grouping.lo[..., None], grouping.hi[..., None])
+    return np.sqrt(costs.min(axis=1))

@@ -10,17 +10,17 @@ candidate is skipped only when a lower bound of its DTW distance already
 reaches d_best, and d_best only improves on exact distances, so every method
 returns the nearest neighbor the plain linear scan finds.
 
-The scan is executed as one batch pass: the envelope bound, the exact DTW
-and the advanced bound are computed for whole batches of candidates at once,
-and every decision of the scan is an array comparison against the d_best
-sequence those values determine.  Answers and counters are exactly those of
-the one-at-a-time scan (see nn_search).
+The scan runs as one batch pass in two stages (see nn_search): `_scan`
+computes what only the query, the candidates and the window decide, the
+envelope bounds, the DTW sweep and the d_best each candidate meets; `_finish`
+the advanced bound and the counters of one SearchParams.
 
 Method and parameter selection on a data sample ranks configurations by a
 deterministic work model (DP cells and bound point-touches, dimension
 weighted) rather than wall time, so repeated runs with one seed pick the same
 configuration and produce bit-identical counters; wall times are still
-measured and reported.
+measured and reported.  Selection finishes one scan per sample query under
+every configuration it compares.
 """
 
 from __future__ import annotations
@@ -140,6 +140,24 @@ def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums[-1], np.fmax.reduce(sums, axis=0)
 
 
+@dataclass
+class _Scan:
+    """One query's first stage; triggers, quantization level and advanced
+    bound leave it unchanged."""
+
+    qa: np.ndarray
+    ref: np.ndarray  # the cell-size floor's reference range (as_dim_range)
+    planes: np.ndarray
+    w: int
+    lb_totals: np.ndarray | None  # envelope bounds; None when no bound runs
+    swept: np.ndarray
+    met: np.ndarray  # the d_best each candidate meets
+    compared: np.ndarray  # not skipped on the envelope bound
+    stopped: np.ndarray  # per swept candidate: would its DTW stop early
+    cells: np.ndarray  # per swept candidate: DP cells up to its stop
+    outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
+
+
 def nn_search(
     query,
     candidates,
@@ -167,71 +185,49 @@ def nn_search(
     """
     t_start = time.perf_counter()
     qa = as_series(query)
-    n, dims = qa.shape
     ref = as_dim_range(dim_range, qa)
     planes = _stack_candidates(candidates, qa.shape)
-    count = planes.shape[-1]
-    method = params.method
     adv = _advanced_method(params, advanced)
-    w = params.effective_window(n)
+    bounded = params.method != Method.NONE
+    out = _finish(_scan(qa, ref, planes, params.effective_window(len(qa)), bounded), params, adv)
+    out.total_time = time.perf_counter() - t_start
+    return out
 
-    out = NnOutcome(best_index=0, best_distance=0.0)
-    # Work-model charges in scan order: the per-query builds, then per
-    # candidate its envelope bound, advanced bound and DP cells (zero where
-    # the scan does not spend them).  Summed left to right at the end.
-    setup_work = []
-    charges = np.zeros((count, 3))
 
-    # Per-query preparation and the batched envelope bound, all charged to
-    # lb_time as bound overhead.  For the advanced bound: its kernel (the
-    # per-point terms of a plane set), the floats its temporaries
-    # take per candidate, and its deterministic work-model price per
-    # evaluation (point-dimension touches, as for every bound).
+def _scan(qa: np.ndarray, ref: np.ndarray, planes: np.ndarray, w: int, bounded: bool) -> _Scan:
+    """nn_search's first stage, for its checked arguments; `bounded` is False
+    for method `none`, which runs no bound."""
+    n, dims = qa.shape
+    count = planes.shape[-1]
+
+    # The batched envelope bound, charged to lb_time.
     t0 = time.perf_counter()
-    if method != Method.NONE:
+    lb_totals = None
+    if bounded:
         env = build_envelope(qa, w)
-        setup_work.append(n * dims)
-        charges[1:, 0] = n * dims
         lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)),
                                planes, n * dims)
-    if adv == Method.LB_TI:
-        p = min(params.refresh_period, n)
-        setup_work.append(n * dims)
-        adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=neighbor_steps(qa))
-        adv_floats = -(-n // p) * (2 * w + p) * dims
-        adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
-    elif adv == Method.LB_PC:
-        boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
-                               params.max_boxes, params.min_cell_frac, ref)
-        setup_work.append(n * dims * (1 + params.quant_levels))
-        adv_terms = partial(lb_pc_terms, grouping=boxes)
-        adv_floats = n * boxes.pad_lo.shape[1] * dims
-        adv_work = n * params.max_boxes * dims
-    elif adv == Method.LB_AD:
-        adv_terms = partial(lb_ad_terms, qa, w=w)
-        adv_floats = n * dims
-        adv_work = n * (2.0 * w + 1.0) * dims
-    out.lb_time += time.perf_counter() - t0
+    lb_time = time.perf_counter() - t0
 
-    # DTW sweep.  d_best only falls, and once candidate k has been scanned
-    # it is at most the cost of k's diagonal path (an upper bound of k's DTW
-    # distance): the scan either compared k exactly or skipped it on a lower
-    # bound at or above d_best.  So the d_best candidate k meets is at most
-    # the prefix minimum `upper[k]` of the earlier diagonal costs, and k needs
-    # a DTW only if its envelope bound is below that; candidate 0 always
-    # does, and so does every candidate of `none`.  The sweep runs each of
-    # them to the end, also those the scan will skip or abandon.
+    # DTW sweep, charged to dtw_time with its stops.  d_best only falls, and
+    # once candidate k has been scanned it is at most the cost of k's
+    # diagonal path (an upper bound of k's DTW distance): the scan either
+    # compared k exactly or skipped it on a lower bound at or above d_best.
+    # So the d_best candidate k meets is at most the prefix minimum
+    # `upper[k]` of the earlier diagonal costs, and k needs a DTW only if its
+    # envelope bound is below that; candidate 0 always does, and so does
+    # every candidate of `none`.  The sweep runs each of them to the end,
+    # also those the scan will skip or abandon.
     t0 = time.perf_counter()
     upper = np.full(count, np.inf)
     swept = np.ones(count, dtype=bool)
-    if method != Method.NONE:
+    if bounded:
         diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa.T[..., None], b)),
                               planes, n * dims)
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
         swept[1:] = lb_totals[1:] < upper[1:]
     need = np.flatnonzero(swept)
     row_min, final = dtw_rows(qa, planes if len(need) == count else planes[..., need], w)
-    out.dtw_time += time.perf_counter() - t0
 
     # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
     # is the smallest DTW distance among candidates 0..k-1: a skipped or
@@ -244,48 +240,86 @@ def nn_search(
     distances[need] = final
     met = np.full(count, np.inf)
     compared = np.ones(count, dtype=bool)
-    if method != Method.NONE:
+    if bounded:
         np.minimum.accumulate(distances[:-1], out=met[1:])
-        out.lb_mv_evals = count - 1
         compared[1:] = ~(lb_totals[1:] >= met[1:])
 
-    # The advanced bound on the candidates it triggers on
-    # (trigger < bound / d_best < 1), computed at once.
+    # Where the exact DTW of a swept candidate stops at d_best: at the first
+    # row whose frontier, the largest row minimum so far, exceeds it, or at
+    # the end if the distance does.
+    bar = met[need]
+    stop = (np.maximum.accumulate(row_min, axis=0) <= bar).sum(axis=0)  # rows within bar
+    stopped = (stop < n) | (final > bar)
+    cells = row_cells(n, w)[np.minimum(stop, n - 1)] * dims
+    best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
+    outcome = NnOutcome(best, float(distances[best]), lb_mv_evals=count - 1 if bounded else 0,
+                        lb_time=lb_time, dtw_time=time.perf_counter() - t0, dtw_swept=len(need))
+    return _Scan(qa, ref, planes, w, lb_totals, swept, met, compared, stopped, cells, outcome)
+
+
+def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
+    """The second stage of nn_search: the advanced bound `adv` (resolved by
+    _advanced_method) under `params`, and the counters; `scan` stays as it is."""
+    qa, planes, w = scan.qa, scan.planes, scan.w
+    n, dims = qa.shape
+    count = planes.shape[-1]
+    out = replace(scan.outcome)
+    # Work-model charges in scan order: the per-query builds, then per
+    # candidate its envelope bound, advanced bound and DP cells (zero where
+    # the scan does not spend them).  Summed left to right at the end.
+    setup_work = []
+    charges = np.zeros((count, 3))
+    if scan.lb_totals is not None:
+        setup_work.append(n * dims)
+        charges[1:, 0] = n * dims
+
+    # The advanced bound's per-query build and the bound on the candidates
+    # it triggers on (trigger < bound / d_best < 1), at once, charged to
+    # lb_time.  Per bound: its kernel (the per-point terms of a plane set),
+    # the floats its temporaries take per candidate, and its work-model
+    # price per evaluation (point-dimension touches, as for every bound).
+    compared = scan.compared.copy()
     if adv is not None:
         t0 = time.perf_counter()
-        band = compared[1:] & (lb_totals[1:] > _trigger(params, adv) * met[1:])
+        if adv == Method.LB_TI:
+            p = min(params.refresh_period, n)
+            setup_work.append(n * dims)
+            adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=neighbor_steps(qa))
+            adv_floats = -(-n // p) * (2 * w + p) * dims
+            adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
+        elif adv == Method.LB_PC:
+            boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
+                                   params.max_boxes, params.min_cell_frac, scan.ref)
+            setup_work.append(n * dims * (1 + params.quant_levels))
+            adv_terms = partial(lb_pc_terms, grouping=boxes)
+            adv_floats = n * boxes.lo.shape[2] * dims
+            adv_work = n * params.max_boxes * dims
+        else:  # LB_AD
+            adv_terms = partial(lb_ad_terms, qa, w=w)
+            adv_floats = n * dims
+            adv_work = n * (2.0 * w + 1.0) * dims
+        band = compared[1:] & (scan.lb_totals[1:] > _trigger(params, adv) * scan.met[1:])
         triggered = np.flatnonzero(band) + 1
         if len(triggered):
             last, peak = _prune_sums(_blockwise(adv_terms, planes[..., triggered], adv_floats))
-            bar = met[triggered]
+            bar = scan.met[triggered]
             compared[triggered] = ~((last >= bar) | (peak > bar))
         charges[triggered, 1] = adv_work
         out.advanced_lb_evals = len(triggered)
         out.lb_time += time.perf_counter() - t0
 
-    if (compared & ~swept).any():
+    if (compared & ~scan.swept).any():
         raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "
                            "cost fell below its DTW distance")
 
-    # Exact DTW of the compared candidates, stopped at d_best: at the first
-    # row whose frontier, the largest row minimum so far, exceeds it, or at
-    # the end if the distance does.
-    t0 = time.perf_counter()
-    bar = met[need]
-    frontier = np.maximum.accumulate(row_min, axis=0)
-    stop = (frontier <= bar).sum(axis=0)  # rows the frontier stays within bar
+    # Exact DTW of the compared candidates, stopped at d_best.
+    need = np.flatnonzero(scan.swept)
     kept = compared[need]
-    out.abandon_count = int((kept & ((stop < n) | (final > bar))).sum())
-    charges[need, 2] = np.where(kept, row_cells(n, w)[np.minimum(stop, n - 1)] * dims, 0)
-    out.dtw_time += time.perf_counter() - t0
-
+    out.abandon_count = int((kept & scan.stopped).sum())
+    charges[need, 2] = np.where(kept, scan.cells, 0)
     out.dtw_computed = int(compared.sum())
-    out.dtw_swept = len(need)
     out.dtw_skipped = count - out.dtw_computed
     out.work = float(sequential_sums(np.concatenate([setup_work, charges.ravel()])))
-    out.best_index = int(np.argmin(distances))  # the first minimum, as the scan's strict <
-    out.best_distance = float(distances[out.best_index])
-    out.total_time = time.perf_counter() - t_start
     return out
 
 
@@ -305,10 +339,22 @@ def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
             _sample(list(candidates), TUNE_CANDIDATE_SAMPLE, rng))
 
 
-def _run_sample(queries, candidates, params, advanced, dim_range) -> float:
-    cost = 0.0
+def _sample_scans(queries, candidates, params: SearchParams, dim_range) -> list[_Scan]:
+    """A bounded scan of each sample query, checked as nn_search checks it."""
+    scans = []
     for q in queries:
-        cost += nn_search(q, candidates, params, advanced=advanced, dim_range=dim_range).work
+        qa = as_series(q)
+        ref = as_dim_range(dim_range, qa)
+        planes = _stack_candidates(candidates, qa.shape)
+        scans.append(_scan(qa, ref, planes, params.effective_window(len(qa)), True))
+    return scans
+
+
+def _run_sample(scans: list[_Scan], params: SearchParams) -> float:
+    """nn_search's work summed over the scanned queries, for params.method."""
+    cost = 0.0
+    for scan in scans:
+        cost += _finish(scan, params, _advanced_method(params, None)).work
     return cost
 
 
@@ -325,10 +371,9 @@ def tc_dtw_select(
     """
     if not sample_queries or not sample_candidates:
         raise InvalidInputError("selection sample is empty")
-    as_ti = replace(params, method=Method.LB_TI)
-    as_pc = replace(params, method=Method.LB_PC)
-    cost_ti = _run_sample(sample_queries, sample_candidates, as_ti, None, dim_range)
-    cost_pc = _run_sample(sample_queries, sample_candidates, as_pc, None, dim_range)
+    scans = _sample_scans(sample_queries, sample_candidates, params, dim_range)
+    cost_ti = _run_sample(scans, replace(params, method=Method.LB_TI))
+    cost_pc = _run_sample(scans, replace(params, method=Method.LB_PC))
     return Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
 
 
@@ -357,12 +402,12 @@ def tune_params(
     method = params.method
     if method in (Method.NONE, Method.LB_MV):
         return params
-    sq, sc = selection_sample(queries, candidates, seed)
+    scans = _sample_scans(*selection_sample(queries, candidates, seed), params, dim_range)
 
     def eval_grid(adv: Method, variants: list[SearchParams]) -> SearchParams:
         best, best_cost = None, None
         for p in variants:
-            cost = _run_sample(sq, sc, replace(p, method=adv), None, dim_range)
+            cost = _run_sample(scans, replace(p, method=adv))
             if log is not None:
                 log.append((adv, p, cost))
             if best_cost is None or cost < best_cost:

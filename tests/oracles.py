@@ -169,8 +169,7 @@ def reference_lb_pc_terms(stack, grouping) -> np.ndarray:
     """(C, n) lb_pc terms of a (C, n, D) stack of candidates, dimension last:
     the squared distance from each point to every box slot of its expanded
     window as one (C, n, K, D) array, its least slot, then the root."""
-    lo, hi = (pad.repeat(grouping.group_width, axis=0)[: grouping.n]
-              for pad in (grouping.pad_lo, grouping.pad_hi))
+    lo, hi = (boxes.transpose(1, 2, 0) for boxes in (grouping.lo, grouping.hi))
     x = stack[:, :, None, :]
     dev_hi = np.maximum(x - hi, 0.0)
     dev_lo = np.maximum(lo - x, 0.0)
@@ -528,6 +527,5 @@ def expanded_span(g: int, n: int, window: int, group_width: int) -> tuple[int, i
 
 def box_set_for_index(grouping, i: int) -> BoxSet:
     """The boxes build_box_sets assigns to query index i's window."""
-    g = i // grouping.group_width
-    k = int(grouping.box_counts[g])
-    return BoxSet(grouping.pad_lo[g, :k], grouping.pad_hi[g, :k])
+    k = int(grouping.box_counts[i // grouping.group_width])
+    return BoxSet(grouping.lo[:, i, :k].T, grouping.hi[:, i, :k].T)

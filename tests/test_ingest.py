@@ -52,6 +52,35 @@ def test_parse_native_errors(tmp_path):
         parse_native(write(tmp_path, "short.mts", "2 2 1\n1\n2\n3\n"))
 
 
+@pytest.mark.parametrize("missing", [False, True], ids=["all-numeric", "with-missing"])
+def test_parse_native_values_are_float_bits(tmp_path, missing):
+    # every token parses to the bits of float(token), missing ones to NaN,
+    # whether the file converts in one call or line by line
+    rows = [["1.5", "-2", "3e-7"], ["-0.0", "1E+308", "4.9e-324"], ["inf", "-inf", "NaN"],
+            ["+.5", "7.", "1_0"], ["0.1", "-1.7976931348623157e308", "2.5E3"]]
+    if missing:
+        rows[1][0], rows[3][2], rows[4][1] = "na", "?", "NA"
+    lines = ["# leading comment", "  5 1 3  ", *("\t" + "  ".join(r) + " " for r in rows[:2]),
+             "   # indented comment", "", *(" ".join(r) for r in rows[2:])]
+    raw = parse_native(write(tmp_path, "bits.mts", "\n".join(lines) + "\n"))
+    want = [float("nan") if t.lower() in ("na", "?") else float(t) for r in rows for t in r]
+    assert raw.values.shape == (5, 1, 3)
+    assert raw.values.ravel().view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def test_parse_native_counts_values_per_line(tmp_path):
+    # the one-call conversion must still name the first miscounted line,
+    # also when the file's total count is right or every line is off alike
+    cases = [("# c\n1 3 2\n1\n2\n3\n", "line 3: expected 2 values, found 1"),
+             ("1 2 1\n1 2\n3 4\n", "line 2: expected 1 values, found 2"),
+             ("1 2 2\n1\n2 3 4\n", "line 2: expected 2 values, found 1"),
+             ("1 2 2\n1 2\n3 4 5\n", "line 3: expected 2 values, found 3"),
+             ("1 2 2\nna 2\n3 4 5\n", "line 3: expected 2 values, found 3")]
+    for k, (text, message) in enumerate(cases):
+        with pytest.raises(ParseError, match=message):
+            parse_native(write(tmp_path, f"count{k}.mts", text))
+
+
 def test_native_round_trip(tmp_path, rng):
     ds = random_walk_dataset(4, 7, 3, seed=9)
     out = tmp_path / "rt.mts"

@@ -110,18 +110,22 @@ def test_box_sets_match_quantize_cluster(seed, n, dims, extra_window, group_widt
     grouping = build_box_sets(q, window, group_width, levels, cap, 1e-5, dim_range)
     ref = q.max(axis=0) - q.min(axis=0) if dim_range is None else dim_range
     groups = (n - 1) // group_width + 1
-    assert grouping.pad_lo.shape[0] == groups
+    assert len(grouping.box_counts) == groups
+    assert grouping.lo.shape[:2] == grouping.hi.shape[:2] == (dims, n)
     for gi in range(groups):
         a, b = expanded_span(gi, n, window, group_width)
         want = quantize_cluster(q[a : b + 1], levels, cap, 1e-5, dim_range=ref)
         k = int(grouping.box_counts[gi])
         assert k == want.num_boxes
+        # every query index of the group holds its set, dimension first;
         # exact float equality (a box corner may be -0.0 on one side and 0.0
         # on the other, depending on which point the min/max met first)
-        assert grouping.pad_lo[gi, :k].tolist() == want.los.tolist()
-        assert grouping.pad_hi[gi, :k].tolist() == want.his.tolist()
-        assert np.all(grouping.pad_lo[gi, k:] == np.inf)
-        assert np.all(grouping.pad_hi[gi, k:] == -np.inf)
+        for i in range(gi * group_width, min(n, (gi + 1) * group_width)):
+            lo, hi = grouping.lo[:, i].T, grouping.hi[:, i].T
+            assert lo[:k].tolist() == want.los.tolist()
+            assert hi[:k].tolist() == want.his.tolist()
+            assert np.all(lo[k:] == np.inf)
+            assert np.all(hi[k:] == -np.inf)
 
 
 def test_grouped_boxes_cover_original_windows(rng):

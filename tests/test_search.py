@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from mvdtw import (
     tc_dtw_select,
     tune_params,
 )
-from mvdtw.synth import clustered_dataset, random_walk_dataset
+from mvdtw.search import selection_sample
+from mvdtw.synth import clustered_dataset, iid_noise_dataset, random_walk_dataset, smooth_walk_dataset
 
 ALL_METHODS = list(Method)
 
@@ -197,6 +200,80 @@ def test_tuned_params_do_not_change_answers(rng):
     for q, ref in zip(queries, base):
         out = nn_search(q, cands, tuned, advanced=choice)
         assert (out.best_index, out.best_distance) == (ref.best_index, ref.best_distance)
+
+
+def fresh_cost(queries, cands, params, dim_range):
+    # one nn_search per query and configuration, summed in query order
+    cost = 0.0
+    for q in queries:
+        cost += nn_search(q, cands, params, dim_range=dim_range).work
+    return cost
+
+
+def assert_tuning_as_fresh_searches(queries, cands, window, seed, dim_range):
+    """tune_params and tc_dtw_select sweep each sample query once; their log
+    costs, tuned parameters and picks must be those of fresh searches."""
+    sq, sc = selection_sample(queries, cands, seed)
+    for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
+        params = SearchParams(window=window, method=method)
+        log = []
+        tuned = tune_params(queries, cands, params, seed=seed, dim_range=dim_range, log=log)
+        assert log
+        best = {}
+        for adv, p, cost in log:
+            want = fresh_cost(sq, sc, replace(p, method=adv), dim_range)
+            assert cost.hex() == want.hex(), (method, adv, p)
+            if adv not in best or want < best[adv][1]:
+                best[adv] = (p, want)
+        want_tuned = params
+        for adv, (p, _) in best.items():
+            if adv == Method.LB_PC:
+                want_tuned = replace(want_tuned, trigger_pc=p.trigger_pc, quant_levels=p.quant_levels)
+            else:
+                want_tuned = replace(want_tuned, trigger_ti=p.trigger_ti)
+        assert tuned == want_tuned, method
+        if method == Method.TC_DTW:
+            cost_ti, cost_pc = (fresh_cost(sq, sc, replace(tuned, method=m), dim_range)
+                                for m in (Method.LB_TI, Method.LB_PC))
+            want_pick = Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
+            assert tc_dtw_select(sq, sc, tuned, dim_range=dim_range) == want_pick
+
+
+@pytest.mark.parametrize("make, num_series, n, dims, window", [
+    (clustered_dataset, 40, 20, 3, 4),
+    (iid_noise_dataset, 40, 20, 3, 4),
+    (smooth_walk_dataset, 40, 30, 3, 6),
+    (smooth_walk_dataset, 40, 20, 1, 3),   # univariate
+    (clustered_dataset, 40, 20, 2, 0),     # window 0
+    (random_walk_dataset, 2, 12, 2, 3),    # one query, one candidate
+])
+def test_sample_scans_reused_as_fresh_searches(make, num_series, n, dims, window):
+    ds = make(num_series, n, dims, seed=17)
+    series = ds.series_list()
+    if dims == 1:  # plain 1-D arrays, as a univariate caller passes them
+        series = [s[:, 0] for s in series]
+    half = num_series // 2
+    for seed, dim_range in ((0, ds.dim_ranges), (3, None)):
+        assert_tuning_as_fresh_searches(series[:half], series[half:], window, seed, dim_range)
+
+
+@pytest.mark.parametrize("bad", [np.full((8, 2), np.nan), np.zeros((9, 2))],
+                         ids=["nan", "shape"])
+def test_sample_scans_reject_a_bad_candidate_as_nn_search(bad):
+    g = np.random.default_rng(9)
+    queries = [g.normal(size=(8, 2)) for _ in range(3)]
+    cands = [g.normal(size=(8, 2)) for _ in range(4)]
+    cands.insert(2, bad)
+    with pytest.raises(InvalidInputError) as fresh:
+        nn_search(queries[0], cands, SearchParams(window=2, method=Method.LB_TI))
+    assert "candidate 2" in str(fresh.value)
+    for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
+        with pytest.raises(InvalidInputError) as tuned:
+            tune_params(queries, cands, SearchParams(window=2, method=method))
+        assert str(tuned.value) == str(fresh.value)
+    with pytest.raises(InvalidInputError) as picked:
+        tc_dtw_select(queries, cands, SearchParams(window=2, method=Method.TC_DTW))
+    assert str(picked.value) == str(fresh.value)
 
 
 COUNTER_FIELDS = ("best_index", "best_distance", "dtw_computed", "dtw_skipped",
