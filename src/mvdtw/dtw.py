@@ -1,4 +1,4 @@
-"""Sakoe-Chiba banded dependent multivariate DTW with early abandoning."""
+"""Sakoe-Chiba banded dependent multivariate DTW."""
 
 from __future__ import annotations
 
@@ -15,21 +15,9 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class DtwResult:
-    """Banded DTW outcome.
-
-    If `abandoned` is false, `distance` is the exact band-constrained DTW
-    distance.  If true, the computation either stopped at a row whose entire
-    frontier exceeded the abandon threshold (then `distance` is that row's
-    minimum, a lower bound of the true distance) or ran to completion with a
-    final value above the threshold.  Either way `distance > abandon_above`.
-
-    `cells` counts evaluated DP cells, the work unit used for deterministic
-    cost accounting.
-    """
+    """Banded DTW outcome: the exact band-constrained DTW distance."""
 
     distance: float
-    abandoned: bool = False
-    cells: int = 0
 
 
 def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,15 +37,23 @@ def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return sequential_sums(dev_hi * dev_hi + dev_lo * dev_lo)
 
 
-def cost_band(qa: np.ndarray, ca: np.ndarray, w: int) -> np.ndarray:
-    """Local cost band of two (n, D) series: entry (i, k) is
-    d(q_i, c_{i-w+k}) for k in [0, 2w], +inf where the column index falls
-    outside [0, n-1]."""
+def cost_band(qa: np.ndarray, ca: np.ndarray, w: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the local cost band of two (n, D) series:
+    entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w], +inf where the
+    column index falls outside [0, n-1]."""
     n = len(qa)
-    j = np.arange(n)[:, None] + np.arange(-w, w + 1)
-    band = point_costs(qa.T[:, :, None], ca.T[:, np.clip(j, 0, n - 1)])
+    j = np.arange(start, min(stop, n))[:, None] + np.arange(-w, w + 1)
+    band = point_costs(qa.T[:, start:stop, None], ca.T[:, np.clip(j, 0, n - 1)])
     np.copyto(band, _INF, where=(j < 0) | (j >= n))
     return band
+
+
+def _band_rows(qa: np.ndarray, ca: np.ndarray, w: int):
+    """The rows of the cost band as lists, computed a block of rows at a
+    time so that a block's temporaries stay within BLOCK_FLOATS."""
+    step = max(1, BLOCK_FLOATS // ((2 * w + 1) * qa.shape[1]))
+    for start in range(0, len(qa), step):
+        yield from cost_band(qa, ca, w, start, start + step).tolist()
 
 
 def row_cells(n: int, w: int) -> np.ndarray:
@@ -66,34 +62,26 @@ def row_cells(n: int, w: int) -> np.ndarray:
     return np.cumsum(np.minimum(i + w, n - 1) - np.maximum(i - w, 0) + 1)
 
 
-def dtw_banded(q, c, window: int, abandon_above: float | None = None) -> DtwResult:
+def dtw_banded(q, c, window: int) -> DtwResult:
     """Band-constrained DTW distance between two equal-shape series.
 
     The warping path runs from cell (0, 0) to (n-1, n-1) moving right, up, or
     diagonally, restricted to |i - j| <= min(window, n-1).  Cell costs are
     Euclidean point distances and the distance is their plain sum along the
     cheapest path.
-
-    With `abandon_above` set, the DP stops as soon as every entry of a row
-    frontier exceeds it (any full path must pass through every row).
     """
     qa, ca, w = as_pair(q, c, window)
     n = qa.shape[0]
     width = 2 * w + 1
-    band = cost_band(qa, ca, w).tolist()
-    threshold = _INF if abandon_above is None else float(abandon_above)
 
     inf_row = [_INF] * width
     prev = inf_row[:]
     cur = inf_row[:]
-    cells = 0
-    for i in range(n):
-        row = band[i]
+    for i, row in enumerate(_band_rows(qa, ca, w)):
         lo = 0 if i < w else i - w
         hi = n - 1 if i + w >= n else i + w
         cur[:] = inf_row
         k = lo - i + w
-        row_min = _INF
         for j in range(lo, hi + 1):
             if i == 0 and j == 0:
                 v = row[k]
@@ -108,16 +96,10 @@ def dtw_banded(q, c, window: int, abandon_above: float | None = None) -> DtwResu
                     best = cur[k - 1]  # (i, j-1)
                 v = row[k] + best
             cur[k] = v
-            if v < row_min:
-                row_min = v
             k += 1
-        cells += hi - lo + 1
-        if row_min > threshold:
-            return DtwResult(row_min, True, cells)
         prev, cur = cur, prev
 
-    final = prev[w]  # column j = n-1 sits at offset w in the last row
-    return DtwResult(final, final > threshold, cells)
+    return DtwResult(prev[w])  # column j = n-1 sits at offset w in the last row
 
 
 @lru_cache(maxsize=32)
@@ -183,9 +165,9 @@ def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
     `qa` is a validated (n, D) series, `planes` the candidates' validated
     (D, n, C) plane set and `w` the effective window (0 <= w <= n-1).
     Returns (row_min, final): row_min[i, c] is the minimum of DP row i for
-    candidate c and final[c] its DTW distance, both bit-identical to what
-    dtw_banded computes for the pair.  Reading rows in order until the first
-    minimum above a threshold replays dtw_banded's abandoning exactly.
+    candidate c and final[c] its DTW distance, both bit-identical to
+    dtw_banded's DP for the pair.  The search reads off row_min where a DTW
+    would stop early at a threshold (search._scan).
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over

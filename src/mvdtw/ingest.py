@@ -38,7 +38,6 @@ class RawDataset:
 
     name: str
     values: np.ndarray  # (num_series, length, dims), NaN = missing
-    source_format: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +72,6 @@ class Dataset:
     @property
     def dims(self) -> int:
         return self.values.shape[2]
-
-    def series(self, i: int) -> np.ndarray:
-        return self.values[i]
 
     def series_list(self) -> list[np.ndarray]:
         return [self.values[i] for i in range(self.num_series)]
@@ -132,7 +128,7 @@ def parse_native(path) -> RawDataset:
         for r, (no, ln) in enumerate(rows):
             values[r] = [_parse_value(t, path, no) for t in _native_tokens([(no, ln)], dims, path)]
     name = os.path.splitext(os.path.basename(path))[0]
-    return RawDataset(name, values.reshape(num_series, length, dims), "native")
+    return RawDataset(name, values.reshape(num_series, length, dims))
 
 
 def write_native(ds: Dataset | RawDataset, path) -> None:
@@ -237,7 +233,7 @@ def parse_ts_subset(path) -> RawDataset:
             series_rows.append(np.asarray(cols, dtype=np.float64).T)
     if not series_rows:
         raise ParseError(f"{path}: no data lines")
-    return RawDataset(name, np.stack(series_rows), "ts")
+    return RawDataset(name, np.stack(series_rows))
 
 
 def _observed_ranges(values: np.ndarray) -> np.ndarray:

@@ -30,15 +30,6 @@ class Envelope:
 
     upper: np.ndarray
     lower: np.ndarray
-    window: int
-
-    @property
-    def n(self) -> int:
-        return self.upper.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.upper.shape[1]
 
 
 def _window_reduce(op: np.ufunc, blocks: np.ndarray, n: int) -> np.ndarray:
@@ -62,7 +53,7 @@ def build_envelope(q, window: int) -> Envelope:
     rows = -(-(n + 2 * w) // k) * k
     blocks = qa[np.arange(-w, rows - w).clip(0, n - 1)].reshape(-1, k, dims)
     return Envelope(upper=_window_reduce(np.maximum, blocks, n),
-                    lower=_window_reduce(np.minimum, blocks, n), window=w)
+                    lower=_window_reduce(np.minimum, blocks, n))
 
 
 def envelope_deviations(planes: np.ndarray, env: Envelope) -> np.ndarray:

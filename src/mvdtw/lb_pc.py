@@ -31,14 +31,11 @@ class BoxGrouping:
     Expanded window g covers the windows of query indices
     [g * group_width, (g + 1) * group_width).  `lo`/`hi` hold, dimension
     first, the box set covering each query index as (D, n, K_max) arrays,
-    padded with +inf/-inf so unused slots evaluate to infinite distance;
-    `box_counts[g]` is set g's box count.
+    padded with +inf/-inf so unused slots evaluate to infinite distance.
     """
 
-    group_width: int
     lo: np.ndarray
     hi: np.ndarray
-    box_counts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +79,21 @@ def _grouped_cells(
     np.maximum(cell_idx, 0, out=cell_idx)
     np.minimum(cell_idx, (lev - 1)[:, None, :], out=cell_idx)
 
-    # Mixed-radix cell ids per group (dimension 0 most significant), then a
-    # group-major key so one global sort orders cells lexicographically
-    # within each group.
-    rev_prod = lev[:, ::-1].cumprod(axis=1)
-    weights = np.concatenate([np.ones((groups, 1), np.int64), rev_prod[:, :-1]], axis=1)[:, ::-1]
-    ids = (cell_idx * weights[:, None, :]).sum(axis=-1)
-    key_base = int(ids.max()) + 1
-    keys = (g_arr[:, None] * key_base + ids).ravel()
+    # Cell keys ordered as (group, cell index tuple), dimension 0 most
+    # significant: the group and the cell indices packed mixed radix, with
+    # `levels` per dimension.  Where the next index could overflow int64,
+    # the packed prefix is first replaced by its rank among the distinct
+    # prefixes, which keeps their order.  One stable sort then orders each
+    # group's cells lexicographically, each cell's points in window order.
+    keys = g_arr.repeat(t_max)
+    radix = groups
+    flat_idx = cell_idx.reshape(-1, dims)
+    for p in range(dims):
+        if radix * levels > 1 << 63:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            radix = len(distinct)
+        keys = keys * levels + flat_idx[:, p]
+        radix *= levels
     flat_pts = pts.reshape(-1, dims)
 
     order = keys.argsort(kind="stable")
@@ -98,7 +102,7 @@ def _grouped_cells(
     cell_starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
     cell_lo = np.minimum.reduceat(sorted_pts, cell_starts, axis=0)
     cell_hi = np.maximum.reduceat(sorted_pts, cell_starts, axis=0)
-    cell_group = sorted_keys[cell_starts] // key_base
+    cell_group = order[cell_starts] // t_max
     counts = np.bincount(cell_group, minlength=groups)
     offsets = np.concatenate([[0], counts.cumsum()])
     return _GroupedCells(cell_lo, cell_hi, counts, offsets, group_width, n)
@@ -124,7 +128,7 @@ def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
     pads[0, box_group, slot] = box_lo
     pads[1, box_group, slot] = box_hi
     lo, hi = pads.transpose(0, 3, 1, 2).repeat(cells.group_width, axis=2)[:, :, : cells.n]
-    return BoxGrouping(cells.group_width, lo, hi, n_boxes)
+    return BoxGrouping(lo, hi)
 
 
 def as_dim_range(dim_range, qa: np.ndarray) -> np.ndarray:

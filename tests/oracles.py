@@ -4,17 +4,20 @@ Everything here is written for clarity, not speed: plain loops, no shared
 code with the package beyond the point-distance definition (Euclidean,
 non-squared), which is the contract itself.  Three exceptions compare bit
 for bit and so reuse package code: the reference cascade runs the package's
-per-point bound kernels and single-pair DTW one candidate at a time, in scan
-order, to check the batched search counter for counter; banded_row_minima
-runs the DP over the package's own cost band; and reference_lb_ti measures
-its true distances with the package's point_costs, since a distance whose
-dimensions were added in another order could land above the DTW by an ulp.
+per-point bound kernels one candidate at a time, in scan order, to check the
+batched search counter for counter; banded_row_minima runs the DP over the
+package's own cost band; and reference_lb_ti measures its true distances
+with the package's point_costs, since a distance whose dimensions were added
+in another order could land above the DTW by an ulp.
 
-The reference cascade owns the scan's prune rule, sum_with_abandon: a
-candidate's bound terms are added left to right and it is pruned at the
-first prefix above d_best.  The package's bounds return plain totals, and
-its search applies the rule in batch (search._prune_sums), which must agree
-with sum_with_abandon on every column.
+The reference cascade owns the scan's two early-exit rules.  Its prune rule,
+sum_with_abandon: a candidate's bound terms are added left to right and it
+is pruned at the first prefix above d_best.  Its abandon rule, replay: an
+exact DTW, whose rows come from banded_row_minima, stops at the first row
+whose minimum exceeds d_best.  The package's bounds return plain totals and
+its dtw_banded the full distance; its search applies both rules in batch
+(search._prune_sums and the stop rows of search._scan), which must agree
+with these on every candidate.
 
 reference_lb_ad_terms and reference_lb_pc_terms are the batched lb_ad and
 lb_pc formulas written dimension last, over a (C, n, D) stack, with their
@@ -43,11 +46,10 @@ from mvdtw import (
     NnOutcome,
     build_box_sets,
     build_envelope,
-    dtw_banded,
     neighbor_steps,
 )
 from mvdtw.core import as_series
-from mvdtw.dtw import point_costs
+from mvdtw.dtw import cost_band, point_costs
 from mvdtw.lb_mv import envelope_deviations, lb_ad_terms
 from mvdtw.lb_pc import lb_pc_terms
 from mvdtw.lb_ti import lb_ti_terms
@@ -204,11 +206,28 @@ def sum_with_abandon(per_point: np.ndarray, abandon_above: float) -> float:
     return float(sums[over[0]]) if len(over) else total
 
 
+def replay(row_min, final: float, window: int, threshold: float) -> tuple[float, bool, int]:
+    """A banded DTW stopped early at `threshold`, replayed from its row
+    minima and final distance: it stops at the first row whose minimum
+    exceeds the threshold (every full path passes through every row).
+    Returns (that row's minimum or the final distance, whether the DTW
+    ended above the threshold, the DP cells evaluated up to the stop)."""
+    n = len(row_min)
+    w = min(window, n - 1)
+    cells = 0
+    for i, m in enumerate(row_min):
+        cells += min(n - 1, i + w) - max(0, i - w) + 1
+        if m > threshold:
+            return m, True, cells
+    return final, final > threshold, cells
+
+
 def reference_nn_search(query, candidates, params, advanced=None, dim_range=None) -> NnOutcome:
     """The search cascade run one candidate at a time, in scan order: every
-    DTW is a single-pair call, and every bound's per-point terms come from
-    the package kernel on that one candidate, as (D, n, 1) planes (what the
-    per-pair bounds wrap), pruned by sum_with_abandon at d_best."""
+    DTW is a banded_row_minima call, stopped at d_best by replay, and every
+    bound's per-point terms come from the package kernel on that one
+    candidate, as (D, n, 1) planes (what the per-pair bounds wrap), pruned
+    by sum_with_abandon at d_best."""
     t_start = time.perf_counter()
     qa = as_series(query)
     cas = [as_series(c) for c in candidates]
@@ -247,14 +266,12 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     work_ad = n * (2.0 * w + 1.0) * dims
 
     t0 = time.perf_counter()
-    first = dtw_banded(qa, cas[0], w)
+    d_best, _, cells = replay(*banded_row_minima(qa, cas[0], w), w, math.inf)
     out.dtw_time += time.perf_counter() - t0
     out.dtw_computed += 1
-    out.work += first.cells * dims
-    d_best = first.distance
+    out.work += cells * dims
     best_idx = 0
 
-    abandon = None if method == Method.NONE else True
     for k in range(1, len(cas)):
         ca = cas[k]
         planes = ca.T[..., None]
@@ -285,14 +302,15 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
                     out.dtw_skipped += 1
                     continue
         t0 = time.perf_counter()
-        res = dtw_banded(qa, ca, w, abandon_above=d_best if abandon else None)
+        threshold = math.inf if method == Method.NONE else d_best
+        distance, abandoned, cells = replay(*banded_row_minima(qa, ca, w), w, threshold)
         out.dtw_time += time.perf_counter() - t0
         out.dtw_computed += 1
-        out.work += res.cells * dims
-        if res.abandoned:
+        out.work += cells * dims
+        if abandoned:
             out.abandon_count += 1
-        elif res.distance < d_best:
-            d_best = res.distance
+        elif distance < d_best:
+            d_best = distance
             best_idx = k
 
     out.best_index = best_idx
@@ -306,13 +324,11 @@ def banded_row_minima(q, c, window: int) -> tuple[list[float], float]:
 
     A plain double loop over the package's own cost band, so that cell costs
     (and therefore every DP value) are bit-identical to dtw_banded's."""
-    from mvdtw.dtw import cost_band
-
     qa = np.asarray(q, dtype=np.float64)
     ca = np.asarray(c, dtype=np.float64)
     n = len(qa)
     w = min(window, n - 1)
-    band = cost_band(qa, ca, w).tolist()
+    band = cost_band(qa, ca, w, 0, n).tolist()
     table = [[math.inf] * n for _ in range(n)]
     minima = []
     for i in range(n):
@@ -484,7 +500,6 @@ def quantize_cluster(points, levels: int, max_boxes: int, min_cell_frac: float,
         raise InvalidInputError("cannot cluster an empty point list")
     if levels < 1 or max_boxes < 1:
         raise InvalidInputError("levels and max_boxes must be >= 1")
-    dims = pts.shape[1]
     mn = pts.min(axis=0)
     mx = pts.max(axis=0)
     rng = mx - mn
@@ -498,16 +513,11 @@ def quantize_cluster(points, levels: int, max_boxes: int, min_cell_frac: float,
     scaled = (pts - mn) / seg
     scaled[:, ~split] = 0.0  # unsplit dims: everything in cell 0
     idx = np.clip(scaled.astype(np.int64), 0, lev - 1)
-    # Mixed-radix cell id; dimension 0 is most significant, so numeric order
-    # of ids equals lexicographic order of cell-index tuples.
-    weights = np.ones(dims, dtype=np.int64)
-    for p in range(dims - 2, -1, -1):
-        weights[p] = weights[p + 1] * lev[p + 1]
-    ids = idx @ weights
-
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[0] - 1))
+    # Cells in lexicographic order of their index tuples, dimension 0 most
+    # significant; the sort is stable, so each cell keeps its points' order.
+    order = np.lexsort(idx.T[::-1])
+    sorted_idx = idx[order]
+    starts = np.flatnonzero(np.concatenate(([True], (sorted_idx[1:] != sorted_idx[:-1]).any(axis=1))))
     los = np.minimum.reduceat(pts[order], starts, axis=0)
     his = np.maximum.reduceat(pts[order], starts, axis=0)
     if los.shape[0] > max_boxes:
@@ -526,6 +536,7 @@ def expanded_span(g: int, n: int, window: int, group_width: int) -> tuple[int, i
 
 
 def box_set_for_index(grouping, i: int) -> BoxSet:
-    """The boxes build_box_sets assigns to query index i's window."""
-    k = int(grouping.box_counts[i // grouping.group_width])
+    """The boxes build_box_sets assigns to query index i's window: its
+    finite slots, since unused slots are padded with +inf/-inf."""
+    k = int(np.isfinite(grouping.lo[0, i]).sum())
     return BoxSet(grouping.lo[:, i, :k].T, grouping.hi[:, i, :k].T)

@@ -317,7 +317,7 @@ def test_criterion_7_real_data_skip_rates():
         values = np.concatenate([r.values for r in raws], axis=0)
         from mvdtw import RawDataset
 
-        ds = normalize(RawDataset("Japanesevowels", values, "ts"))
+        ds = normalize(RawDataset("Japanesevowels", values))
         if ds.dims > 5:
             ds = truncate_dims(ds, 5)
         qs_ds, cs_ds = split(ds, 0.3, seed=SEED)

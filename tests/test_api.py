@@ -42,8 +42,8 @@ def test_search_binds_the_traced_layers():
 
 def test_benchmark_calls_run(tmp_path):
     # the benchmark's set-up, search and pair-timing calls, keyword for keyword:
-    # BoundResult.value, lb_ti's refresh_period= and neighbor=, and
-    # NeighborDistances(query_steps=)
+    # BoundResult.value, DtwResult.distance, lb_ti's refresh_period= and
+    # neighbor=, and NeighborDistances(query_steps=)
     path = tmp_path / "tiny.mts"
     for family in ("iid_noise_dataset", "smooth_walk_dataset", "clustered_dataset"):
         mvdtw.write_native(getattr(synth, family)(12, 10, 2, 42), path)
@@ -77,14 +77,14 @@ def test_benchmark_calls_run(tmp_path):
     boxes = mvdtw.build_box_sets(q, w, p.group_width, p.quant_levels, p.max_boxes,
                                  p.min_cell_frac, ds.dim_ranges)
     exact = mvdtw.dtw_banded(q, c, w)
-    assert isinstance(exact.abandoned, bool) and exact.cells > 0
+    assert isinstance(exact.distance, float)
     bounds = [
         mvdtw.lb_mv(c, env),
         mvdtw.lb_ti(q, c, w, refresh_period=p.refresh_period, neighbor=nd),
         mvdtw.lb_pc(c, boxes),
         mvdtw.lb_ad(q, c, w),
     ]
-    # the bounds return their totals; only dtw_banded abandons early
+    # the bounds return their totals, dtw_banded its full distance
     for b in bounds:
         assert isinstance(b, mvdtw.BoundResult)
         assert b.value <= exact.distance

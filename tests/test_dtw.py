@@ -11,7 +11,7 @@ from mvdtw.core import BLOCK_FLOATS, sequential_sums
 from mvdtw.dtw import dtw_rows, point_costs, row_cells
 from mvdtw.search import _stack_candidates
 
-from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist
+from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist, replay
 
 
 def test_identity_alignment(rng):
@@ -71,31 +71,27 @@ def test_matches_path_enumeration(rng):
         assert exact == pytest.approx(ref, rel=1e-9)
 
 
-def test_abandoning(rng):
-    q = np.cumsum(rng.normal(size=(20, 3)), axis=0)
-    c = np.cumsum(rng.normal(size=(20, 3)), axis=0)
-    full = dtw_banded(q, c, 5)
-    assert not full.abandoned
-
-    never = dtw_banded(q, c, 5, abandon_above=math.inf)
-    assert not never.abandoned and never.distance == full.distance
-
-    cut = dtw_banded(q, c, 5, abandon_above=full.distance * 0.999)
-    assert cut.abandoned
-    assert cut.distance > full.distance * 0.999
-    assert cut.distance <= full.distance + 1e-12  # partial value stays a floor
-    assert cut.cells <= full.cells
-
-    at_exact = dtw_banded(q, c, 5, abandon_above=full.distance)
-    assert not at_exact.abandoned
+def test_cells_counter():
+    # cells of the first i + 1 rows of an (n, w) band, counted cell by cell
+    for n, w in ((10, 2), (1, 0), (7, 0), (7, 6), (12, 30)):
+        w = min(w, n - 1)
+        expected = [sum(min(n - 1, r + w) - max(0, r - w) + 1 for r in range(i + 1))
+                    for i in range(n)]
+        assert row_cells(n, w).tolist() == expected
 
 
-def test_cells_counter(rng):
-    q = rng.normal(size=(10, 2))
-    c = rng.normal(size=(10, 2))
-    r = dtw_banded(q, c, 2)
-    expected = sum(min(9, i + 2) - max(0, i - 2) + 1 for i in range(10))
-    assert r.cells == expected
+def test_memory_stays_bounded_on_long_series():
+    import tracemalloc
+
+    g = np.random.default_rng(3)
+    q, c = np.cumsum(g.normal(size=(2, 1000, 12)), axis=1)
+    tracemalloc.start()
+    try:
+        dtw_banded(q, c, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the whole band at once would take ~58 MB
 
 
 def test_count_band_paths_sanity():
@@ -106,9 +102,9 @@ def test_count_band_paths_sanity():
     assert count_band_paths(4, 0) == 1
 
 
-# dtw_rows' float budget for a chunk of point costs: every anti-diagonal its
-# own chunk, chunks of several anti-diagonals, and the default (one chunk at
-# these sizes).
+# The float budget of dtw_rows' chunks of point costs and of dtw_banded's
+# blocks of band rows: every anti-diagonal or row its own chunk, chunks of
+# several, and the default (one chunk at most of these sizes).
 CHUNK_BUDGETS = (1, 200, BLOCK_FLOATS)
 
 
@@ -119,12 +115,11 @@ def sweep(q, cands, w, budget):
         return dtw_rows(q, _stack_candidates(cands, q.shape), w)
 
 
-def replay(row_min, final, cells_after, threshold):
-    """dtw_banded's abandoning decision, read off recorded rows."""
-    for i, m in enumerate(row_min):
-        if m > threshold:
-            return m, True, cells_after[i]
-    return final, final > threshold, cells_after[-1]
+def pair_distances(q, cands, window, budget):
+    """dtw_banded of q against each candidate, under a block budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw_module, "BLOCK_FLOATS", budget)
+        return [dtw_banded(q, c, window).distance for c in cands]
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,14 +141,19 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
         q, cands = np.cumsum(q, axis=0), np.cumsum(cands, axis=1)
     w = min(window, n - 1)
     row_min, final = sweep(q, cands, w, budget)
-    cells_after = row_cells(n, w).tolist()
+    exact = pair_distances(q, cands, window, budget)
+    cells_after = row_cells(n, w)
     for k in range(count):
         minima, dist = banded_row_minima(q, cands[k], window)
         assert row_min[:, k].tolist() == minima
-        assert final[k] == dist == dtw_banded(q, cands[k], window).distance
+        assert final[k] == dist == exact[k]
+        # the reference replay of a DTW stopped at t against the swept rows:
+        # the first row whose minimum exceeds t, with the cells up to it
         for t in {*minima, *(math.nextafter(m, -math.inf) for m in minima)}:
-            r = dtw_banded(q, cands[k], window, abandon_above=t)
-            assert (r.distance, r.abandoned, r.cells) == replay(minima, dist, cells_after, t)
+            over = np.flatnonzero(row_min[:, k] > t)
+            stop = over[0] if len(over) else n - 1
+            value = row_min[stop, k] if len(over) else final[k]
+            assert replay(minima, dist, window, t) == (value, value > t, cells_after[stop])
 
 
 @settings(max_examples=40, deadline=None)

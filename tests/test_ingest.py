@@ -146,7 +146,7 @@ def test_normalize_constant_dimension(tmp_path):
 def finalize_raw(vals):
     from mvdtw import RawDataset
 
-    return RawDataset("x", vals, "native")
+    return RawDataset("x", vals)
 
 
 def test_normalize_two_level_dimension():

@@ -108,16 +108,19 @@ def test_box_sets_match_quantize_cluster(seed, n, dims, extra_window, group_widt
         q = np.round(q)
     dim_range = None if own_range else g.uniform(0.0, 3.0, size=dims)
     grouping = build_box_sets(q, window, group_width, levels, cap, 1e-5, dim_range)
+    assert_box_sets_match(grouping, q, window, group_width, levels, cap, dim_range)
+
+
+def assert_box_sets_match(grouping, q, window, group_width, levels, cap, dim_range):
+    """Every query index holds, dimension first, the set quantize_cluster
+    builds from its expanded window, then slots padded with +inf/-inf."""
+    n, dims = q.shape
     ref = q.max(axis=0) - q.min(axis=0) if dim_range is None else dim_range
-    groups = (n - 1) // group_width + 1
-    assert len(grouping.box_counts) == groups
     assert grouping.lo.shape[:2] == grouping.hi.shape[:2] == (dims, n)
-    for gi in range(groups):
+    for gi in range((n - 1) // group_width + 1):
         a, b = expanded_span(gi, n, window, group_width)
         want = quantize_cluster(q[a : b + 1], levels, cap, 1e-5, dim_range=ref)
-        k = int(grouping.box_counts[gi])
-        assert k == want.num_boxes
-        # every query index of the group holds its set, dimension first;
+        k = want.num_boxes
         # exact float equality (a box corner may be -0.0 on one side and 0.0
         # on the other, depending on which point the min/max met first)
         for i in range(gi * group_width, min(n, (gi + 1) * group_width)):
@@ -126,6 +129,19 @@ def test_box_sets_match_quantize_cluster(seed, n, dims, extra_window, group_widt
             assert hi[:k].tolist() == want.his.tolist()
             assert np.all(lo[k:] == np.inf)
             assert np.all(hi[k:] == -np.inf)
+
+
+@pytest.mark.parametrize("dims,levels", [(40, 2), (40, 3), (64, 2), (64, 3), (20, 9)])
+def test_box_sets_match_quantize_cluster_at_high_dims(dims, levels):
+    # levels ** dims cell ids overflow int64 in all but (40, 2); random
+    # walks split every dimension, so most windows hold many distinct cells
+    g = np.random.default_rng(dims * levels)
+    for _ in range(4):
+        n = int(g.integers(20, 50))
+        q = np.cumsum(g.normal(size=(n, dims)), axis=0)
+        window, group_width, cap = int(g.integers(0, 12)), int(g.integers(1, 7)), 6
+        grouping = build_box_sets(q, window, group_width, levels, cap, 1e-5)
+        assert_box_sets_match(grouping, q, window, group_width, levels, cap, None)
 
 
 def test_grouped_boxes_cover_original_windows(rng):

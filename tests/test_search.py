@@ -91,9 +91,8 @@ def test_per_candidate_skip_subset(rng):
                     if b2.value >= d_best:
                         skipped.add(k)
                         continue
-                r = dtw_banded(q, cands[k], w, abandon_above=d_best)
-                if not r.abandoned and r.distance < d_best:
-                    d_best = r.distance
+                # a DTW that does not stop early at d_best ends at or below it
+                d_best = min(d_best, dtw_banded(q, cands[k], w).distance)
             return skipped
 
         plain = skip_set(None)
@@ -200,6 +199,21 @@ def test_tuned_params_do_not_change_answers(rng):
     for q, ref in zip(queries, base):
         out = nn_search(q, cands, tuned, advanced=choice)
         assert (out.best_index, out.best_distance) == (ref.best_index, ref.best_distance)
+
+
+def test_high_dims_clustering_returns_the_plain_answer():
+    # at D=40 a window's levels ** D cell ids overflow int64
+    series = random_walk_dataset(16, 24, 40, seed=5).series_list()
+    queries, cands = series[:2], series[2:]
+    tuned = tune_params(queries, cands, SearchParams(window=4, method=Method.TC_DTW), seed=1)
+    choice = tc_dtw_select(queries, cands, tuned)
+    runs = [(SearchParams(window=4, method=Method.LB_PC, quant_levels=3), None),
+            (tuned, choice), (replace(tuned, quant_levels=3), Method.LB_PC)]
+    for q in queries:
+        ref = nn_search(q, cands, SearchParams(window=4, method=Method.NONE))
+        for params, advanced in runs:
+            out = nn_search(q, cands, params, advanced=advanced)
+            assert (out.best_index, out.best_distance) == (ref.best_index, ref.best_distance)
 
 
 def fresh_cost(queries, cands, params, dim_range):
