@@ -20,13 +20,13 @@ from .ingest import (
     truncate_dims,
     write_native,
 )
-from .lb_mv import Envelope, build_envelope, lb_ad, lb_mv
+from .lb_mv import build_envelope, lb_ad, lb_mv
 from .lb_pc import BoxGrouping, build_box_sets, lb_pc
 from .lb_ti import NeighborDistances, lb_ti, neighbor_steps
 from .search import NnOutcome, nn_search, tc_dtw_select, tune_params
 
 __all__ = [
-    "BoundResult", "BoxGrouping", "Dataset", "DtwResult", "Envelope",
+    "BoundResult", "BoxGrouping", "Dataset", "DtwResult",
     "InvalidInputError", "Method", "MultivariateSeries", "NeighborDistances",
     "NnOutcome", "ParseError", "RawDataset", "SearchParams",
     "build_box_sets", "build_envelope", "dtw_banded", "finalize", "lb_ad", "lb_mv",

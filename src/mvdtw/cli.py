@@ -135,6 +135,8 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
             raise ConfigError(f"no {name} given")
     if config.reps < 1:
         raise ConfigError("reps must be >= 1")
+    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {config.seed!r}")
     if not all(isinstance(w, numbers.Integral) and w >= 0 for w in config.windows):
         raise ConfigError(f"windows must be integers >= 0, got {config.windows}")
     try:

@@ -13,9 +13,10 @@ the batched search equal to the one-pair scan) need no hand-kept copies:
 array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
 integer and window checks `as_int`/`as_window`; the candidates' (D, n, C)
 plane set `search._stack_candidates`; dimension-first point distances
-`dtw.point_costs` and point-to-box distances `dtw.box_costs`; every float
-total, over dimensions, bound terms or work charges alike, `sequential_sums`,
-which adds its leading axis left to right; and the prune rule, abandoning a
+`dtw.point_costs` and point-to-box distances `lb_pc.lb_pc_terms`, which
+lb_mv runs on the envelope's one box per index; every float total, over
+dimensions, bound terms or work charges alike, `sequential_sums`, which
+adds its leading axis left to right; and the prune rule, abandoning a
 candidate at the first prefix of its bound terms above d_best,
 `search._prune_sums`.
 """

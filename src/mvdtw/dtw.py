@@ -28,15 +28,6 @@ def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(sequential_sums(diff * diff))
 
 
-def box_costs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from broadcast dimension-first points of
-    `x` to the axis-aligned boxes [lo, hi] (zero inside a box).  lb_mv and
-    lb_pc both measure through it, so their per-point floors compare exactly."""
-    dev_hi = np.maximum(x - hi, 0.0)
-    dev_lo = np.maximum(lo - x, 0.0)
-    return sequential_sums(dev_hi * dev_hi + dev_lo * dev_lo)
-
-
 def cost_band(qa: np.ndarray, ca: np.ndarray, w: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the local cost band of two (n, D) series:
     entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w], +inf where the

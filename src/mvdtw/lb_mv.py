@@ -7,71 +7,55 @@ loose); LB_AD measures the distance to the nearest actual query point in the
 window (tight, but as expensive as DTW itself).  Every warping path visits
 every candidate index at least once inside the band, so summing these
 per-point floors never exceeds the banded DTW distance.
+
+The envelope is the one-box case of the clustering bound's box sets: a
+BoxGrouping with one box per query index, measured by lb_pc's point-to-box
+kernel, so lb_mv and lb_pc compare exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_pair, as_series, as_window, sequential_sums
-from .dtw import box_costs, point_costs
-
-
-@dataclass(frozen=True, eq=False)
-class Envelope:
-    """Per-index, per-dimension windowed max/min tube around a series.
-
-    upper[i][p] = max over the window [max(0, i-W), min(n-1, i+W)] of the
-    source values in dimension p, and lower[i][p] the matching min; windows
-    truncate at the series ends.
-    """
-
-    upper: np.ndarray
-    lower: np.ndarray
+from .core import BoundResult, as_pair, as_series, as_window, sequential_sums
+from .dtw import point_costs
+from .lb_pc import BoxGrouping, lb_pc
 
 
 def _window_reduce(op: np.ufunc, blocks: np.ndarray, n: int) -> np.ndarray:
-    """op (np.maximum or np.minimum) over the first n runs of 2w + 1 rows of
-    (B, 2w + 1, D) blocks, O(n) per column (van Herk / Gil-Werman): a run is
-    a block's tail plus the next block's head, so op(suffix, prefix scan)."""
-    k, dims = blocks.shape[1:]
-    head = op.accumulate(blocks, axis=1).reshape(-1, dims)
-    tail = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1, dims)
-    return op(tail[:n], head[k - 1 : k - 1 + n])
+    """op (np.maximum or np.minimum) over the first n runs of 2w + 1 columns
+    of (D, B, 2w + 1) blocks, O(n) per dimension (van Herk / Gil-Werman): a
+    run is a block's tail plus the next block's head, so op(suffix, prefix
+    scan).  Returns a C-contiguous (D, n, 1) array."""
+    dims, _, k = blocks.shape
+    head = op.accumulate(blocks, axis=2).reshape(dims, -1)
+    tail = op.accumulate(blocks[..., ::-1], axis=2)[..., ::-1].reshape(dims, -1)
+    return np.ascontiguousarray(op(tail[:, :n], head[:, k - 1 : k - 1 + n])[..., None])
 
 
-def build_envelope(q, window: int) -> Envelope:
-    """Build the windowed max/min envelope of a series."""
+def build_envelope(q, window: int) -> BoxGrouping:
+    """The windowed min/max envelope of a series, as the box grouping with
+    one box per index: lo[p, i, 0] is the min over the window
+    [max(0, i-W), min(n-1, i+W)] of the series in dimension p, and hi the
+    matching max; windows truncate at the series ends."""
     qa = as_series(q)
     n, dims = qa.shape
     w = as_window(window, n)
     # Copies of the end points (w before, w or more after, to whole blocks)
-    # make every window 2w + 1 rows long without adding a value it lacks.
+    # make every window 2w + 1 points long without adding a value it lacks.
     k = 2 * w + 1
     rows = -(-(n + 2 * w) // k) * k
-    blocks = qa[np.arange(-w, rows - w).clip(0, n - 1)].reshape(-1, k, dims)
-    return Envelope(upper=_window_reduce(np.maximum, blocks, n),
-                    lower=_window_reduce(np.minimum, blocks, n))
+    blocks = qa.T[:, np.arange(-w, rows - w).clip(0, n - 1)].reshape(dims, -1, k)
+    return BoxGrouping(lo=_window_reduce(np.minimum, blocks, n),
+                       hi=_window_reduce(np.maximum, blocks, n))
 
 
-def envelope_deviations(planes: np.ndarray, env: Envelope) -> np.ndarray:
-    """Per-point distance (box_costs) from candidate points to the envelope
-    box: (n, C) terms of a (D, n, C) plane set."""
-    return np.sqrt(box_costs(planes, env.lower.T[..., None], env.upper.T[..., None]))
-
-
-def lb_mv(c, env: Envelope) -> BoundResult:
-    """Envelope lower bound of the banded DTW distance.
-
-    Sums, over candidate indices, the Euclidean distance (box_costs) from each
-    candidate point to the envelope box at that index, zero inside the box.
-    """
-    ca = as_series(c)
-    if ca.shape != env.upper.shape:
-        raise InvalidInputError(f"shape mismatch: {ca.shape} vs {env.upper.shape}")
-    return BoundResult(float(sequential_sums(envelope_deviations(ca.T[..., None], env)[:, 0])))
+def lb_mv(c, env: BoxGrouping) -> BoundResult:
+    """Envelope lower bound of the banded DTW distance: the sum, over
+    candidate indices, of the Euclidean distance from each candidate point
+    to the envelope box at that index, zero inside the box.  This is lb_pc
+    on the one-box grouping build_envelope gives."""
+    return lb_pc(c, env)
 
 
 def lb_ad(q, c, window: int) -> BoundResult:

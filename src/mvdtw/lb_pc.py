@@ -17,11 +17,11 @@ its boxes for those windows stays sound, just looser.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .core import BoundResult, InvalidInputError, as_int, as_series, as_window, sequential_sums
-from .dtw import box_costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +32,7 @@ class BoxGrouping:
     [g * group_width, (g + 1) * group_width).  `lo`/`hi` hold, dimension
     first, the box set covering each query index as (D, n, K_max) arrays,
     padded with +inf/-inf so unused slots evaluate to infinite distance.
+    The envelope (lb_mv.build_envelope) is the case of one box per index.
     """
 
     lo: np.ndarray
@@ -168,6 +169,8 @@ def build_box_sets(
     group_width = as_int(group_width, "group_width", 1)
     levels = as_int(levels, "levels", 1)
     max_boxes = as_int(max_boxes, "max_boxes", 1)
+    if not (isinstance(min_cell_frac, Real) and 0.0 <= min_cell_frac < np.inf):
+        raise InvalidInputError(f"min_cell_frac must be a finite number >= 0, got {min_cell_frac!r}")
     ref = as_dim_range(dim_range, qa)
     cells = _grouped_cells(qa, window, group_width, levels, min_cell_frac, ref)
     return _cap_cells(cells, max_boxes)
@@ -175,8 +178,8 @@ def build_box_sets(
 
 def lb_pc(c, grouping: BoxGrouping) -> BoundResult:
     """Clustering lower bound: each candidate point pays the distance to the
-    nearest box of the box set covering its window, measured by box_costs
-    and summed over indices."""
+    nearest box of the box set covering its window (lb_pc_terms), summed
+    over indices."""
     ca = as_series(c)
     shape = grouping.lo.shape[1::-1]  # (n, D)
     if ca.shape != shape:
@@ -186,8 +189,16 @@ def lb_pc(c, grouping: BoxGrouping) -> BoundResult:
 
 def lb_pc_terms(planes: np.ndarray, grouping: BoxGrouping) -> np.ndarray:
     """Per-point terms of lb_pc, (n, C) for a validated (D, n, C) plane set
-    of the grouping's shape: the distance from each candidate point to the
-    nearest box of its expanded window.  A candidate's temporaries hold
-    n * K * D floats, K the widest box set."""
-    costs = box_costs(planes[:, :, None], grouping.lo[..., None], grouping.hi[..., None])
-    return np.sqrt(costs.min(axis=1))
+    of the grouping's shape: the Euclidean distance from each candidate
+    point to the nearest box of its box set, zero inside a box.  This is the
+    package's one point-to-box kernel; lb_mv runs it on the one-box envelope.
+    A candidate's temporaries hold n * K * D floats, K the widest box set."""
+    x = planes[:, :, None]
+    # dev = max(x - hi, lo - x, 0), squared in place.  Every real box has
+    # lo <= hi, so at most one of x - hi and lo - x is positive and its square
+    # equals the sum of both one-sided squares bit for bit (the other adds
+    # +0.0).  Padded slots (lo = +inf, hi = -inf) give +inf either way.
+    dev = x - grouping.hi[..., None]
+    np.maximum(dev, grouping.lo[..., None] - x, out=dev)
+    np.maximum(dev, 0.0, out=dev)
+    return np.sqrt(sequential_sums(np.multiply(dev, dev, out=dev)).min(axis=1))

@@ -32,10 +32,10 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_array, as_series, sequential_sums,
+    BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_array, as_int, as_series, sequential_sums,
 )
 from .dtw import dtw_rows, point_costs, row_cells
-from .lb_mv import build_envelope, envelope_deviations, lb_ad_terms
+from .lb_mv import build_envelope, lb_ad_terms
 from .lb_pc import as_dim_range, build_box_sets, lb_pc_terms
 from .lb_ti import lb_ti_terms, neighbor_steps
 
@@ -200,13 +200,12 @@ def _scan(qa: np.ndarray, ref: np.ndarray, planes: np.ndarray, w: int, bounded: 
     n, dims = qa.shape
     count = planes.shape[-1]
 
-    # The batched envelope bound, charged to lb_time.
+    # The batched envelope bound (the one-box lb_pc), charged to lb_time.
     t0 = time.perf_counter()
     lb_totals = None
     if bounded:
         env = build_envelope(qa, w)
-        lb_totals = _blockwise(lambda b: sequential_sums(envelope_deviations(b, env)),
-                               planes, n * dims)
+        lb_totals = _blockwise(lambda b: sequential_sums(lb_pc_terms(b, env)), planes, n * dims)
     lb_time = time.perf_counter() - t0
 
     # DTW sweep, charged to dtw_time with its stops.  d_best only falls, and
@@ -333,14 +332,18 @@ def _sample(items: list, size: int, rng: np.random.Generator) -> list:
 def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
     """The seeded sample that tuning and bound selection run on: up to 8
     queries, then up to 23 candidates, each drawn uniformly without
-    replacement from one generator and kept in their given order."""
-    rng = np.random.default_rng(seed)
+    replacement from one generator and kept in their given order.  `seed`
+    is an integer >= 0 (as_int)."""
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     return (_sample(list(queries), TUNE_QUERY_SAMPLE, rng),
             _sample(list(candidates), TUNE_CANDIDATE_SAMPLE, rng))
 
 
 def _sample_scans(queries, candidates, params: SearchParams, dim_range) -> list[_Scan]:
-    """A bounded scan of each sample query, checked as nn_search checks it."""
+    """A bounded scan of each sample query, checked as nn_search checks it;
+    an empty sample raises InvalidInputError."""
+    if len(queries) == 0 or len(candidates) == 0:
+        raise InvalidInputError("selection sample is empty")
     scans = []
     for q in queries:
         qa = as_series(q)
@@ -369,8 +372,6 @@ def tc_dtw_select(
     Runs the search with both bounds over the sample and returns the method
     whose deterministic work-model cost is smaller; ties go to LB_PC.
     """
-    if not sample_queries or not sample_candidates:
-        raise InvalidInputError("selection sample is empty")
     scans = _sample_scans(sample_queries, sample_candidates, params, dim_range)
     cost_ti = _run_sample(scans, replace(params, method=Method.LB_TI))
     cost_pc = _run_sample(scans, replace(params, method=Method.LB_PC))

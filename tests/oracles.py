@@ -50,7 +50,7 @@ from mvdtw import (
 )
 from mvdtw.core import as_series
 from mvdtw.dtw import cost_band, point_costs
-from mvdtw.lb_mv import envelope_deviations, lb_ad_terms
+from mvdtw.lb_mv import lb_ad_terms
 from mvdtw.lb_pc import lb_pc_terms
 from mvdtw.lb_ti import lb_ti_terms
 from mvdtw.search import _advanced_method, _trigger
@@ -170,7 +170,9 @@ def reference_lb_ad_terms(q, stack, w: int) -> np.ndarray:
 def reference_lb_pc_terms(stack, grouping) -> np.ndarray:
     """(C, n) lb_pc terms of a (C, n, D) stack of candidates, dimension last:
     the squared distance from each point to every box slot of its expanded
-    window as one (C, n, K, D) array, its least slot, then the root."""
+    window as one (C, n, K, D) array, its least slot, then the root.  Each
+    dimension adds both one-sided squared deviations, where lb_pc_terms
+    squares the larger deviation alone."""
     lo, hi = (boxes.transpose(1, 2, 0) for boxes in (grouping.lo, grouping.hi))
     x = stack[:, :, None, :]
     dev_hi = np.maximum(x - hi, 0.0)
@@ -277,7 +279,7 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
         planes = ca.T[..., None]
         if method != Method.NONE:
             t0 = time.perf_counter()
-            b1 = sum_with_abandon(envelope_deviations(planes, env)[:, 0], d_best)
+            b1 = sum_with_abandon(lb_pc_terms(planes, env)[:, 0], d_best)
             out.lb_time += time.perf_counter() - t0
             out.lb_mv_evals += 1
             out.work += work_mv

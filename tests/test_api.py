@@ -11,7 +11,7 @@ import mvdtw
 from mvdtw import synth
 
 PUBLIC = [
-    "BoundResult", "BoxGrouping", "Dataset", "DtwResult", "Envelope",
+    "BoundResult", "BoxGrouping", "Dataset", "DtwResult",
     "InvalidInputError", "Method", "MultivariateSeries", "NeighborDistances",
     "NnOutcome", "ParseError", "RawDataset", "SearchParams",
     "build_box_sets", "build_envelope", "dtw_banded", "finalize", "lb_ad", "lb_mv",

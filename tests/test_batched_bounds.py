@@ -20,7 +20,7 @@ from mvdtw import (
     neighbor_steps,
     nn_search,
 )
-from mvdtw.lb_mv import envelope_deviations, lb_ad_terms
+from mvdtw.lb_mv import lb_ad_terms
 from mvdtw.lb_pc import lb_pc_terms
 from mvdtw.lb_ti import lb_ti_terms
 from mvdtw.search import _prune_sums, _stack_candidates
@@ -66,13 +66,14 @@ def test_terms_kernels_equal_the_per_pair_bounds(seed, kind, count, n, dims, ext
     with np.errstate(over="ignore", invalid="ignore"):
         env = build_envelope(q, w)
         boxes = build_box_sets(q, w, 6, 2, 6, 1e-5)
-        mv = envelope_deviations(planes, env)
+        mv = lb_pc_terms(planes, env)
         ti = lb_ti_terms(q, planes, w, p, neighbor_steps(q))
         pc = lb_pc_terms(planes, boxes)
         ad = lb_ad_terms(q, planes, w)
         assert mv.shape == ti.shape == pc.shape == ad.shape == (n, count)
-        # the per-pair lb_pc and lb_ad run these kernels on one candidate, so
-        # the dimension-last formulas are the independent check
+        # the per-pair lb_mv, lb_pc and lb_ad run these kernels on one
+        # candidate, so the dimension-last formulas are the independent check
+        assert same_array_bits(mv.T, reference_lb_pc_terms(cas, env))
         assert same_array_bits(pc.T, reference_lb_pc_terms(cas, boxes))
         assert same_array_bits(ad.T, reference_lb_ad_terms(q, cas, w))
         # every per-pair bound is the left-to-right total of its terms

@@ -210,7 +210,8 @@ def test_config_errors(data_file, capsys):
     assert main(["--data", data_file, "--window", "-2"]) == 1
     assert main(["--data", data_file, "--dims", "banana"]) == 1
     assert main(["--data", data_file, "--dims", "7", "--reps", "1"]) == 1
-    capsys.readouterr()
+    assert main(["--data", data_file, "--seed", "-1", "--reps", "1"]) == 1
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_parser_options():
@@ -263,6 +264,8 @@ def test_run_benchmark_rejects_bad_config(data_file, monkeypatch):
         dict(data=[data_file], methods=[Method.NONE], dims=["x"]),
         dict(data=[data_file], methods=[Method.NONE], dims=[1, 3]),
         dict(data=[data_file], methods=[Method.NONE], reps=0),
+        dict(data=[data_file], methods=[Method.NONE], seed=-1),
+        dict(data=[data_file], methods=[Method.NONE], seed=1.5),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

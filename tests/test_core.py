@@ -128,17 +128,20 @@ def test_negative_window_rejected(name, window):
 
 
 @pytest.mark.parametrize("args, match", [
-    ((2.5, 2, 6), "group_width"), ((2, 2.5, 6), "levels"), ((2, 2, 0), "max_boxes"),
-    ((2, 2, 6, np.ones(2)), "dim_range"), ((2, 2, 6, [1.0, np.nan, 1.0]), "dim_range"),
+    ((2.5, 2, 6, 1e-5), "group_width"), ((2, 2.5, 6, 1e-5), "levels"),
+    ((2, 2, 0, 1e-5), "max_boxes"),
+    ((2, 2, 6, 1e-5, np.ones(2)), "dim_range"), ((2, 2, 6, 1e-5, [1.0, np.nan, 1.0]), "dim_range"),
+    ((2, 2, 6, "x"), "min_cell_frac"), ((2, 2, 6, np.nan), "min_cell_frac"),
+    ((2, 2, 6, -1e-5), "min_cell_frac"), ((2, 2, 6, np.inf), "min_cell_frac"),
 ])
 def test_box_set_arguments_rejected(args, match):
     q = np.arange(18.0).reshape(6, 3)
     with pytest.raises(InvalidInputError, match=match):
-        build_box_sets(q, 1, *args[:3], 1e-5, *args[3:])
+        build_box_sets(q, 1, *args)
     if match == "dim_range":  # nn_search hands dim_range on to build_box_sets
         params = SearchParams(window=1, method=Method.LB_PC)
         with pytest.raises(InvalidInputError, match="dim_range"):
-            nn_search(q, [q, q + 1.0], params, dim_range=args[3])
+            nn_search(q, [q, q + 1.0], params, dim_range=args[4])
 
 
 @pytest.mark.parametrize("bad", [[["a", "b"]], [[1.0, 2.0], [3.0]]], ids=["text", "ragged"])

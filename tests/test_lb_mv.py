@@ -3,25 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdtw import InvalidInputError, build_envelope, dtw_banded, lb_ad, lb_mv
+from mvdtw import InvalidInputError, build_box_sets, build_envelope, dtw_banded, lb_ad, lb_mv, lb_pc
 
 from conftest import random_instance
 from oracles import naive_envelope, naive_lb_ad, naive_lb_mv
 
 
+def tube(env):
+    """The envelope's (n, D) lower and upper edges, read off its one-box
+    (D, n, 1) grouping."""
+    assert env.lo.shape == env.hi.shape and env.lo.shape[2] == 1
+    assert env.lo.flags.c_contiguous and env.hi.flags.c_contiguous
+    return env.lo[..., 0].T, env.hi[..., 0].T
+
+
 def test_envelope_hand_example():
-    env = build_envelope([[1.0], [2.0], [3.0]], 1)
-    assert env.upper[:, 0].tolist() == [2.0, 3.0, 3.0]
-    assert env.lower[:, 0].tolist() == [1.0, 1.0, 2.0]
+    lower, upper = tube(build_envelope([[1.0], [2.0], [3.0]], 1))
+    assert upper[:, 0].tolist() == [2.0, 3.0, 3.0]
+    assert lower[:, 0].tolist() == [1.0, 1.0, 2.0]
 
 
 def test_envelope_window_zero_and_constant(rng):
     q = rng.normal(size=(9, 3))
-    env = build_envelope(q, 0)
-    assert np.array_equal(env.upper, q) and np.array_equal(env.lower, q)
+    lower, upper = tube(build_envelope(q, 0))
+    assert np.array_equal(upper, q) and np.array_equal(lower, q)
     const = np.full((7, 2), 1.5)
-    env = build_envelope(const, 3)
-    assert np.array_equal(env.upper, const) and np.array_equal(env.lower, const)
+    lower, upper = tube(build_envelope(const, 3))
+    assert np.array_equal(upper, const) and np.array_equal(lower, const)
 
 
 @settings(max_examples=200, deadline=None)
@@ -40,11 +48,38 @@ def test_envelope_matches_naive(seed, kind, n, dims, extra_window):
         q = np.round(q)
     elif kind == "constant":
         q = np.full_like(q, q[0, 0])
-    lower, upper = naive_envelope(q, min(w, n - 1))
-    env = build_envelope(q, w)
-    assert np.array_equal(env.lower, lower)
-    assert np.array_equal(env.upper, upper)
-    assert np.all(env.lower <= q) and np.all(q <= env.upper)
+    want_lower, want_upper = naive_envelope(q, min(w, n - 1))
+    lower, upper = tube(build_envelope(q, w))
+    assert np.array_equal(lower, want_lower)
+    assert np.array_equal(upper, want_upper)
+    assert np.all(lower <= q) and np.all(q <= upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["normal", "rounded"]),
+    n=st.integers(1, 59),
+    dims=st.integers(1, 10),
+    window=st.integers(0, 24),
+)
+def test_envelope_is_the_one_cell_box_set(seed, kind, n, dims, window):
+    # one window per group, one level, one box: each index's box is the
+    # bounding box of its window, so lb_mv is lb_pc on it, bit for bit.  The
+    # two builds may pick different signs of a zero among tied values
+    # (rounded series hold both), which no point-to-box distance sees.
+    g = np.random.default_rng(seed)
+    q, c = g.normal(size=(2, n, dims))
+    if kind == "rounded":
+        q = np.round(q)
+    env = build_envelope(q, window)
+    boxes = build_box_sets(q, window, 1, 1, 1, 1e-5)
+    assert np.array_equal(env.lo, boxes.lo) and np.array_equal(env.hi, boxes.hi)
+    if kind == "normal":
+        assert env.lo.tobytes() == np.ascontiguousarray(boxes.lo).tobytes()
+        assert env.hi.tobytes() == np.ascontiguousarray(boxes.hi).tobytes()
+    assert lb_mv(c, env).value.hex() == lb_pc(c, boxes).value.hex()
+    assert lb_mv(q, env).value.hex() == lb_pc(q, boxes).value.hex() == (0.0).hex()
 
 
 def test_lb_mv_hand_example():
@@ -56,13 +91,14 @@ def test_lb_mv_hand_example():
 def test_lb_mv_inside_envelope_is_zero(rng):
     q = rng.normal(size=(20, 3))
     env = build_envelope(q, 4)
-    mid = (env.upper + env.lower) / 2.0
+    lower, upper = tube(env)
+    mid = (upper + lower) / 2.0
     assert lb_mv(mid, env).value == 0.0
 
 
 def test_lb_mv_shape_mismatch(rng):
     env = build_envelope(rng.normal(size=(5, 2)), 1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"shape mismatch: \(5, 3\) vs \(5, 2\)"):
         lb_mv(rng.normal(size=(5, 3)), env)
 
 
@@ -127,5 +163,6 @@ def test_univariate_matches_classic_envelope_bound(rng):
         q = np.cumsum(rng.normal(size=(n, 1)), axis=0)
         c = np.cumsum(rng.normal(size=(n, 1)), axis=0)
         env = build_envelope(q, w)
-        expected = np.maximum(c - env.upper, 0.0) + np.maximum(env.lower - c, 0.0)
+        lower, upper = tube(env)
+        expected = np.maximum(c - upper, 0.0) + np.maximum(lower - c, 0.0)
         assert lb_mv(c, env).value == pytest.approx(float(expected.sum()), rel=1e-12)

@@ -128,6 +128,27 @@ def test_empty_candidates_rejected(rng):
         nn_search(rng.normal(size=(5, 2)), [], SearchParams(window=2))
 
 
+@pytest.mark.parametrize("method", [Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW])
+def test_empty_selection_sample_rejected(rng, method):
+    # tuning and bound selection share one check, for either side of the sample
+    q, cands = small_problem(rng, num_series=4)
+    params = SearchParams(window=2, method=method)
+    for queries, candidates in (([], cands), ([q], [])):
+        with pytest.raises(InvalidInputError, match="selection sample is empty"):
+            tune_params(queries, candidates, params)
+        with pytest.raises(InvalidInputError, match="selection sample is empty"):
+            tc_dtw_select(queries, candidates, params)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_bad_seed_rejected(rng, seed):
+    q, cands = small_problem(rng, num_series=4)
+    with pytest.raises(InvalidInputError, match="seed"):
+        selection_sample([q], cands, seed)
+    with pytest.raises(InvalidInputError, match="seed"):
+        tune_params([q], cands, SearchParams(window=2, method=Method.LB_TI), seed=seed)
+
+
 def test_unresolved_tc_dtw_rejected(rng):
     q, cands = small_problem(rng, num_series=4)
     with pytest.raises(InvalidInputError):
