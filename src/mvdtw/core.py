@@ -14,10 +14,11 @@ array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
 integer and window checks `as_int`/`as_window`; the candidates' (D, n, C)
 plane set `search._stack_candidates`; dimension-first point distances
 `dtw.point_costs` and point-to-box distances `lb_pc.lb_pc_terms`, which
-lb_mv runs on the envelope's one box per index; every float total, over
-dimensions, bound terms or work charges alike, `sequential_sums`, which
-adds its leading axis left to right; and the prune rule, abandoning a
-candidate at the first prefix of its bound terms above d_best,
+lb_mv runs on the envelope's one box per index; the banded DTW recurrence
+`dtw.dtw_rows`, which dtw_banded runs on one candidate; every float total,
+over dimensions, bound terms or work charges alike, `sequential_sums`,
+which adds its leading axis left to right; and the prune rule, abandoning
+a candidate at the first prefix of its bound terms above d_best,
 `search._prune_sums`.
 """
 
@@ -31,8 +32,8 @@ from typing import ClassVar
 import numpy as np
 
 # Floats in the largest temporary of one block of batched work: the search's
-# candidate blocks and dtw_rows' cost chunks are each sized by what they need
-# per candidate or per cell.
+# candidate blocks, dtw_rows' cost chunks and lb_ti_terms' chunks of row
+# blocks are each sized by what they need per candidate, cell or block.
 BLOCK_FLOATS = 1 << 15
 # sequential_sums adds inputs of at least this many columns a plane at a time.
 SUM_BY_PLANE_COLUMNS = 256

@@ -1,4 +1,8 @@
-"""Sakoe-Chiba banded dependent multivariate DTW."""
+"""Sakoe-Chiba banded dependent multivariate DTW.
+
+One DP computes every banded DTW in the package: dtw_rows, which sweeps the
+anti-diagonals of one query against a set of candidates.  The search runs
+it on the candidates it may compare, and dtw_banded on a set of one."""
 
 from __future__ import annotations
 
@@ -28,25 +32,6 @@ def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(sequential_sums(diff * diff))
 
 
-def cost_band(qa: np.ndarray, ca: np.ndarray, w: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the local cost band of two (n, D) series:
-    entry (i, k) is d(q_i, c_{i-w+k}) for k in [0, 2w], +inf where the
-    column index falls outside [0, n-1]."""
-    n = len(qa)
-    j = np.arange(start, min(stop, n))[:, None] + np.arange(-w, w + 1)
-    band = point_costs(qa.T[:, start:stop, None], ca.T[:, np.clip(j, 0, n - 1)])
-    np.copyto(band, _INF, where=(j < 0) | (j >= n))
-    return band
-
-
-def _band_rows(qa: np.ndarray, ca: np.ndarray, w: int):
-    """The rows of the cost band as lists, computed a block of rows at a
-    time so that a block's temporaries stay within BLOCK_FLOATS."""
-    step = max(1, BLOCK_FLOATS // ((2 * w + 1) * qa.shape[1]))
-    for start in range(0, len(qa), step):
-        yield from cost_band(qa, ca, w, start, start + step).tolist()
-
-
 def row_cells(n: int, w: int) -> np.ndarray:
     """Cumulative DP cell count after each row of an (n, w) band."""
     i = np.arange(n)
@@ -59,38 +44,10 @@ def dtw_banded(q, c, window: int) -> DtwResult:
     The warping path runs from cell (0, 0) to (n-1, n-1) moving right, up, or
     diagonally, restricted to |i - j| <= min(window, n-1).  Cell costs are
     Euclidean point distances and the distance is their plain sum along the
-    cheapest path.
+    cheapest path: the final of dtw_rows on the one-candidate plane set.
     """
     qa, ca, w = as_pair(q, c, window)
-    n = qa.shape[0]
-    width = 2 * w + 1
-
-    inf_row = [_INF] * width
-    prev = inf_row[:]
-    cur = inf_row[:]
-    for i, row in enumerate(_band_rows(qa, ca, w)):
-        lo = 0 if i < w else i - w
-        hi = n - 1 if i + w >= n else i + w
-        cur[:] = inf_row
-        k = lo - i + w
-        for j in range(lo, hi + 1):
-            if i == 0 and j == 0:
-                v = row[k]
-            else:
-                best = _INF
-                if i > 0:
-                    if k + 1 < width:
-                        best = prev[k + 1]  # (i-1, j)
-                    if j > 0 and prev[k] < best:
-                        best = prev[k]  # (i-1, j-1)
-                if k > 0 and cur[k - 1] < best:
-                    best = cur[k - 1]  # (i, j-1)
-                v = row[k] + best
-            cur[k] = v
-            k += 1
-        prev, cur = cur, prev
-
-    return DtwResult(prev[w])  # column j = n-1 sits at offset w in the last row
+    return DtwResult(float(dtw_rows(qa, ca.T[..., None], w)[1][0]))
 
 
 @lru_cache(maxsize=32)
@@ -156,9 +113,9 @@ def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
     `qa` is a validated (n, D) series, `planes` the candidates' validated
     (D, n, C) plane set and `w` the effective window (0 <= w <= n-1).
     Returns (row_min, final): row_min[i, c] is the minimum of DP row i for
-    candidate c and final[c] its DTW distance, both bit-identical to
-    dtw_banded's DP for the pair.  The search reads off row_min where a DTW
-    would stop early at a threshold (search._scan).
+    candidate c and final[c] its DTW distance.  A candidate's rows and
+    final do not depend on which others share the sweep.  The search reads
+    off row_min where a DTW would stop early at a threshold (search._scan).
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over

@@ -12,11 +12,14 @@ Two on-disk formats are supported:
   Files declaring unequal lengths or timestamps are rejected.
 
 Missing values become raw zeros before normalization statistics are
-computed; they participate in the statistics as zeros.
+computed; they participate in the statistics as zeros.  Infinite values
+(`inf`, or a literal beyond the float range such as `1e999`) and malformed
+`.ts` directives raise ParseError naming their line.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from numbers import Real
@@ -81,9 +84,12 @@ def _parse_value(token: str, path: str, line_no: int) -> float:
     if token.lower() in _MISSING_TOKENS:
         return float("nan")
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"{path}, line {line_no}: non-numeric token {token!r}") from None
+    if math.isinf(value):
+        raise ParseError(f"{path}, line {line_no}: non-finite value {token!r}")
+    return value
 
 
 def _native_tokens(rows: list, dims: int, path: str):
@@ -123,7 +129,10 @@ def parse_native(path) -> RawDataset:
     try:  # one numpy call, each token as float() reads it
         values = np.fromiter(map(float, _native_tokens(rows, dims, path)), np.float64,
                              len(rows) * dims)
-    except ValueError:  # a missing value, or a line to name
+        named = np.isinf(values).any()
+    except ValueError:
+        named = True
+    if named:  # a missing value, or a line to name
         values = np.empty((len(rows), dims))
         for r, (no, ln) in enumerate(rows):
             values[r] = [_parse_value(t, path, no) for t in _native_tokens([(no, ln)], dims, path)]
@@ -152,6 +161,14 @@ def _ts_bool(token: str, path: str, line_no: int) -> bool:
     raise ParseError(f"{path}, line {line_no}: expected true/false, got {token!r}")
 
 
+def _ts_int(token: str, path: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{path}, line {line_no}: expected an integer, got {token!r}") from None
+
+
+_TS_VALUED = {"timestamps", "equallength", "dimension", "dimensions", "serieslength", "classlabel"}
 _TS_KNOWN = {
     "problemname", "timestamps", "missing", "univariate", "dimension",
     "dimensions", "equallength", "serieslength", "classlabel", "targetlabel",
@@ -183,10 +200,12 @@ def parse_ts_subset(path) -> RawDataset:
             if line.startswith("@"):
                 if in_data:
                     raise ParseError(f"{path}, line {no}: directive after @data")
-                tokens = line[1:].split()
+                tokens = line[1:].split() or [""]
                 key = tokens[0].lower()
                 if key not in _TS_KNOWN:
                     raise ParseError(f"{path}, line {no}: unsupported directive @{tokens[0]}")
+                if key in _TS_VALUED and len(tokens) < 2:
+                    raise ParseError(f"{path}, line {no}: @{tokens[0]} needs a value")
                 if key == "data":
                     in_data = True
                 elif key == "timestamps":
@@ -196,9 +215,9 @@ def parse_ts_subset(path) -> RawDataset:
                     if not _ts_bool(tokens[1], path, no):
                         raise ParseError(f"{path}, line {no}: unequal-length series are not supported")
                 elif key in ("dimension", "dimensions"):
-                    declared_dims = int(tokens[1])
+                    declared_dims = _ts_int(tokens[1], path, no)
                 elif key == "serieslength":
-                    declared_len = int(tokens[1])
+                    declared_len = _ts_int(tokens[1], path, no)
                 elif key == "classlabel":
                     class_labels = _ts_bool(tokens[1], path, no)
                 elif key == "problemname" and len(tokens) > 1:

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BoundResult, InvalidInputError, as_int, as_pair, as_series, sequential_sums
+from .core import (
+    BLOCK_FLOATS, BoundResult, InvalidInputError, as_int, as_pair, as_series, sequential_sums,
+)
 from .dtw import point_costs
 
 _PROP_SLACK = 2.0 ** -46
-_CHUNK_SLOTS = 1 << 13  # interval slots per candidate advanced at once
-
 _INF = float("inf")
 
 
@@ -99,10 +99,11 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
 
     `qa` is a validated (n, D) query, `planes` a validated plane set of its
     shape, `w` the effective window, `refresh_period` >= 1 and `qsteps` the
-    query's neighbor_steps.  Returns an (n, C) array.  Each candidate
-    advances at most _CHUNK_SLOTS interval slots at once, about
-    (n / P) * (2w + P) when the series is short, and its temporaries hold D
-    floats per slot.
+    query's neighbor_steps.  Returns an (n, C) array.  Blocks of P rows
+    advance together in chunks of as many blocks as fit in BLOCK_FLOATS, at
+    least one: a block holds 2w + P interval slots per candidate, and the
+    temporaries D floats per slot.  The search's candidate blocks are sized
+    by the same count, so each runs as one chunk.
     """
     dims, n, count = planes.shape
     p = min(refresh_period, n)
@@ -124,7 +125,7 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
     # is scattered unmasked and those columns are dropped at the end.
     width = n + span
     colmin = np.full(count * width, _INF)
-    chunk = p * max(1, _CHUNK_SLOTS // span)
+    chunk = p * max(1, BLOCK_FLOATS // (span * dims * count))
     for first in range(0, n, chunk):
         anchors = np.arange(first, min(n, first + chunk), p)
         # slots k0..k1-1 hold a column of [0, n) in at least one block

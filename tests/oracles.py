@@ -5,10 +5,11 @@ code with the package beyond the point-distance definition (Euclidean,
 non-squared), which is the contract itself.  Three exceptions compare bit
 for bit and so reuse package code: the reference cascade runs the package's
 per-point bound kernels one candidate at a time, in scan order, to check the
-batched search counter for counter; banded_row_minima runs the DP over the
-package's own cost band; and reference_lb_ti measures its true distances
-with the package's point_costs, since a distance whose dimensions were added
-in another order could land above the DTW by an ulp.
+batched search counter for counter; banded_row_minima and reference_lb_ti
+measure their point distances with the package's point_costs, since a
+distance whose dimensions were added in another order could land above the
+DTW by an ulp.  banded_row_minima builds its own cost table and runs its own
+DP, so it checks the package's one DP recurrence, dtw_rows, independently.
 
 The reference cascade owns the scan's two early-exit rules.  Its prune rule,
 sum_with_abandon: a candidate's bound terms are added left to right and it
@@ -49,7 +50,7 @@ from mvdtw import (
     neighbor_steps,
 )
 from mvdtw.core import as_series
-from mvdtw.dtw import cost_band, point_costs
+from mvdtw.dtw import point_costs
 from mvdtw.lb_mv import lb_ad_terms
 from mvdtw.lb_pc import lb_pc_terms
 from mvdtw.lb_ti import lb_ti_terms
@@ -324,13 +325,14 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
 def banded_row_minima(q, c, window: int) -> tuple[list[float], float]:
     """Minimum of every row of the banded DTW table, and the final distance.
 
-    A plain double loop over the package's own cost band, so that cell costs
-    (and therefore every DP value) are bit-identical to dtw_banded's."""
+    A plain double loop over the point costs of every (i, j) pair, each
+    measured by the package's point_costs, so that cell costs (and therefore
+    every DP value) are bit-identical to dtw_banded's."""
     qa = np.asarray(q, dtype=np.float64)
     ca = np.asarray(c, dtype=np.float64)
     n = len(qa)
     w = min(window, n - 1)
-    band = cost_band(qa, ca, w, 0, n).tolist()
+    cost = point_costs(qa.T[:, :, None], ca.T[:, None, :]).tolist()
     table = [[math.inf] * n for _ in range(n)]
     minima = []
     for i in range(n):
@@ -340,7 +342,7 @@ def banded_row_minima(q, c, window: int) -> tuple[list[float], float]:
                 table[i - 1][j - 1] if i > 0 and j > 0 else math.inf,
                 table[i][j - 1] if j > 0 else math.inf,
             )
-            table[i][j] = band[i][j - i + w] + prior
+            table[i][j] = cost[i][j] + prior
         minima.append(min(table[i]))
     return minima, table[n - 1][n - 1]
 

@@ -231,6 +231,17 @@ def test_data_errors(tmp_path, capsys):
     tiny.write_text("1 2 1\n1\n2\n")  # one series cannot be split
     assert main(["--data", str(tiny), "--reps", "1"]) == 2
     capsys.readouterr()
+    # a malformed .ts directive or an infinite value: a data error that
+    # names its line, not a traceback
+    for k, (text, fmt, line) in enumerate([("@timestamps\n@data\n1,2\n", "ts", 1),
+                                           ("@seriesLength x\n@data\n1,2\n", "ts", 1),
+                                           ("@dimensions two\n@data\n1,2\n", "ts", 1),
+                                           ("2 1 1\n1\ninf\n", "native", 3),
+                                           ("2 1 1\n1e999\n1\n", "native", 2)]):
+        path = tmp_path / f"bad{k}.{fmt}"
+        path.write_text(text)
+        assert main(["--data", str(path), "--format", fmt, "--reps", "1"]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_emit_report_empty_and_round_trip():

@@ -102,8 +102,8 @@ def test_count_band_paths_sanity():
     assert count_band_paths(4, 0) == 1
 
 
-# The float budget of dtw_rows' chunks of point costs and of dtw_banded's
-# blocks of band rows: every anti-diagonal or row its own chunk, chunks of
+# The float budget of dtw_rows' chunks of point costs, which dtw_banded
+# runs on one candidate: every anti-diagonal its own chunk, chunks of
 # several, and the default (one chunk at most of these sizes).
 CHUNK_BUDGETS = (1, 200, BLOCK_FLOATS)
 
@@ -116,7 +116,7 @@ def sweep(q, cands, w, budget):
 
 
 def pair_distances(q, cands, window, budget):
-    """dtw_banded of q against each candidate, under a block budget."""
+    """dtw_banded of q against each candidate, under a chunk budget."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dtw_module, "BLOCK_FLOATS", budget)
         return [dtw_banded(q, c, window).distance for c in cands]

@@ -50,13 +50,19 @@ def test_parse_native_errors(tmp_path):
         parse_native(write(tmp_path, "head.mts", "1 2\n"))
     with pytest.raises(ParseError, match="value lines"):
         parse_native(write(tmp_path, "short.mts", "2 2 1\n1\n2\n3\n"))
+    # infinite values, written out or overflowing, are named by their line,
+    # whether the file converts in one call or (with a missing value) by line
+    for k, (text, line) in enumerate([("1 2 2\n1 2\n3 inf\n", 3), ("1 2 1\n1e999\n2\n", 2),
+                                      ("1 2 2\nNA 2\n-Infinity 4\n", 3)]):
+        with pytest.raises(ParseError, match=f"line {line}: non-finite value"):
+            parse_native(write(tmp_path, f"inf{k}.mts", text))
 
 
 @pytest.mark.parametrize("missing", [False, True], ids=["all-numeric", "with-missing"])
 def test_parse_native_values_are_float_bits(tmp_path, missing):
     # every token parses to the bits of float(token), missing ones to NaN,
     # whether the file converts in one call or line by line
-    rows = [["1.5", "-2", "3e-7"], ["-0.0", "1E+308", "4.9e-324"], ["inf", "-inf", "NaN"],
+    rows = [["1.5", "-2", "3e-7"], ["-0.0", "1E+308", "4.9e-324"], ["1e-310", "-9.5", "NaN"],
             ["+.5", "7.", "1_0"], ["0.1", "-1.7976931348623157e308", "2.5E3"]]
     if missing:
         rows[1][0], rows[3][2], rows[4][1] = "na", "?", "NA"
@@ -133,6 +139,18 @@ def test_parse_ts_rejections(tmp_path):
         parse_ts_subset(write(tmp_path, "rag.ts", "@classLabel false\n@data\n1,2:3\n"))
     with pytest.raises(ParseError, match="shape differs"):
         parse_ts_subset(write(tmp_path, "len.ts", "@classLabel false\n@data\n1,2:3,4\n1,2,5:3,4,5\n"))
+    # directives missing their value or holding a non-integer, and values
+    # that are infinite, are named by their line
+    cases = [("@timestamps\n@data\n1,2\n", "line 1: @timestamps needs a value"),
+             ("@classLabel false\n@dimensions two\n@data\n1,2\n",
+              "line 2: expected an integer, got 'two'"),
+             ("@seriesLength x\n@data\n1,2\n", "line 1: expected an integer, got 'x'"),
+             ("@problemName p\n@\n@data\n1,2\n", "line 2: unsupported directive"),
+             ("@classLabel false\n@data\n1,2\n1,1e999\n", "line 4: non-finite value '1e999'"),
+             ("@classLabel false\n@data\n-inf,2\n", "line 3: non-finite value '-inf'")]
+    for k, (text, message) in enumerate(cases):
+        with pytest.raises(ParseError, match=message):
+            parse_ts_subset(write(tmp_path, f"bad{k}.ts", text))
 
 
 def test_normalize_constant_dimension(tmp_path):

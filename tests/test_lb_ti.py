@@ -224,13 +224,13 @@ def test_overflowing_distances_match_reference():
                 assert got.value.hex() == want.value.hex()
 
 
-@pytest.mark.parametrize("chunk_slots", [1, 7, 60])
-def test_chunked_blocks_match_reference(monkeypatch, rng, chunk_slots):
-    # blocks advance in chunks of whole blocks; every chunk boundary must
-    # leave the bound unchanged
+@pytest.mark.parametrize("block_floats", [1, 7, 60, 200])
+def test_chunked_blocks_match_reference(monkeypatch, rng, block_floats):
+    # blocks advance in chunks of whole blocks, as many as fit in the float
+    # budget; every chunk boundary must leave the bound unchanged
     import sys
 
-    monkeypatch.setattr(sys.modules["mvdtw.lb_ti"], "_CHUNK_SLOTS", chunk_slots)
+    monkeypatch.setattr(sys.modules["mvdtw.lb_ti"], "BLOCK_FLOATS", block_floats)
     for _ in range(25):
         q, c, w = random_instance(rng, max_n=40, max_dims=4, max_window=12)
         n = len(q)
@@ -240,14 +240,20 @@ def test_chunked_blocks_match_reference(monkeypatch, rng, chunk_slots):
 
 
 def test_memory_stays_bounded_on_long_series():
+    # (n, W, D, peak bound): a chunk of blocks takes at most BLOCK_FLOATS
+    # floats of temporaries, whatever D is
     import tracemalloc
 
-    g = np.random.default_rng(3)
-    q, c = np.cumsum(g.normal(size=(2, 4000, 3)), axis=1)
-    tracemalloc.start()
-    try:
-        lb_ti(q, c, 4000, refresh_period=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20  # all 800 blocks at once would take ~450 MB
+    rows = [(4000, 4000, 3, 8),  # all 800 blocks at once would take ~450 MB
+            (2000, 200, 12, 1.5),
+            (2000, 200, 24, 1.5)]
+    for n, w, dims, bound_mb in rows:
+        g = np.random.default_rng(3)
+        q, c = np.cumsum(g.normal(size=(2, n, dims)), axis=1)
+        tracemalloc.start()
+        try:
+            lb_ti(q, c, w, refresh_period=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, (n, w, dims, peak)
