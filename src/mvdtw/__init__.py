@@ -4,7 +4,6 @@ from .core import (
     BoundResult,
     InvalidInputError,
     Method,
-    MultivariateSeries,
     SearchParams,
 )
 from .dtw import DtwResult, dtw_banded
@@ -12,7 +11,6 @@ from .ingest import (
     Dataset,
     ParseError,
     RawDataset,
-    finalize,
     normalize,
     parse_native,
     parse_ts_subset,
@@ -26,11 +24,9 @@ from .lb_ti import NeighborDistances, lb_ti, neighbor_steps
 from .search import NnOutcome, nn_search, tc_dtw_select, tune_params
 
 __all__ = [
-    "BoundResult", "BoxGrouping", "Dataset", "DtwResult",
-    "InvalidInputError", "Method", "MultivariateSeries", "NeighborDistances",
-    "NnOutcome", "ParseError", "RawDataset", "SearchParams",
-    "build_box_sets", "build_envelope", "dtw_banded", "finalize", "lb_ad", "lb_mv",
-    "lb_pc", "lb_ti", "neighbor_steps", "nn_search", "normalize", "parse_native",
-    "parse_ts_subset", "split", "tc_dtw_select", "truncate_dims", "tune_params",
-    "write_native",
+    "BoundResult", "BoxGrouping", "Dataset", "DtwResult", "InvalidInputError", "Method",
+    "NeighborDistances", "NnOutcome", "ParseError", "RawDataset", "SearchParams",
+    "build_box_sets", "build_envelope", "dtw_banded", "lb_ad", "lb_mv", "lb_pc", "lb_ti",
+    "neighbor_steps", "nn_search", "normalize", "parse_native", "parse_ts_subset", "split",
+    "tc_dtw_select", "truncate_dims", "tune_params", "write_native",
 ]

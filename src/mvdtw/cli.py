@@ -36,7 +36,7 @@ _ROUND_DIGITS = {"skip_pct": 4, "speedup": 4, "ideal_speedup": 4,
                  "lb_time_s": 6, "dtw_time_s": 6, "total_time_s": 6}
 # RunReport fields that are the NnOutcome field of the same name, summed over queries
 _SUMMED_COUNTERS = ("dtw_computed", "dtw_skipped", "lb_mv_evals", "advanced_lb_evals",
-                    "abandon_count", "work", "dtw_swept")
+                    "work", "dtw_swept")
 
 
 class ConfigError(ValueError):
@@ -63,7 +63,6 @@ class RunReport:
     seed: int
     lb_mv_evals: int = 0
     advanced_lb_evals: int = 0
-    abandon_count: int = 0
     params: str = ""
     work: float = 0.0
     dtw_swept: int = 0

@@ -17,7 +17,7 @@ plane set `search._stack_candidates`; dimension-first point distances
 lb_mv runs on the envelope's one box per index; the banded DTW recurrence
 `dtw.dtw_rows`, which dtw_banded runs on one candidate; every float total,
 over dimensions, bound terms or work charges alike, `sequential_sums`,
-which adds its leading axis left to right; and the prune rule, abandoning
+which adds its leading axis left to right; and the prune rule, pruning
 a candidate at the first prefix of its bound terms above d_best,
 `search._prune_sums`.
 """
@@ -60,8 +60,6 @@ def as_array(x) -> np.ndarray:
 
     Raises InvalidInputError when `x` is not numeric or is ragged.
     """
-    if isinstance(x, MultivariateSeries):
-        return x.values
     try:
         a = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -72,9 +70,9 @@ def as_array(x) -> np.ndarray:
 def as_series(x) -> np.ndarray:
     """Coerce a series-like object to a validated float64 array of shape (n, D).
 
-    Accepts a MultivariateSeries, an (n, D) array, or a 1-D array (treated as
-    a univariate series).  Raises InvalidInputError on non-numeric, ragged,
-    empty or non-finite input.
+    Accepts an (n, D) array or a 1-D array (treated as a univariate series).
+    Raises InvalidInputError on non-numeric, ragged, empty or non-finite
+    input.
     """
     a = as_array(x)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -108,30 +106,6 @@ def as_pair(q, c, window: int) -> tuple[np.ndarray, np.ndarray, int]:
     if qa.shape != ca.shape:
         raise InvalidInputError(f"shape mismatch: {qa.shape} vs {ca.shape}")
     return qa, ca, as_window(window, qa.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class MultivariateSeries:
-    """One time series: n points, each a D-dimensional real vector.
-
-    `values` has shape (n, D) and is frozen after construction, so instances
-    can be shared freely across concurrent workers.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.ascontiguousarray(as_series(self.values))
-        a.flags.writeable = False
-        object.__setattr__(self, "values", a)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,6 @@ def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(sequential_sums(diff * diff))
 
 
-def row_cells(n: int, w: int) -> np.ndarray:
-    """Cumulative DP cell count after each row of an (n, w) band."""
-    i = np.arange(n)
-    return np.cumsum(np.minimum(i + w, n - 1) - np.maximum(i - w, 0) + 1)
-
-
 def dtw_banded(q, c, window: int) -> DtwResult:
     """Band-constrained DTW distance between two equal-shape series.
 
@@ -47,7 +41,7 @@ def dtw_banded(q, c, window: int) -> DtwResult:
     cheapest path: the final of dtw_rows on the one-candidate plane set.
     """
     qa, ca, w = as_pair(q, c, window)
-    return DtwResult(float(dtw_rows(qa, ca.T[..., None], w)[1][0]))
+    return DtwResult(float(dtw_rows(qa, ca.T[..., None], w)[0]))
 
 
 @lru_cache(maxsize=32)
@@ -112,29 +106,26 @@ def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
 
     `qa` is a validated (n, D) series, `planes` the candidates' validated
     (D, n, C) plane set and `w` the effective window (0 <= w <= n-1).
-    Returns (row_min, final): row_min[i, c] is the minimum of DP row i for
-    candidate c and final[c] its DTW distance.  A candidate's rows and
-    final do not depend on which others share the sweep.  The search reads
-    off row_min where a DTW would stop early at a threshold (search._scan).
+    Returns the (C,) DTW distances; a candidate's distance does not depend
+    on which others share the sweep.
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over
     every candidate.  Candidates sit on the last, contiguous axis: each
     anti-diagonal is an (n + 2, C) buffer indexed by row, so a step's cells
-    and their neighbours are contiguous (cells, C) blocks, and the row
-    minima are (n, C).  The point costs are computed a chunk of consecutive
-    anti-diagonals at a time, per dimension plane (_chunk_costs).  A chunk
-    holds as many cells as fit in BLOCK_FLOATS with their temporaries (C
-    floats per cell), and at least one anti-diagonal; no whole-band index or
-    cost array is kept.  Every candidate runs to the last row: a row minimum
-    crosses a search's threshold only near the end of the DP, so checking
-    for it and dropping candidates costs more than the rows it saves.
+    and their neighbours are contiguous (cells, C) blocks.  The point costs
+    are computed a chunk of consecutive anti-diagonals at a time, per
+    dimension plane (_chunk_costs).  A chunk holds as many cells as fit in
+    BLOCK_FLOATS with their temporaries (C floats per cell), and at least one
+    anti-diagonal; no whole-band index or cost array is kept.  Every
+    candidate runs to the last row: a DP row's minimum crosses a search's
+    d_best only near the end, so dropping candidates mid-sweep would cost
+    more than the rows it saves.
     """
     _, n, count = planes.shape
     steps, first, ends = _sweep_plan(n, w)
     # an anti-diagonal holds at most w + 1 cells
     scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count)))
-    rows = np.full((n, count), _INF)
     # Buffers for anti-diagonals s-2, s-1 and s, all +inf at first but for
     # the virtual cell (-1, -1) of value 0, which makes cell (0, 0) cost
     # exactly itself.  A step writes its rows and sets the row on either
@@ -156,7 +147,5 @@ def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
             np.minimum(cells, two_back[below], out=cells)  # (i-1, j-1)
             np.add(cells, costs[ends[s] - base : ends[s + 1] - base], out=cells)
             cur[below.start] = cur[mine.stop] = _INF
-            seg = rows[below]
-            np.minimum(seg, cells, out=seg)
         two_back, one_back, cur = one_back, cur, two_back
-    return rows, one_back[n].copy()  # final: cell (n-1, n-1)
+    return one_back[n].copy()  # cell (n-1, n-1)

@@ -8,7 +8,8 @@ Two on-disk formats are supported:
   comments.  Missing values may be written as `NA`, `NaN`, or `?`.
 * A subset of the sktime `.ts` layout: `@`-prefixed header directives, then
   `@data`, then one series per line with dimensions separated by `:` and
-  values by `,`; a class label after the final `:` is parsed and dropped.
+  values by `,`; the class label or regression target after the final `:`
+  (declared by `@classLabel true` or `@targetLabel true`) is dropped.
   Files declaring unequal lengths or timestamps are rejected.
 
 Missing values become raw zeros before normalization statistics are
@@ -168,7 +169,8 @@ def _ts_int(token: str, path: str, line_no: int) -> int:
         raise ParseError(f"{path}, line {line_no}: expected an integer, got {token!r}") from None
 
 
-_TS_VALUED = {"timestamps", "equallength", "dimension", "dimensions", "serieslength", "classlabel"}
+_TS_VALUED = {"timestamps", "equallength", "dimension", "dimensions", "serieslength", "classlabel",
+              "targetlabel"}
 _TS_KNOWN = {
     "problemname", "timestamps", "missing", "univariate", "dimension",
     "dimensions", "equallength", "serieslength", "classlabel", "targetlabel",
@@ -189,7 +191,7 @@ def parse_ts_subset(path) -> RawDataset:
             name = name[: -len(suffix)]
     declared_dims = None
     declared_len = None
-    class_labels = False
+    labelled = False  # each data line ends in a class label or regression target
     in_data = False
     series_rows: list[np.ndarray] = []
     with open(path, encoding="utf-8") as fh:
@@ -218,17 +220,17 @@ def parse_ts_subset(path) -> RawDataset:
                     declared_dims = _ts_int(tokens[1], path, no)
                 elif key == "serieslength":
                     declared_len = _ts_int(tokens[1], path, no)
-                elif key == "classlabel":
-                    class_labels = _ts_bool(tokens[1], path, no)
+                elif key in ("classlabel", "targetlabel"):
+                    labelled = _ts_bool(tokens[1], path, no) or labelled
                 elif key == "problemname" and len(tokens) > 1:
                     name = tokens[1]
                 continue
             if not in_data:
                 raise ParseError(f"{path}, line {no}: data before @data directive")
             segments = line.split(":")
-            if class_labels:
+            if labelled:
                 if len(segments) < 2:
-                    raise ParseError(f"{path}, line {no}: missing class label")
+                    raise ParseError(f"{path}, line {no}: missing label")
                 segments = segments[:-1]
             dims = len(segments)
             if declared_dims is not None and dims != declared_dims:
@@ -258,12 +260,6 @@ def parse_ts_subset(path) -> RawDataset:
 def _observed_ranges(values: np.ndarray) -> np.ndarray:
     flat = values.reshape(-1, values.shape[2])
     return flat.max(axis=0) - flat.min(axis=0)
-
-
-def finalize(raw: RawDataset) -> Dataset:
-    """Replace missing values with raw zeros, without normalizing."""
-    vals = np.where(np.isnan(raw.values), 0.0, raw.values)
-    return Dataset(raw.name, vals, normalized=False, dim_ranges=_observed_ranges(vals))
 
 
 def normalize(ds: RawDataset | Dataset) -> Dataset:

@@ -4,11 +4,11 @@ For every query, candidates are scanned in their given order while the best
 exact DTW distance so far (d_best) shrinks.  Each candidate first faces the
 cheap envelope bound; if that fails to prune and the bound lands in the
 triggering band (trigger < bound/d_best < 1), the configured advanced bound
-gets a chance; only then is the exact banded DTW computed, itself stopped
-as soon as a whole DP row exceeds d_best.  Bounds never change answers: a
-candidate is skipped only when a lower bound of its DTW distance already
-reaches d_best, and d_best only improves on exact distances, so every method
-returns the nearest neighbor the plain linear scan finds.
+gets a chance; only then is the exact banded DTW computed, to its last row.
+Bounds never change answers: a candidate is skipped only when a lower bound
+of its DTW distance already reaches d_best, and d_best only improves on exact
+distances, so every method returns the nearest neighbor the plain linear scan
+finds.
 
 The scan runs as one batch pass in two stages (see nn_search): `_scan`
 computes what only the query, the candidates and the window decide, the
@@ -16,11 +16,11 @@ envelope bounds, the DTW sweep and the d_best each candidate meets; `_finish`
 the advanced bound and the counters of one SearchParams.
 
 Method and parameter selection on a data sample ranks configurations by a
-deterministic work model (DP cells and bound point-touches, dimension
-weighted) rather than wall time, so repeated runs with one seed pick the same
-configuration and produce bit-identical counters; wall times are still
-measured and reported.  Selection finishes one scan per sample query under
-every configuration it compares.
+deterministic work model (bound point-touches and a full band of DP cells
+per compared DTW, dimension weighted) rather than wall time, so repeated runs
+with one seed pick the same configuration and produce bit-identical counters;
+wall times are still measured and reported.  Selection finishes one scan per
+sample query under every configuration it compares.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .core import (
     BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_array, as_int, as_series, sequential_sums,
 )
-from .dtw import dtw_rows, point_costs, row_cells
+from .dtw import dtw_rows, point_costs
 from .lb_mv import build_envelope, lb_ad_terms
 from .lb_pc import as_dim_range, build_box_sets, lb_pc_terms
 from .lb_ti import lb_ti_terms, neighbor_steps
@@ -47,8 +47,10 @@ TUNE_QUERY_SAMPLE = 8
 class NnOutcome:
     """Result and instrumentation of one query's nearest-neighbor scan.
 
-    `abandon_count` counts DTW evaluations stopped early, `dtw_swept` the
-    candidates the batched sweep computed (the compared ones and more).
+    `abandon_count` is always 0: the search computes every DTW it compares
+    to the end, and the field stays only because perfbench/run.py reads it.
+    `dtw_swept` counts the candidates the batched sweep computed (the
+    compared ones and more).
     `work` is the deterministic work-model total used for tuning decisions.
     Timers are seconds; lb_time + dtw_time <= total_time.
     """
@@ -153,8 +155,6 @@ class _Scan:
     swept: np.ndarray
     met: np.ndarray  # the d_best each candidate meets
     compared: np.ndarray  # not skipped on the envelope bound
-    stopped: np.ndarray  # per swept candidate: would its DTW stop early
-    cells: np.ndarray  # per swept candidate: DP cells up to its stop
     outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
 
 
@@ -177,8 +177,8 @@ def nn_search(
     at once, one batched DTW sweep (dtw_rows) to the last row of every
     candidate the scan might have to compare exactly (`dtw_swept` of them),
     and the advanced bound once over exactly the candidates the scan
-    triggers it on.  Every skip, trigger, prune and abandon decision is
-    then a comparison of these values with the d_best each candidate meets,
+    triggers it on.  Every skip, trigger and prune decision is then a
+    comparison of these values with the d_best each candidate meets,
     so the answer and every counter equal the one-at-a-time scan's.  Raises
     RuntimeError if the sweep missed a candidate the scan compares, which
     only a diagonal-path cost below the DTW distance could cause.
@@ -208,15 +208,15 @@ def _scan(qa: np.ndarray, ref: np.ndarray, planes: np.ndarray, w: int, bounded: 
         lb_totals = _blockwise(lambda b: sequential_sums(lb_pc_terms(b, env)), planes, n * dims)
     lb_time = time.perf_counter() - t0
 
-    # DTW sweep, charged to dtw_time with its stops.  d_best only falls, and
-    # once candidate k has been scanned it is at most the cost of k's
+    # DTW sweep, charged to dtw_time.  d_best only falls, and once
+    # candidate k has been scanned it is at most the cost of k's
     # diagonal path (an upper bound of k's DTW distance): the scan either
     # compared k exactly or skipped it on a lower bound at or above d_best.
     # So the d_best candidate k meets is at most the prefix minimum
     # `upper[k]` of the earlier diagonal costs, and k needs a DTW only if its
     # envelope bound is below that; candidate 0 always does, and so does
     # every candidate of `none`.  The sweep runs each of them to the end,
-    # also those the scan will skip or abandon.
+    # also those the scan will skip.
     t0 = time.perf_counter()
     upper = np.full(count, np.inf)
     swept = np.ones(count, dtype=bool)
@@ -226,15 +226,14 @@ def _scan(qa: np.ndarray, ref: np.ndarray, planes: np.ndarray, w: int, bounded: 
         np.minimum.accumulate(diagonal[:-1], out=upper[1:])
         swept[1:] = lb_totals[1:] < upper[1:]
     need = np.flatnonzero(swept)
-    row_min, final = dtw_rows(qa, planes if len(need) == count else planes[..., need], w)
+    final = dtw_rows(qa, planes if len(need) == count else planes[..., need], w)
 
     # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
-    # is the smallest DTW distance among candidates 0..k-1: a skipped or
-    # stopped candidate's distance is at least the d_best it met.  The
-    # sweep computed those distances exactly, and a candidate it left out is
-    # at least the d_best it meets (+inf here).  Candidate 0 meets +inf, and
-    # so does every candidate of `none`, which never abandons.  Then the
-    # skips on the envelope bound.
+    # is the smallest DTW distance among candidates 0..k-1: a skipped
+    # candidate's distance is at least the d_best it met.  The sweep
+    # computed those distances exactly, and a candidate it left out is at
+    # least the d_best it meets (+inf here).  Candidate 0 meets +inf, and so
+    # does every candidate of `none`.  Then the skips on the envelope bound.
     distances = np.full(count, np.inf)
     distances[need] = final
     met = np.full(count, np.inf)
@@ -242,18 +241,10 @@ def _scan(qa: np.ndarray, ref: np.ndarray, planes: np.ndarray, w: int, bounded: 
     if bounded:
         np.minimum.accumulate(distances[:-1], out=met[1:])
         compared[1:] = ~(lb_totals[1:] >= met[1:])
-
-    # Where the exact DTW of a swept candidate stops at d_best: at the first
-    # row whose frontier, the largest row minimum so far, exceeds it, or at
-    # the end if the distance does.
-    bar = met[need]
-    stop = (np.maximum.accumulate(row_min, axis=0) <= bar).sum(axis=0)  # rows within bar
-    stopped = (stop < n) | (final > bar)
-    cells = row_cells(n, w)[np.minimum(stop, n - 1)] * dims
     best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
     outcome = NnOutcome(best, float(distances[best]), lb_mv_evals=count - 1 if bounded else 0,
                         lb_time=lb_time, dtw_time=time.perf_counter() - t0, dtw_swept=len(need))
-    return _Scan(qa, ref, planes, w, lb_totals, swept, met, compared, stopped, cells, outcome)
+    return _Scan(qa, ref, planes, w, lb_totals, swept, met, compared, outcome)
 
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
@@ -311,11 +302,9 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
         raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "
                            "cost fell below its DTW distance")
 
-    # Exact DTW of the compared candidates, stopped at d_best.
-    need = np.flatnonzero(scan.swept)
-    kept = compared[need]
-    out.abandon_count = int((kept & scan.stopped).sum())
-    charges[need, 2] = np.where(kept, scan.cells, 0)
+    # Exact DTW of the compared candidates, each its whole band of
+    # n(2w+1) - w(w+1) cells.
+    charges[compared, 2] = (n * (2 * w + 1) - w * (w + 1)) * dims
     out.dtw_computed = int(compared.sum())
     out.dtw_skipped = count - out.dtw_computed
     out.work = float(sequential_sums(np.concatenate([setup_work, charges.ravel()])))

@@ -5,20 +5,18 @@ code with the package beyond the point-distance definition (Euclidean,
 non-squared), which is the contract itself.  Three exceptions compare bit
 for bit and so reuse package code: the reference cascade runs the package's
 per-point bound kernels one candidate at a time, in scan order, to check the
-batched search counter for counter; banded_row_minima and reference_lb_ti
+batched search counter for counter; reference_dtw and reference_lb_ti
 measure their point distances with the package's point_costs, since a
 distance whose dimensions were added in another order could land above the
-DTW by an ulp.  banded_row_minima builds its own cost table and runs its own
-DP, so it checks the package's one DP recurrence, dtw_rows, independently.
+DTW by an ulp.  reference_dtw builds its own cost table and runs its own DP,
+so it checks the package's one DP recurrence, dtw_rows, independently.
 
-The reference cascade owns the scan's two early-exit rules.  Its prune rule,
+The reference cascade owns the scan's one early-exit rule, the prune rule
 sum_with_abandon: a candidate's bound terms are added left to right and it
-is pruned at the first prefix above d_best.  Its abandon rule, replay: an
-exact DTW, whose rows come from banded_row_minima, stops at the first row
-whose minimum exceeds d_best.  The package's bounds return plain totals and
-its dtw_banded the full distance; its search applies both rules in batch
-(search._prune_sums and the stop rows of search._scan), which must agree
-with these on every candidate.
+is pruned at the first prefix above d_best.  The package's bounds return
+plain totals; its search applies the rule in batch (search._prune_sums),
+which must agree with it on every candidate.  Every compared DTW runs to
+the end, in the reference cascade as in the package.
 
 reference_lb_ad_terms and reference_lb_pc_terms are the batched lb_ad and
 lb_pc formulas written dimension last, over a (C, n, D) stack, with their
@@ -209,26 +207,16 @@ def sum_with_abandon(per_point: np.ndarray, abandon_above: float) -> float:
     return float(sums[over[0]]) if len(over) else total
 
 
-def replay(row_min, final: float, window: int, threshold: float) -> tuple[float, bool, int]:
-    """A banded DTW stopped early at `threshold`, replayed from its row
-    minima and final distance: it stops at the first row whose minimum
-    exceeds the threshold (every full path passes through every row).
-    Returns (that row's minimum or the final distance, whether the DTW
-    ended above the threshold, the DP cells evaluated up to the stop)."""
-    n = len(row_min)
+def band_cells(n: int, window: int) -> int:
+    """DP cells of an (n, window) band, counted row by row."""
     w = min(window, n - 1)
-    cells = 0
-    for i, m in enumerate(row_min):
-        cells += min(n - 1, i + w) - max(0, i - w) + 1
-        if m > threshold:
-            return m, True, cells
-    return final, final > threshold, cells
+    return sum(min(n - 1, i + w) - max(0, i - w) + 1 for i in range(n))
 
 
 def reference_nn_search(query, candidates, params, advanced=None, dim_range=None) -> NnOutcome:
     """The search cascade run one candidate at a time, in scan order: every
-    DTW is a banded_row_minima call, stopped at d_best by replay, and every
-    bound's per-point terms come from the package kernel on that one
+    compared DTW is a full reference_dtw call, charged its whole band, and
+    every bound's per-point terms come from the package kernel on that one
     candidate, as (D, n, 1) planes (what the per-pair bounds wrap), pruned
     by sum_with_abandon at d_best."""
     t_start = time.perf_counter()
@@ -267,12 +255,13 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     work_ti = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
     work_pc = n * params.max_boxes * dims
     work_ad = n * (2.0 * w + 1.0) * dims
+    work_dtw = band_cells(n, w) * dims
 
     t0 = time.perf_counter()
-    d_best, _, cells = replay(*banded_row_minima(qa, cas[0], w), w, math.inf)
+    d_best = reference_dtw(qa, cas[0], w)
     out.dtw_time += time.perf_counter() - t0
     out.dtw_computed += 1
-    out.work += cells * dims
+    out.work += work_dtw
     best_idx = 0
 
     for k in range(1, len(cas)):
@@ -305,14 +294,11 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
                     out.dtw_skipped += 1
                     continue
         t0 = time.perf_counter()
-        threshold = math.inf if method == Method.NONE else d_best
-        distance, abandoned, cells = replay(*banded_row_minima(qa, ca, w), w, threshold)
+        distance = reference_dtw(qa, ca, w)
         out.dtw_time += time.perf_counter() - t0
         out.dtw_computed += 1
-        out.work += cells * dims
-        if abandoned:
-            out.abandon_count += 1
-        elif distance < d_best:
+        out.work += work_dtw
+        if distance < d_best:
             d_best = distance
             best_idx = k
 
@@ -322,19 +308,18 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     return out
 
 
-def banded_row_minima(q, c, window: int) -> tuple[list[float], float]:
-    """Minimum of every row of the banded DTW table, and the final distance.
+def reference_dtw(q, c, window: int) -> float:
+    """Banded DTW distance by a plain double loop over the DP table.
 
-    A plain double loop over the point costs of every (i, j) pair, each
-    measured by the package's point_costs, so that cell costs (and therefore
-    every DP value) are bit-identical to dtw_banded's."""
+    The point costs of every (i, j) pair are measured by the package's
+    point_costs, so that cell costs (and therefore every DP value) are
+    bit-identical to dtw_rows'."""
     qa = np.asarray(q, dtype=np.float64)
     ca = np.asarray(c, dtype=np.float64)
     n = len(qa)
     w = min(window, n - 1)
     cost = point_costs(qa.T[:, :, None], ca.T[:, None, :]).tolist()
     table = [[math.inf] * n for _ in range(n)]
-    minima = []
     for i in range(n):
         for j in range(max(0, i - w), min(n - 1, i + w) + 1):
             prior = 0.0 if i == j == 0 else min(
@@ -343,8 +328,7 @@ def banded_row_minima(q, c, window: int) -> tuple[list[float], float]:
                 table[i][j - 1] if j > 0 else math.inf,
             )
             table[i][j] = cost[i][j] + prior
-        minima.append(min(table[i]))
-    return minima, table[n - 1][n - 1]
+    return table[n - 1][n - 1]
 
 
 # --- the triangle bound in all its variants -------------------------------

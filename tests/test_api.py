@@ -11,13 +11,11 @@ import mvdtw
 from mvdtw import synth
 
 PUBLIC = [
-    "BoundResult", "BoxGrouping", "Dataset", "DtwResult",
-    "InvalidInputError", "Method", "MultivariateSeries", "NeighborDistances",
-    "NnOutcome", "ParseError", "RawDataset", "SearchParams",
-    "build_box_sets", "build_envelope", "dtw_banded", "finalize", "lb_ad", "lb_mv",
-    "lb_pc", "lb_ti", "neighbor_steps", "nn_search", "normalize", "parse_native",
-    "parse_ts_subset", "split", "tc_dtw_select", "truncate_dims", "tune_params",
-    "write_native",
+    "BoundResult", "BoxGrouping", "Dataset", "DtwResult", "InvalidInputError", "Method",
+    "NeighborDistances", "NnOutcome", "ParseError", "RawDataset", "SearchParams",
+    "build_box_sets", "build_envelope", "dtw_banded", "lb_ad", "lb_mv", "lb_pc", "lb_ti",
+    "neighbor_steps", "nn_search", "normalize", "parse_native", "parse_ts_subset", "split",
+    "tc_dtw_select", "truncate_dims", "tune_params", "write_native",
 ]
 
 # Names the benchmark's tracer rebinds on mvdtw.search (the search's layers)

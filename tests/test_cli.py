@@ -113,11 +113,10 @@ def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypat
     assert code == 0
     rows = parse_csv(out)
     assert [r["method"] for r in rows] == methods
-    assert list(rows[0])[-6:] == ["lb_mv_evals", "advanced_lb_evals", "abandon_count",
-                                  "params", "work", "dtw_swept"]
+    assert list(rows[0])[-5:] == ["lb_mv_evals", "advanced_lb_evals", "params", "work",
+                                  "dtw_swept"]
     # every integer column that sums the NnOutcome field of the same name
-    columns = ["dtw_computed", "dtw_skipped", "lb_mv_evals", "advanced_lb_evals",
-               "abandon_count", "dtw_swept"]
+    columns = ["dtw_computed", "dtw_skipped", "lb_mv_evals", "advanced_lb_evals", "dtw_swept"]
     for r in rows:
         for col in columns:
             assert int(r[col]) == sum(getattr(o, col) for o in outcomes[r["method"]]), col

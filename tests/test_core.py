@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvdtw import (
-    InvalidInputError, Method, MultivariateSeries, SearchParams, build_box_sets, build_envelope,
-    dtw_banded, lb_ad, lb_mv, lb_ti, nn_search,
+    InvalidInputError, Method, SearchParams, build_box_sets, build_envelope, dtw_banded, lb_ad,
+    lb_mv, lb_ti, nn_search,
 )
-from mvdtw.core import SUM_BY_PLANE_COLUMNS, sequential_sums
+from mvdtw.core import SUM_BY_PLANE_COLUMNS, as_series, sequential_sums
 from mvdtw.dtw import point_costs
 
 points = st.lists(
@@ -72,15 +72,12 @@ def test_point_distance_metric_properties(a, b, c):
 
 
 def test_series_validation():
-    s = MultivariateSeries(np.arange(6.0).reshape(3, 2))
-    assert s.n == 3 and s.dims == 2
-    assert not s.values.flags.writeable
-    with pytest.raises(InvalidInputError):
-        MultivariateSeries(np.array([[np.nan, 1.0]]))
-    with pytest.raises(InvalidInputError):
-        MultivariateSeries(np.empty((0, 2)))
-    univariate = MultivariateSeries(np.arange(4.0))
-    assert univariate.dims == 1
+    assert as_series(np.arange(6.0).reshape(3, 2)).shape == (3, 2)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_series(np.array([[np.nan, 1.0]]))
+    with pytest.raises(InvalidInputError, match="n>=1"):
+        as_series(np.empty((0, 2)))
+    assert as_series(np.arange(4.0)).shape == (4, 1)  # univariate
 
 
 def test_search_params_defaults_and_validation():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from mvdtw import InvalidInputError, dtw_banded
 from mvdtw import dtw as dtw_module
 from mvdtw.core import BLOCK_FLOATS, sequential_sums
-from mvdtw.dtw import dtw_rows, point_costs, row_cells
+from mvdtw.dtw import dtw_rows, point_costs
 from mvdtw.search import _stack_candidates
 
-from oracles import banded_row_minima, brute_dtw, count_band_paths, point_dist, replay
+from oracles import brute_dtw, count_band_paths, point_dist, reference_dtw
 
 
 def test_identity_alignment(rng):
@@ -69,15 +69,6 @@ def test_matches_path_enumeration(rng):
         exact = dtw_banded(q, c, w).distance
         ref = brute_dtw(q, c, w)
         assert exact == pytest.approx(ref, rel=1e-9)
-
-
-def test_cells_counter():
-    # cells of the first i + 1 rows of an (n, w) band, counted cell by cell
-    for n, w in ((10, 2), (1, 0), (7, 0), (7, 6), (12, 30)):
-        w = min(w, n - 1)
-        expected = [sum(min(n - 1, r + w) - max(0, r - w) + 1 for r in range(i + 1))
-                    for i in range(n)]
-        assert row_cells(n, w).tolist() == expected
 
 
 def test_memory_stays_bounded_on_long_series():
@@ -139,21 +130,10 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
     cands = g.normal(size=(count, n, dims))
     if walk:
         q, cands = np.cumsum(q, axis=0), np.cumsum(cands, axis=1)
-    w = min(window, n - 1)
-    row_min, final = sweep(q, cands, w, budget)
+    final = sweep(q, cands, min(window, n - 1), budget)
     exact = pair_distances(q, cands, window, budget)
-    cells_after = row_cells(n, w)
     for k in range(count):
-        minima, dist = banded_row_minima(q, cands[k], window)
-        assert row_min[:, k].tolist() == minima
-        assert final[k] == dist == exact[k]
-        # the reference replay of a DTW stopped at t against the swept rows:
-        # the first row whose minimum exceeds t, with the cells up to it
-        for t in {*minima, *(math.nextafter(m, -math.inf) for m in minima)}:
-            over = np.flatnonzero(row_min[:, k] > t)
-            stop = over[0] if len(over) else n - 1
-            value = row_min[stop, k] if len(over) else final[k]
-            assert replay(minima, dist, window, t) == (value, value > t, cells_after[stop])
+        assert final[k] == reference_dtw(q, cands[k], window) == exact[k]
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,18 +142,16 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
        budget=st.sampled_from(CHUNK_BUDGETS))
 def test_batched_rows_of_a_subset_equal_the_full_sweep(seed, n, dims, window, count, budget):
     # nn_search sweeps only the candidates it may compare (stack[need]); each
-    # one's rows and final must not depend on which others share the sweep
+    # one's distance must not depend on which others share the sweep
     g = np.random.default_rng(seed)
     q = np.cumsum(g.normal(size=(n, dims)), axis=0)
     cands = np.cumsum(g.normal(size=(count, n, dims)), axis=1)
     w = min(window, n - 1)
-    full_rows, full_final = dtw_rows(q, _stack_candidates(cands, q.shape), w)
+    full = dtw_rows(q, _stack_candidates(cands, q.shape), w)
     need = np.flatnonzero(g.random(count) < 0.5)
     if not need.size:
         need = g.integers(0, count, size=1)
-    rows, final = sweep(q, cands[need], w, budget)
-    assert rows.tolist() == full_rows[:, need].tolist()
-    assert final.tolist() == full_final[need].tolist()
+    assert sweep(q, cands[need], w, budget).tolist() == full[need].tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,6 @@ import pytest
 from mvdtw import (
     InvalidInputError,
     ParseError,
-    finalize,
     normalize,
     parse_native,
     parse_ts_subset,
@@ -35,10 +34,8 @@ def test_parse_native_comments_and_na(tmp_path):
         "# a comment\n1 2 2\n1.5 NA\n# mid comment\nNaN ?\n",
     )
     raw = parse_native(path)
-    assert np.isnan(raw.values).sum() == 3
-    ds = finalize(raw)
-    assert ds.values[0, 0].tolist() == [1.5, 0.0]
-    assert ds.values[0, 1].tolist() == [0.0, 0.0]
+    assert np.isnan(raw.values).tolist() == [[[False, True], [True, True]]]
+    assert raw.values[0, 0, 0] == 1.5
 
 
 def test_parse_native_errors(tmp_path):
@@ -91,7 +88,7 @@ def test_native_round_trip(tmp_path, rng):
     ds = random_walk_dataset(4, 7, 3, seed=9)
     out = tmp_path / "rt.mts"
     write_native(ds, out)
-    back = finalize(parse_native(out))
+    back = parse_native(out)
     assert back.values.shape == ds.values.shape
     assert np.array_equal(back.values, ds.values)
     # a second round trip is byte-stable
@@ -121,11 +118,22 @@ def test_parse_ts_basic(tmp_path):
     assert raw.values[1, :, 1].tolist() == [10.0, 11.0, 12.0]
 
 
+@pytest.mark.parametrize("lines, shape", [
+    (["1:2:0.5", "3:4:1.5"], (2, 1, 2)),
+    (["1,2,3:4,5,6:0.5", "7,8,9:10,11,12:1.5"], (2, 3, 2)),
+], ids=["length-1", "length-3"])
+def test_parse_ts_drops_regression_targets(tmp_path, lines, shape):
+    # `@targetLabel true` ends each line in a target value, which is no dimension
+    body = "@problemName reg\n@targetLabel true\n@data\n" + "\n".join(lines)
+    raw = parse_ts_subset(write(tmp_path, "reg.ts", body + "\n"))
+    assert raw.values.shape == shape
+    assert raw.values[1, :, 1].tolist() == [float(v) for v in lines[1].split(":")[1].split(",")]
+
+
 def test_parse_ts_missing_markers(tmp_path):
     body = "@problemName m\n@classLabel false\n@data\n1,?,3:4,5,?\n"
     raw = parse_ts_subset(write(tmp_path, "m.ts", body))
-    assert np.isnan(raw.values).sum() == 2
-    assert finalize(raw).values[0, 1, 0] == 0.0
+    assert np.isnan(raw.values).tolist() == [[[False, False], [True, False], [False, True]]]
 
 
 def test_parse_ts_rejections(tmp_path):
@@ -145,6 +153,8 @@ def test_parse_ts_rejections(tmp_path):
              ("@classLabel false\n@dimensions two\n@data\n1,2\n",
               "line 2: expected an integer, got 'two'"),
              ("@seriesLength x\n@data\n1,2\n", "line 1: expected an integer, got 'x'"),
+             ("@dimensions 1\n@targetLabel maybe\n@data\n1,2:0.5\n",
+              "line 2: expected true/false, got 'maybe'"),
              ("@problemName p\n@\n@data\n1,2\n", "line 2: unsupported directive"),
              ("@classLabel false\n@data\n1,2\n1,1e999\n", "line 4: non-finite value '1e999'"),
              ("@classLabel false\n@data\n-inf,2\n", "line 3: non-finite value '-inf'")]
@@ -155,13 +165,13 @@ def test_parse_ts_rejections(tmp_path):
 
 def test_normalize_constant_dimension(tmp_path):
     vals = np.stack([np.column_stack([np.arange(4.0), np.full(4, 2.0)])] * 3)
-    ds = normalize(finalize_raw(vals))
+    ds = normalize(raw_dataset(vals))
     assert np.all(ds.values[..., 1] == 0.0)  # zero-variance dimension maps to zeros
     assert ds.normalized
     assert ds.dim_ranges[1] == 0.0
 
 
-def finalize_raw(vals):
+def raw_dataset(vals):
     from mvdtw import RawDataset
 
     return RawDataset("x", vals)
@@ -169,12 +179,12 @@ def finalize_raw(vals):
 
 def test_normalize_two_level_dimension():
     vals = np.array([[[0.0], [2.0]], [[2.0], [0.0]]])  # values 0 and 2 equally frequent
-    ds = normalize(finalize_raw(vals))
+    ds = normalize(raw_dataset(vals))
     assert sorted(np.unique(ds.values).tolist()) == [-1.0, 1.0]
 
 
 def test_normalize_idempotent(rng):
-    ds = normalize(finalize_raw(rng.normal(3.0, 2.5, (6, 10, 3))))
+    ds = normalize(raw_dataset(rng.normal(3.0, 2.5, (6, 10, 3))))
     again = normalize(ds)
     assert np.allclose(again.values, ds.values, atol=1e-12)
     assert again.values.shape == ds.values.shape
@@ -182,7 +192,7 @@ def test_normalize_idempotent(rng):
 
 def test_normalize_counts_missing_as_zero():
     vals = np.array([[[np.nan], [2.0], [4.0]]])
-    ds = normalize(finalize_raw(vals))
+    ds = normalize(raw_dataset(vals))
     # statistics over {0, 2, 4}: mean 2, std sqrt(8/3)
     sd = np.sqrt(8.0 / 3.0)
     assert ds.values[0, :, 0] == pytest.approx([-2.0 / sd, 0.0, 2.0 / sd])

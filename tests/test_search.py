@@ -463,7 +463,7 @@ def test_bad_last_candidate_rejected_at_the_boundary(bad):
 def test_candidates_stack_as_one_by_one():
     # One conversion of the whole candidate set must give the bytes of the
     # per-candidate stack, and never write into a caller's array.
-    from mvdtw.core import MultivariateSeries, as_array
+    from mvdtw.core import as_array
     from mvdtw.search import _stack_candidates
 
     g = np.random.default_rng(11)
@@ -472,7 +472,6 @@ def test_candidates_stack_as_one_by_one():
     cases = [
         (g.normal(size=(9, 2)), list(block)),               # views into one array
         (g.normal(size=(9, 2)), block),                     # one (C, n, D) array
-        (g.normal(size=(9, 2)), [MultivariateSeries(c) for c in block]),
         (g.normal(size=9), list(uni)),                      # univariate, 1-D
         (g.normal(size=9), uni),
     ]
