@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on perfbench in alternating parent/change pairs.
+
+Each pair runs `perfbench/run.py` once from each checkout, on one workload
+and seed, one run after the other in one process each; the side that runs
+first alternates from pair to pair.  Every run is untraced (--trace 0), and
+the metrics are the end-to-end ones of the change checkout's BENCHMARK.json;
+a run that lacks one of them stops the script.  The output JSON holds, per
+workload and metric: each side's runs, median and quartiles, and how many
+pairs the change won and lost (the better direction is the metric's
+`better`).  Every run's `correct` flag is kept.
+
+Example:
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload smooth-n100-w20 --pairs 10 --seconds 8 --out BENCH_<n>.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run; its result line with the metrics flattened."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(pairs: list, metrics: list) -> dict:
+    """Per metric: each side's summary and the pairs the change won."""
+    out = {}
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        sides = {side: [p[side]["metrics"][name] for p in pairs]
+                 for side in ("parent", "change")}
+        diffs = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
+        out[name] = {"unit": m["unit"], "better": m["better"],
+                     "parent": summary(sides["parent"]), "change": summary(sides["change"]),
+                     "won": sum(d > 0 for d in diffs), "lost": sum(d < 0 for d in diffs),
+                     "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=Path, required=True, help="the parent commit's checkout")
+    ap.add_argument("--change", type=Path, required=True, help="the change's checkout")
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--seed", type=int, nargs="+", default=[42])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    report = {"pairs": args.pairs, "seconds": args.seconds, "results": []}
+    for seed in args.seed:
+        for workload in args.workload:
+            pairs = []
+            for k in range(args.pairs):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {}
+                for side in order:
+                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                    missing = [m["name"] for m in metrics
+                               if m["name"] not in pair[side]["metrics"]]
+                    if missing:
+                        sys.exit(f"{side} checkout's run on {workload} (seed {seed}) "
+                                 f"lacks {', '.join(missing)}")
+                pairs.append(pair)
+                print(f"{workload} seed {seed} pair {k + 1}/{args.pairs} done",
+                      file=sys.stderr, flush=True)
+            report["results"].append({
+                "workload": workload, "seed": seed,
+                "correct": {side: [p[side]["correct"] for p in pairs] for side in checkouts},
+                "metrics": compare(pairs, metrics),
+            })
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,8 @@
 """Sakoe-Chiba banded dependent multivariate DTW.
 
 One DP computes every banded DTW in the package: dtw_rows, which sweeps the
-anti-diagonals of one query against a set of candidates.  The search runs
-it on the candidates it may compare, and dtw_banded on a set of one."""
+anti-diagonals of (query, candidate) columns.  The search runs it on the
+candidates each query may compare, and dtw_banded on a set of one."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ def dtw_banded(q, c, window: int) -> DtwResult:
     cheapest path: the final of dtw_rows on the one-candidate plane set.
     """
     qa, ca, w = as_pair(q, c, window)
-    return DtwResult(float(dtw_rows(qa, ca.T[..., None], w)[0]))
+    return DtwResult(float(dtw_rows(qa.T[..., None], ca.T[..., None], w)[0]))
 
 
 @lru_cache(maxsize=32)
@@ -81,10 +81,10 @@ def _chunk_cells(first: np.ndarray, ends: tuple, s0: int, s1: int) -> tuple:
     return rows, np.repeat(np.arange(s0, s1), counts) - rows
 
 
-def _chunk_costs(qa: np.ndarray, planes: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _chunk_costs(qplanes: np.ndarray, planes: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
-    """Point costs of the cells (rows[k], cols[k]) for every candidate of
-    the (D, n, C) plane set `planes`, as (cells, C).
+    """Point costs of the cells (rows[k], cols[k]) for every column of the
+    (D, n, C) plane set `planes` against its query in `qplanes`, as (cells, C).
 
     The squared differences are added plane by plane, left to right, the
     order of point_costs' sequential_sums, so the bits are its own; the two
@@ -92,22 +92,25 @@ def _chunk_costs(qa: np.ndarray, planes: np.ndarray, rows: np.ndarray, cols: np.
     """
     count = planes.shape[-1]
     total, diff = scratch[:, : len(rows) * count].reshape(2, len(rows), count)
-    for p, (plane, q) in enumerate(zip(planes, qa.T)):
+    for p, (plane, q) in enumerate(zip(planes, qplanes)):
         plane.take(cols, axis=0, out=diff)
-        np.subtract(diff, q[rows, None], out=diff)
+        np.subtract(diff, q.take(rows, axis=0), out=diff)
         np.multiply(diff, diff, out=total if p == 0 else diff)
         if p:
             np.add(total, diff, out=total)
     return np.sqrt(total, out=total)
 
 
-def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
-    """Banded DTW of one query against a set of candidates, all at once.
+def dtw_rows(qplanes: np.ndarray, planes: np.ndarray, w: int):
+    """Banded DTW of (query, candidate) columns, all at once.
 
-    `qa` is a validated (n, D) series, `planes` the candidates' validated
-    (D, n, C) plane set and `w` the effective window (0 <= w <= n-1).
-    Returns the (C,) DTW distances; a candidate's distance does not depend
-    on which others share the sweep.
+    `planes` is the candidates' validated (D, n, C) plane set and `qplanes`
+    the queries' planes of the same D and n, either (D, n, 1), one query for
+    every candidate, or (D, n, C), column k's query for candidate k; `w` is
+    the effective window (0 <= w <= n-1).  Returns the (C,) DTW distances; a
+    column's distance does not depend on which others share the sweep, so
+    one sweep over the columns of several queries gives each query's
+    distances bit for bit.
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over
@@ -140,7 +143,7 @@ def dtw_rows(qa: np.ndarray, planes: np.ndarray, w: int):
         if s == chunk_end:
             fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // count) - 1
             chunk_end, base = max(fit, s + 1), ends[s]
-            costs = _chunk_costs(qa, planes, *_chunk_cells(first, ends, s, chunk_end), scratch)
+            costs = _chunk_costs(qplanes, planes, *_chunk_cells(first, ends, s, chunk_end), scratch)
         if below is not None:
             cells = cur[mine]
             np.minimum(one_back[below], one_back[mine], out=cells)  # (i-1, j), (i, j-1)

@@ -93,16 +93,6 @@ def _parse_value(token: str, path: str, line_no: int) -> float:
     return value
 
 
-def _native_tokens(rows: list, dims: int, path: str):
-    """The value tokens of the native format's (line number, line) rows, in
-    order, each line checked to hold `dims` of them when it is reached."""
-    for no, ln in rows:
-        tokens = ln.split()
-        if len(tokens) != dims:
-            raise ParseError(f"{path}, line {no}: expected {dims} values, found {len(tokens)}")
-        yield from tokens
-
-
 def parse_native(path) -> RawDataset:
     """Parse the native MTS text format."""
     path = os.fspath(path)
@@ -127,16 +117,23 @@ def parse_native(path) -> RawDataset:
         raise ParseError(
             f"{path}: expected {num_series * length} value lines, found {len(rows)}"
         )
-    try:  # one numpy call, each token as float() reads it
-        values = np.fromiter(map(float, _native_tokens(rows, dims, path)), np.float64,
-                             len(rows) * dims)
-        named = np.isinf(values).any()
+    # numpy's C reader: a token it takes gets the bits float() gives it.
+    # max_rows makes it allocate the values once, at their size; the buffer
+    # it otherwise grows line by line left the search's later temporaries
+    # page-faulting.
+    try:
+        values = np.loadtxt((ln for _, ln in rows), np.float64, comments=None, ndmin=2,
+                            max_rows=len(rows))
+        named = values.shape != (len(rows), dims) or np.isinf(values).any()
     except ValueError:
         named = True
-    if named:  # a missing value, or a line to name
+    if named:  # a missing value, a token only float() takes, or a line to name
         values = np.empty((len(rows), dims))
         for r, (no, ln) in enumerate(rows):
-            values[r] = [_parse_value(t, path, no) for t in _native_tokens([(no, ln)], dims, path)]
+            tokens = ln.split()
+            if len(tokens) != dims:
+                raise ParseError(f"{path}, line {no}: expected {dims} values, found {len(tokens)}")
+            values[r] = [_parse_value(t, path, no) for t in tokens]
     name = os.path.splitext(os.path.basename(path))[0]
     return RawDataset(name, values.reshape(num_series, length, dims))
 

@@ -19,8 +19,10 @@ Method and parameter selection on a data sample ranks configurations by a
 deterministic work model (bound point-touches and a full band of DP cells
 per compared DTW, dimension weighted) rather than wall time, so repeated runs
 with one seed pick the same configuration and produce bit-identical counters;
-wall times are still measured and reported.  Selection finishes one scan per
-sample query under every configuration it compares.
+wall times are still measured and reported.  Selection scans its sample
+queries together, in one DTW sweep, and finishes each scan under every
+configuration it compares; each advanced bound runs once per candidate and
+configuration, its per-query build once per configuration.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ class NnOutcome:
     `dtw_swept` counts the candidates the batched sweep computed (the
     compared ones and more).
     `work` is the deterministic work-model total used for tuning decisions.
-    Timers are seconds; lb_time + dtw_time <= total_time.
+    Timers are seconds; lb_time + dtw_time <= total_time.  When the queries
+    of a selection sample share one DTW sweep, each query's dtw_time takes
+    the sweep's time in proportion to its swept candidates (dtw_swept), and
+    its total_time is the time of its own stages plus that share.
     """
 
     best_index: int
@@ -143,9 +148,24 @@ def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
+class _Evals:
+    """One advanced-bound configuration's evaluations on a scan's candidates:
+    its kernel on a plane set (the per-query build done), the floats the
+    kernel's temporaries take per candidate, and whether the bound prunes
+    each candidate in `done` (by _prune_sums at the d_best it meets, which
+    no configuration changes)."""
+
+    terms: partial
+    floats: int
+    pruned: np.ndarray  # (C,) bool
+    done: np.ndarray  # (C,) bool
+
+
+@dataclass
 class _Scan:
     """One query's first stage; triggers, quantization level and advanced
-    bound leave it unchanged."""
+    bound leave it unchanged.  `evals` records, per bound configuration
+    (_finish's key), what _finish has evaluated on it so far."""
 
     qa: np.ndarray
     ref: np.ndarray  # the cell-size floor's reference range (as_dim_range)
@@ -153,9 +173,11 @@ class _Scan:
     w: int
     lb_totals: np.ndarray | None  # envelope bounds; None when no bound runs
     swept: np.ndarray
+    distances: np.ndarray  # exact DTW distances of the swept, +inf elsewhere
     met: np.ndarray  # the d_best each candidate meets
     compared: np.ndarray  # not skipped on the envelope bound
     outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
+    evals: dict
 
 
 def nn_search(
@@ -189,67 +211,130 @@ def nn_search(
     planes = _stack_candidates(candidates, qa.shape)
     adv = _advanced_method(params, advanced)
     bounded = params.method != Method.NONE
-    out = _finish(_scan(qa, ref, planes, params.effective_window(len(qa)), bounded), params, adv)
+    scan, = _scan([(qa, ref)], planes, params.effective_window(len(qa)), bounded)
+    out = _finish(scan, params, adv)
     out.total_time = time.perf_counter() - t_start
     return out
 
 
-def _scan(qa: np.ndarray, ref: np.ndarray, planes: np.ndarray, w: int, bounded: bool) -> _Scan:
-    """nn_search's first stage, for its checked arguments; `bounded` is False
-    for method `none`, which runs no bound."""
-    n, dims = qa.shape
+def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Scan]:
+    """nn_search's first stage for each checked (query, reference range) of
+    `queries` against one plane set; `bounded` is False for method `none`,
+    which runs no bound.  nn_search is the batch of one.
+
+    The DTW sweeps of several queries run as one dtw_rows call over the
+    (query, candidate) columns of every query's swept candidates, whole
+    queries per call while the columns fit in max(C, BLOCK_FLOATS // (n D)),
+    so a call's gathered planes never outgrow the candidates' plane set or
+    one block.  A query's dtw_time gets its call's time in proportion to its
+    columns.
+    """
+    n, dims = queries[0][0].shape
     count = planes.shape[-1]
+    stages = []
+    for qa, _ in queries:
+        # The batched envelope bound (the one-box lb_pc), charged to lb_time.
+        t0 = time.perf_counter()
+        lb_totals = None
+        if bounded:
+            env = build_envelope(qa, w)
+            lb_totals = _blockwise(lambda b: sequential_sums(lb_pc_terms(b, env)), planes, n * dims)
+        t1 = time.perf_counter()
 
-    # The batched envelope bound (the one-box lb_pc), charged to lb_time.
-    t0 = time.perf_counter()
-    lb_totals = None
-    if bounded:
-        env = build_envelope(qa, w)
-        lb_totals = _blockwise(lambda b: sequential_sums(lb_pc_terms(b, env)), planes, n * dims)
-    lb_time = time.perf_counter() - t0
+        # The candidates to sweep, charged to dtw_time.  d_best only falls,
+        # and once candidate k has been scanned it is at most the cost of k's
+        # diagonal path (an upper bound of k's DTW distance): the scan either
+        # compared k exactly or skipped it on a lower bound at or above d_best.
+        # So the d_best candidate k meets is at most the prefix minimum
+        # `upper[k]` of the earlier diagonal costs, and k needs a DTW only if
+        # its envelope bound is below that; candidate 0 always does, and so
+        # does every candidate of `none`.  The sweep runs each of them to the
+        # end, also those the scan will skip.
+        upper = np.full(count, np.inf)
+        swept = np.ones(count, dtype=bool)
+        if bounded:
+            diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa.T[..., None], b)),
+                                  planes, n * dims)
+            np.minimum.accumulate(diagonal[:-1], out=upper[1:])
+            swept[1:] = lb_totals[1:] < upper[1:]
+        stages.append((lb_totals, swept, np.flatnonzero(swept), t1 - t0, time.perf_counter() - t1))
 
-    # DTW sweep, charged to dtw_time.  d_best only falls, and once
-    # candidate k has been scanned it is at most the cost of k's
-    # diagonal path (an upper bound of k's DTW distance): the scan either
-    # compared k exactly or skipped it on a lower bound at or above d_best.
-    # So the d_best candidate k meets is at most the prefix minimum
-    # `upper[k]` of the earlier diagonal costs, and k needs a DTW only if its
-    # envelope bound is below that; candidate 0 always does, and so does
-    # every candidate of `none`.  The sweep runs each of them to the end,
-    # also those the scan will skip.
-    t0 = time.perf_counter()
-    upper = np.full(count, np.inf)
-    swept = np.ones(count, dtype=bool)
-    if bounded:
-        diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa.T[..., None], b)),
-                              planes, n * dims)
-        np.minimum.accumulate(diagonal[:-1], out=upper[1:])
-        swept[1:] = lb_totals[1:] < upper[1:]
-    need = np.flatnonzero(swept)
-    final = dtw_rows(qa, planes if len(need) == count else planes[..., need], w)
+    # Whole queries per dtw_rows call, greedily, while the columns fit.
+    needs = [stage[2] for stage in stages]
+    groups, cols = [[]], 0
+    for qi, need in enumerate(needs):
+        if groups[-1] and cols + len(need) > max(count, BLOCK_FLOATS // (n * dims)):
+            groups.append([])
+            cols = 0
+        groups[-1].append(qi)
+        cols += len(need)
+    scans = []
+    for group in groups:
+        t0 = time.perf_counter()
+        sizes = [len(needs[qi]) for qi in group]
+        gathered = np.concatenate([needs[qi] for qi in group])
+        qplanes = queries[group[0]][0].T[..., None]
+        if len(group) > 1:  # column k's query
+            qplanes = np.repeat(np.stack([queries[qi][0].T for qi in group], axis=-1), sizes,
+                                axis=-1)
+        whole = len(group) == 1 and len(gathered) == count  # every candidate, in order
+        finals = dtw_rows(qplanes, planes if whole else planes[..., gathered], w)
+        took = time.perf_counter() - t0
+        start = 0
+        for qi in group:
+            (qa, ref), (lb_totals, swept, need, lb_time, dtw_time) = queries[qi], stages[qi]
+            # `met[k]`, the d_best candidate k meets.  Every bound is sound,
+            # so it is the smallest DTW distance among candidates 0..k-1: a
+            # skipped candidate's distance is at least the d_best it met.  The
+            # sweep computed those distances exactly, and a candidate it left
+            # out is at least the d_best it meets (+inf here).  Candidate 0
+            # meets +inf, and so does every candidate of `none`.  Then the
+            # skips on the envelope bound.
+            t0 = time.perf_counter()
+            distances = np.full(count, np.inf)
+            distances[need] = finals[start : start + len(need)]
+            start += len(need)
+            met = np.full(count, np.inf)
+            compared = np.ones(count, dtype=bool)
+            if bounded:
+                np.minimum.accumulate(distances[:-1], out=met[1:])
+                compared[1:] = ~(lb_totals[1:] >= met[1:])
+            best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
+            dtw_time += took * len(need) / len(gathered) + time.perf_counter() - t0
+            outcome = NnOutcome(best, float(distances[best]),
+                                lb_mv_evals=count - 1 if bounded else 0, lb_time=lb_time,
+                                dtw_time=dtw_time, total_time=lb_time + dtw_time,
+                                dtw_swept=len(need))
+            scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, compared,
+                               outcome, {}))
+    return scans
 
-    # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
-    # is the smallest DTW distance among candidates 0..k-1: a skipped
-    # candidate's distance is at least the d_best it met.  The sweep
-    # computed those distances exactly, and a candidate it left out is at
-    # least the d_best it meets (+inf here).  Candidate 0 meets +inf, and so
-    # does every candidate of `none`.  Then the skips on the envelope bound.
-    distances = np.full(count, np.inf)
-    distances[need] = final
-    met = np.full(count, np.inf)
-    compared = np.ones(count, dtype=bool)
-    if bounded:
-        np.minimum.accumulate(distances[:-1], out=met[1:])
-        compared[1:] = ~(lb_totals[1:] >= met[1:])
-    best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
-    outcome = NnOutcome(best, float(distances[best]), lb_mv_evals=count - 1 if bounded else 0,
-                        lb_time=lb_time, dtw_time=time.perf_counter() - t0, dtw_swept=len(need))
-    return _Scan(qa, ref, planes, w, lb_totals, swept, met, compared, outcome)
+
+def _kernel(scan: _Scan, params: SearchParams, adv: Method) -> tuple[partial, int]:
+    """The advanced bound `adv`'s kernel on a plane set for the scan's query
+    under `params`, its per-query build done, and the floats the kernel's
+    temporaries take per candidate."""
+    qa, w = scan.qa, scan.w
+    n, dims = qa.shape
+    if adv == Method.LB_TI:
+        p = min(params.refresh_period, n)
+        return (partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=neighbor_steps(qa)),
+                -(-n // p) * (2 * w + p) * dims)
+    if adv == Method.LB_PC:
+        boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
+                               params.max_boxes, params.min_cell_frac, scan.ref)
+        return partial(lb_pc_terms, grouping=boxes), n * boxes.lo.shape[2] * dims
+    return partial(lb_ad_terms, qa, w=w), n * dims
 
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     """The second stage of nn_search: the advanced bound `adv` (resolved by
-    _advanced_method) under `params`, and the counters; `scan` stays as it is."""
+    _advanced_method) under `params`, and the counters.  The bound runs only
+    on triggered candidates that scan.evals lacks for this configuration
+    (LB_TI and its period, LB_PC and every box-set parameter, or LB_AD), and
+    its per-query build only when there is one; the record then keeps them,
+    and nothing else of `scan` changes."""
+    t_start = time.perf_counter()
     qa, planes, w = scan.qa, scan.planes, scan.w
     n, dims = qa.shape
     count = planes.shape[-1]
@@ -265,35 +350,38 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
 
     # The advanced bound's per-query build and the bound on the candidates
     # it triggers on (trigger < bound / d_best < 1), at once, charged to
-    # lb_time.  Per bound: its kernel (the per-point terms of a plane set),
-    # the floats its temporaries take per candidate, and its work-model
-    # price per evaluation (point-dimension touches, as for every bound).
+    # lb_time.  The work model charges the build whether or not it runs, and
+    # per evaluation the bound's price (point-dimension touches, as for
+    # every bound).
     compared = scan.compared.copy()
     if adv is not None:
         t0 = time.perf_counter()
         if adv == Method.LB_TI:
-            p = min(params.refresh_period, n)
+            key = (adv, min(params.refresh_period, n))
             setup_work.append(n * dims)
-            adv_terms = partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=neighbor_steps(qa))
-            adv_floats = -(-n // p) * (2 * w + p) * dims
             adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
         elif adv == Method.LB_PC:
-            boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
-                                   params.max_boxes, params.min_cell_frac, scan.ref)
+            key = (adv, params.quant_levels, params.group_width, params.max_boxes,
+                   params.min_cell_frac)
             setup_work.append(n * dims * (1 + params.quant_levels))
-            adv_terms = partial(lb_pc_terms, grouping=boxes)
-            adv_floats = n * boxes.lo.shape[2] * dims
             adv_work = n * params.max_boxes * dims
         else:  # LB_AD
-            adv_terms = partial(lb_ad_terms, qa, w=w)
-            adv_floats = n * dims
+            key = (adv,)
             adv_work = n * (2.0 * w + 1.0) * dims
         band = compared[1:] & (scan.lb_totals[1:] > _trigger(params, adv) * scan.met[1:])
         triggered = np.flatnonzero(band) + 1
+        evals = scan.evals.get(key)
+        new = triggered if evals is None else triggered[~evals.done[triggered]]
+        if len(new):
+            if evals is None:
+                evals = scan.evals[key] = _Evals(*_kernel(scan, params, adv),
+                                                 *np.zeros((2, count), dtype=bool))
+            last, peak = _prune_sums(_blockwise(evals.terms, planes[..., new], evals.floats))
+            bar = scan.met[new]
+            evals.pruned[new] = (last >= bar) | (peak > bar)
+            evals.done[new] = True
         if len(triggered):
-            last, peak = _prune_sums(_blockwise(adv_terms, planes[..., triggered], adv_floats))
-            bar = scan.met[triggered]
-            compared[triggered] = ~((last >= bar) | (peak > bar))
+            compared[triggered] = ~evals.pruned[triggered]
         charges[triggered, 1] = adv_work
         out.advanced_lb_evals = len(triggered)
         out.lb_time += time.perf_counter() - t0
@@ -308,6 +396,7 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     out.dtw_computed = int(compared.sum())
     out.dtw_skipped = count - out.dtw_computed
     out.work = float(sequential_sums(np.concatenate([setup_work, charges.ravel()])))
+    out.total_time += time.perf_counter() - t_start
     return out
 
 
@@ -329,17 +418,18 @@ def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
 
 
 def _sample_scans(queries, candidates, params: SearchParams, dim_range) -> list[_Scan]:
-    """A bounded scan of each sample query, checked as nn_search checks it;
-    an empty sample raises InvalidInputError."""
+    """A bounded scan of each sample query, every query checked as nn_search
+    checks it before any sweep (the candidates are stacked once per query
+    shape); an empty sample raises InvalidInputError."""
     if len(queries) == 0 or len(candidates) == 0:
         raise InvalidInputError("selection sample is empty")
-    scans = []
+    checked, planes = [], None
     for q in queries:
         qa = as_series(q)
-        ref = as_dim_range(dim_range, qa)
-        planes = _stack_candidates(candidates, qa.shape)
-        scans.append(_scan(qa, ref, planes, params.effective_window(len(qa)), True))
-    return scans
+        checked.append((qa, as_dim_range(dim_range, qa)))
+        if planes is None or planes.shape[:2] != qa.shape[::-1]:
+            planes = _stack_candidates(candidates, qa.shape)
+    return _scan(checked, planes, params.effective_window(len(checked[0][0])), True)
 
 
 def _run_sample(scans: list[_Scan], params: SearchParams) -> float:

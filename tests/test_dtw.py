@@ -103,7 +103,7 @@ def sweep(q, cands, w, budget):
     """dtw_rows of a (C, n, D) stack, under a chunk budget."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dtw_module, "BLOCK_FLOATS", budget)
-        return dtw_rows(q, _stack_candidates(cands, q.shape), w)
+        return dtw_rows(q.T[..., None], _stack_candidates(cands, q.shape), w)
 
 
 def pair_distances(q, cands, window, budget):
@@ -147,11 +147,32 @@ def test_batched_rows_of_a_subset_equal_the_full_sweep(seed, n, dims, window, co
     q = np.cumsum(g.normal(size=(n, dims)), axis=0)
     cands = np.cumsum(g.normal(size=(count, n, dims)), axis=1)
     w = min(window, n - 1)
-    full = dtw_rows(q, _stack_candidates(cands, q.shape), w)
+    full = dtw_rows(q.T[..., None], _stack_candidates(cands, q.shape), w)
     need = np.flatnonzero(g.random(count) < 0.5)
     if not need.size:
         need = g.integers(0, count, size=1)
     assert sweep(q, cands[need], w, budget).tolist() == full[need].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dims=st.integers(1, 10),
+       extra_window=st.integers(0, 43), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       budget=st.sampled_from(CHUNK_BUDGETS))
+def test_per_column_queries_equal_one_sweep_per_query(seed, n, dims, extra_window, counts, budget):
+    # The selection sample sweeps the candidates of several queries at once,
+    # with (D, n, C) query planes, column k holding candidate k's query
+    window = extra_window % (n + 4)  # W in [0, n + 3]
+    w = min(window, n - 1)
+    g = np.random.default_rng(seed)
+    queries = np.cumsum(g.normal(size=(len(counts), n, dims)), axis=1)
+    cands = [np.cumsum(g.normal(size=(k, n, dims)), axis=1) for k in counts]
+    qplanes = np.repeat(np.stack([q.T for q in queries], axis=-1), counts, axis=-1)
+    planes = np.concatenate([_stack_candidates(c, (n, dims)) for c in cands], axis=-1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw_module, "BLOCK_FLOATS", budget)
+        batched = dtw_rows(qplanes, planes, w)
+    each = np.concatenate([sweep(q, c, w, budget) for q, c in zip(queries, cands)])
+    assert batched.view(np.int64).tolist() == each.view(np.int64).tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -55,12 +55,16 @@ def test_parse_native_errors(tmp_path):
             parse_native(write(tmp_path, f"inf{k}.mts", text))
 
 
+# Token forms, among them ones only float() reads ("1_0")
+TOKEN_ROWS = (("1.5", "-2", "3e-7"), ("-0.0", "1E+308", "4.9e-324"), ("1e-310", "-9.5", "NaN"),
+              ("+.5", "7.", "1_0"), ("0.1", "-1.7976931348623157e308", "2.5E3"))
+
+
 @pytest.mark.parametrize("missing", [False, True], ids=["all-numeric", "with-missing"])
 def test_parse_native_values_are_float_bits(tmp_path, missing):
     # every token parses to the bits of float(token), missing ones to NaN,
     # whether the file converts in one call or line by line
-    rows = [["1.5", "-2", "3e-7"], ["-0.0", "1E+308", "4.9e-324"], ["1e-310", "-9.5", "NaN"],
-            ["+.5", "7.", "1_0"], ["0.1", "-1.7976931348623157e308", "2.5E3"]]
+    rows = [list(r) for r in TOKEN_ROWS]
     if missing:
         rows[1][0], rows[3][2], rows[4][1] = "na", "?", "NA"
     lines = ["# leading comment", "  5 1 3  ", *("\t" + "  ".join(r) + " " for r in rows[:2]),
@@ -71,6 +75,36 @@ def test_parse_native_values_are_float_bits(tmp_path, missing):
     assert raw.values.ravel().view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
+def test_parse_native_reads_each_token_as_the_per_token_loop(tmp_path, monkeypatch):
+    # numpy's C reader takes the values in one call; a token it rejects sends
+    # the file to the per-token loop, which reads tokens as float() does.
+    # Both paths give every token the same bits.
+    import mvdtw.ingest as ingest
+
+    looped = []
+    per_token = ingest._parse_value
+
+    def counted(token, path, line_no):
+        looped.append(token)
+        return per_token(token, path, line_no)
+
+    def rejected(*args, **kwargs):
+        raise ValueError("rejected")
+
+    monkeypatch.setattr(ingest, "_parse_value", counted)
+    for k, token in enumerate(t for r in TOKEN_ROWS for t in r):
+        path = write(tmp_path, f"token{k}.mts", f"1 2 1\n{token}\n0.5\n")
+        looped.clear()
+        fast = parse_native(path).values
+        assert bool(looped) == (token == "1_0"), token
+        with monkeypatch.context() as mp:
+            mp.setattr(ingest.np, "loadtxt", rejected)
+            slow = parse_native(path).values
+        assert looped
+        assert fast.view(np.int64).tolist() == slow.view(np.int64).tolist(), token
+        assert fast.view(np.int64)[0, 0, 0] == np.float64(float(token)).view(np.int64), token
+
+
 def test_parse_native_counts_values_per_line(tmp_path):
     # the one-call conversion must still name the first miscounted line,
     # also when the file's total count is right or every line is off alike
@@ -78,7 +112,8 @@ def test_parse_native_counts_values_per_line(tmp_path):
              ("1 2 1\n1 2\n3 4\n", "line 2: expected 1 values, found 2"),
              ("1 2 2\n1\n2 3 4\n", "line 2: expected 2 values, found 1"),
              ("1 2 2\n1 2\n3 4 5\n", "line 3: expected 2 values, found 3"),
-             ("1 2 2\nna 2\n3 4 5\n", "line 3: expected 2 values, found 3")]
+             ("1 2 2\nna 2\n3 4 5\n", "line 3: expected 2 values, found 3"),
+             ("1 2 2\n1 2\n3 4 # five\n", "line 3: expected 2 values, found 4")]
     for k, (text, message) in enumerate(cases):
         with pytest.raises(ParseError, match=message):
             parse_native(write(tmp_path, f"count{k}.mts", text))

@@ -245,33 +245,54 @@ def fresh_cost(queries, cands, params, dim_range):
     return cost
 
 
+GRIDS = ("_GRID_E_TI", "_GRID_E_PC", "_GRID_LEVELS")
+
+
 def assert_tuning_as_fresh_searches(queries, cands, window, seed, dim_range):
-    """tune_params and tc_dtw_select sweep each sample query once; their log
-    costs, tuned parameters and picks must be those of fresh searches."""
+    """tune_params and tc_dtw_select sweep the sample queries together and
+    run each bound once per candidate and configuration; their log costs,
+    tuned parameters and picks must be those of fresh searches, whatever
+    order the grid is evaluated in (given, reversed, shuffled)."""
+    import random
+
+    import mvdtw.search as search
+
     sq, sc = selection_sample(queries, cands, seed)
-    for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
-        params = SearchParams(window=window, method=method)
-        log = []
-        tuned = tune_params(queries, cands, params, seed=seed, dim_range=dim_range, log=log)
-        assert log
-        best = {}
-        for adv, p, cost in log:
-            want = fresh_cost(sq, sc, replace(p, method=adv), dim_range)
-            assert cost.hex() == want.hex(), (method, adv, p)
-            if adv not in best or want < best[adv][1]:
-                best[adv] = (p, want)
-        want_tuned = params
-        for adv, (p, _) in best.items():
-            if adv == Method.LB_PC:
-                want_tuned = replace(want_tuned, trigger_pc=p.trigger_pc, quant_levels=p.quant_levels)
-            else:
-                want_tuned = replace(want_tuned, trigger_ti=p.trigger_ti)
-        assert tuned == want_tuned, method
-        if method == Method.TC_DTW:
-            cost_ti, cost_pc = (fresh_cost(sq, sc, replace(tuned, method=m), dim_range)
-                                for m in (Method.LB_TI, Method.LB_PC))
-            want_pick = Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
-            assert tc_dtw_select(sq, sc, tuned, dim_range=dim_range) == want_pick
+    fresh = {}
+    given = [getattr(search, name) for name in GRIDS]
+    shuffle = random.Random(seed)
+    for order in (given, [grid[::-1] for grid in given],
+                  [tuple(shuffle.sample(grid, len(grid))) for grid in given]):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, grid in zip(GRIDS, order):
+                mp.setattr(search, name, grid)
+            for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
+                params = SearchParams(window=window, method=method)
+                log = []
+                tuned = tune_params(queries, cands, params, seed=seed, dim_range=dim_range, log=log)
+                assert log
+                best = {}
+                for adv, p, cost in log:
+                    key = replace(p, method=adv)
+                    if key not in fresh:
+                        fresh[key] = fresh_cost(sq, sc, key, dim_range)
+                    want = fresh[key]
+                    assert cost.hex() == want.hex(), (order, method, adv, p)
+                    if adv not in best or want < best[adv][1]:
+                        best[adv] = (p, want)
+                want_tuned = params
+                for adv, (p, _) in best.items():
+                    if adv == Method.LB_PC:
+                        want_tuned = replace(want_tuned, trigger_pc=p.trigger_pc,
+                                             quant_levels=p.quant_levels)
+                    else:
+                        want_tuned = replace(want_tuned, trigger_ti=p.trigger_ti)
+                assert tuned == want_tuned, (order, method)
+                if method == Method.TC_DTW:
+                    cost_ti, cost_pc = (fresh_cost(sq, sc, replace(tuned, method=m), dim_range)
+                                        for m in (Method.LB_TI, Method.LB_PC))
+                    want_pick = Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
+                    assert tc_dtw_select(sq, sc, tuned, dim_range=dim_range) == want_pick
 
 
 @pytest.mark.parametrize("make, num_series, n, dims, window", [
@@ -290,6 +311,94 @@ def test_sample_scans_reused_as_fresh_searches(make, num_series, n, dims, window
     half = num_series // 2
     for seed, dim_range in ((0, ds.dim_ranges), (3, None)):
         assert_tuning_as_fresh_searches(series[:half], series[half:], window, seed, dim_range)
+
+
+@pytest.mark.parametrize("make, num_series, queries, n, dims, window", [
+    (clustered_dataset, 31, 8, 20, 3, 4),
+    (smooth_walk_dataset, 20, 6, 30, 3, 6),
+    (smooth_walk_dataset, 12, 4, 20, 1, 3),    # univariate
+    (clustered_dataset, 12, 5, 20, 2, 0),      # window 0
+    (random_walk_dataset, 9, 1, 12, 2, 3),     # one query
+    (random_walk_dataset, 5, 4, 12, 2, 3),     # one candidate
+])
+@pytest.mark.parametrize("budget", ["default", 1], ids=["one-sweep", "count-capped-sweeps"])
+def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims, window, budget):
+    # _sample_scans sweeps every query's candidates in one dtw_rows call; a
+    # one-float budget caps a call at the candidate count, so whole queries
+    # share a call only while their columns fit in it.  Each query's scan
+    # must be the one a scan of that query alone gives, and finish alike
+    import mvdtw.search as search
+    from mvdtw.core import as_series
+    from mvdtw.dtw import dtw_rows
+    from mvdtw.lb_pc import as_dim_range
+
+    ds = make(num_series, n, dims, seed=29)
+    series = ds.series_list()
+    if dims == 1:  # plain 1-D arrays, as a univariate caller passes them
+        series = [s[:, 0] for s in series]
+    qs, cands = series[:queries], series[queries:]
+    params = SearchParams(window=window)
+    calls = []
+
+    def counted(qplanes, planes, w):
+        calls.append(planes.shape[-1])
+        return dtw_rows(qplanes, planes, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "dtw_rows", counted)
+        if budget != "default":
+            mp.setattr(search, "BLOCK_FLOATS", budget)
+        scans = search._sample_scans(qs, cands, params, ds.dim_ranges)
+    assert len(scans) == queries
+    # The calls' columns: consecutive whole queries, greedily, within the cap
+    cap = max(len(cands), (search.BLOCK_FLOATS if budget == "default" else budget) // (n * dims))
+    groups = [0]
+    for swept in (scan.outcome.dtw_swept for scan in scans):
+        if groups[-1] and groups[-1] + swept > cap:
+            groups.append(0)
+        groups[-1] += swept
+    assert calls == groups
+    if budget == "default":
+        assert len(calls) == 1
+    for q, batched in zip(qs, scans):
+        qa = as_series(q)
+        alone, = search._scan([(qa, as_dim_range(ds.dim_ranges, qa))],
+                              search._stack_candidates(cands, qa.shape),
+                              params.effective_window(n), True)
+        for name in ("lb_totals", "distances", "swept", "met", "compared"):
+            a, b = getattr(batched, name), getattr(alone, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert batched.outcome.lb_time + batched.outcome.dtw_time <= batched.outcome.total_time
+        configs = [(replace(params, method=m), None)
+                   for m in (Method.LB_TI, Method.LB_PC, Method.LB_AD)]
+        configs.append((replace(params, method=Method.TC_DTW, trigger_ti=0.5), Method.LB_TI))
+        for p, adv in configs:
+            a, b = search._finish(batched, p, adv), search._finish(alone, p, adv)
+            for name in (*COUNTER_FIELDS, "dtw_swept"):
+                assert getattr(a, name) == getattr(b, name), (p, name)
+            assert a.work.hex() == b.work.hex()
+            assert a.lb_time + a.dtw_time <= a.total_time
+
+
+def test_lb_pc_record_kept_per_box_set_configuration(monkeypatch):
+    # One scan finished under LB_PC with different box-set constants in turn:
+    # every finish must equal a fresh search under the same constants, so no
+    # configuration reuses another's prune decisions
+    import mvdtw.search as search
+
+    ds = clustered_dataset(31, 20, 3, seed=29)
+    series = ds.series_list()
+    qs, cands = series[:8], series[8:]
+    params = SearchParams(window=4, method=Method.LB_PC, trigger_pc=0.01)
+    scans = search._sample_scans(qs, cands, params, ds.dim_ranges)
+    for name, value in (("max_boxes", 1), ("group_width", 2), ("min_cell_frac", 0.3),
+                        ("max_boxes", 6)):
+        monkeypatch.setattr(SearchParams, name, value)
+        for q, scan in zip(qs, scans):
+            got = search._finish(scan, params, Method.LB_PC)
+            want = nn_search(q, cands, params, dim_range=ds.dim_ranges)
+            for field in COUNTER_FIELDS:
+                assert getattr(got, field) == getattr(want, field), (name, value, field)
 
 
 @pytest.mark.parametrize("bad", [np.full((8, 2), np.nan), np.zeros((9, 2))],
