@@ -55,7 +55,6 @@ class Dataset:
 
     name: str
     values: np.ndarray  # (num_series, length, dims)
-    normalized: bool
     dim_ranges: np.ndarray
 
     def __post_init__(self):
@@ -275,7 +274,7 @@ def normalize(ds: RawDataset | Dataset) -> Dataset:
     safe = np.where(std > 0.0, std, 1.0)
     normed = (vals - mean) / safe
     normed[..., std == 0.0] = 0.0
-    return Dataset(ds.name, normed, normalized=True, dim_ranges=_observed_ranges(normed))
+    return Dataset(ds.name, normed, _observed_ranges(normed))
 
 
 def truncate_dims(ds: Dataset, dims_used: int) -> Dataset:
@@ -285,12 +284,8 @@ def truncate_dims(ds: Dataset, dims_used: int) -> Dataset:
         raise InvalidInputError(f"dims_used must be in [1, {ds.dims}], got {dims_used}")
     if dims_used == ds.dims:
         return ds
-    return Dataset(
-        ds.name,
-        np.ascontiguousarray(ds.values[:, :, :dims_used]),
-        ds.normalized,
-        ds.dim_ranges[:dims_used].copy(),
-    )
+    return Dataset(ds.name, np.ascontiguousarray(ds.values[:, :, :dims_used]),
+                   ds.dim_ranges[:dims_used].copy())
 
 
 def split(ds: Dataset, query_frac: float = 0.3, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -310,6 +305,6 @@ def split(ds: Dataset, query_frac: float = 0.3, seed: int = 0) -> tuple[Dataset,
     chosen = np.sort(rng.permutation(s)[:k])
     mask = np.zeros(s, dtype=bool)
     mask[chosen] = True
-    queries = Dataset(f"{ds.name}/queries", ds.values[mask].copy(), ds.normalized, ds.dim_ranges)
-    cands = Dataset(f"{ds.name}/candidates", ds.values[~mask].copy(), ds.normalized, ds.dim_ranges)
+    queries = Dataset(f"{ds.name}/queries", ds.values[mask].copy(), ds.dim_ranges)
+    cands = Dataset(f"{ds.name}/candidates", ds.values[~mask].copy(), ds.dim_ranges)
     return queries, cands

@@ -19,10 +19,9 @@ Method and parameter selection on a data sample ranks configurations by a
 deterministic work model (bound point-touches and a full band of DP cells
 per compared DTW, dimension weighted) rather than wall time, so repeated runs
 with one seed pick the same configuration and produce bit-identical counters;
-wall times are still measured and reported.  Selection scans its sample
-queries together, in one DTW sweep, and finishes each scan under every
-configuration it compares; each advanced bound runs once per candidate and
-configuration, its per-query build once per configuration.
+wall times are still measured and reported.  Selection sweeps its sample
+queries together and finishes each scan under every configuration it
+compares, each advanced bound once per candidate and configuration.
 """
 
 from __future__ import annotations
@@ -148,24 +147,12 @@ def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class _Evals:
-    """One advanced-bound configuration's evaluations on a scan's candidates:
-    its kernel on a plane set (the per-query build done), the floats the
-    kernel's temporaries take per candidate, and whether the bound prunes
-    each candidate in `done` (by _prune_sums at the d_best it meets, which
-    no configuration changes)."""
-
-    terms: partial
-    floats: int
-    pruned: np.ndarray  # (C,) bool
-    done: np.ndarray  # (C,) bool
-
-
-@dataclass
 class _Scan:
     """One query's first stage; triggers, quantization level and advanced
-    bound leave it unchanged.  `evals` records, per bound configuration
-    (_finish's key), what _finish has evaluated on it so far."""
+    bound leave it unchanged.  `pruned` holds, per bound configuration
+    (_finish's key), one int8 per candidate: -1 not evaluated, 0 kept, 1
+    pruned (by _prune_sums at the d_best it meets, which no configuration
+    changes)."""
 
     qa: np.ndarray
     ref: np.ndarray  # the cell-size floor's reference range (as_dim_range)
@@ -177,7 +164,7 @@ class _Scan:
     met: np.ndarray  # the d_best each candidate meets
     compared: np.ndarray  # not skipped on the envelope bound
     outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
-    evals: dict
+    pruned: dict
 
 
 def nn_search(
@@ -222,12 +209,11 @@ def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Sca
     `queries` against one plane set; `bounded` is False for method `none`,
     which runs no bound.  nn_search is the batch of one.
 
-    The DTW sweeps of several queries run as one dtw_rows call over the
-    (query, candidate) columns of every query's swept candidates, whole
-    queries per call while the columns fit in max(C, BLOCK_FLOATS // (n D)),
-    so a call's gathered planes never outgrow the candidates' plane set or
-    one block.  A query's dtw_time gets its call's time in proportion to its
-    columns.
+    One DTW sweep covers the (query, candidate) columns of every query's
+    swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
+    (n D)) columns, so a call's gathered planes never outgrow the
+    candidates' plane set or one block.  A query's dtw_time gets the sweep's
+    time in proportion to its columns.
     """
     n, dims = queries[0][0].shape
     count = planes.shape[-1]
@@ -259,61 +245,54 @@ def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Sca
             swept[1:] = lb_totals[1:] < upper[1:]
         stages.append((lb_totals, swept, np.flatnonzero(swept), t1 - t0, time.perf_counter() - t1))
 
-    # Whole queries per dtw_rows call, greedily, while the columns fit.
+    # The sweep: column k's query is qstack[..., owner[k]], one query's
+    # planes broadcast over every column.
+    t0 = time.perf_counter()
     needs = [stage[2] for stage in stages]
-    groups, cols = [[]], 0
-    for qi, need in enumerate(needs):
-        if groups[-1] and cols + len(need) > max(count, BLOCK_FLOATS // (n * dims)):
-            groups.append([])
-            cols = 0
-        groups[-1].append(qi)
-        cols += len(need)
-    scans = []
-    for group in groups:
+    gathered = np.concatenate(needs)
+    qstack = np.stack([qa.T for qa, _ in queries], axis=-1)
+    owner = np.repeat(np.arange(len(queries)), [len(need) for need in needs])
+    cap = max(count, BLOCK_FLOATS // (n * dims))
+    whole = len(queries) == 1 and len(gathered) == count  # every candidate, in order
+    finals = np.concatenate([
+        dtw_rows(qstack if len(queries) == 1 else qstack.take(owner[b : b + cap], axis=-1),
+                 planes if whole else planes[..., gathered[b : b + cap]], w)
+        for b in range(0, len(gathered), cap)])
+    took = time.perf_counter() - t0
+
+    scans, start = [], 0
+    for (qa, ref), (lb_totals, swept, need, lb_time, dtw_time) in zip(queries, stages):
+        # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
+        # is the smallest DTW distance among candidates 0..k-1: a skipped
+        # candidate's distance is at least the d_best it met.  The sweep
+        # computed those distances exactly, and a candidate it left out is at
+        # least the d_best it meets (+inf here).  Candidate 0 meets +inf, and
+        # so does every candidate of `none`.  Then the skips on the envelope
+        # bound.
         t0 = time.perf_counter()
-        sizes = [len(needs[qi]) for qi in group]
-        gathered = np.concatenate([needs[qi] for qi in group])
-        qplanes = queries[group[0]][0].T[..., None]
-        if len(group) > 1:  # column k's query
-            qplanes = np.repeat(np.stack([queries[qi][0].T for qi in group], axis=-1), sizes,
-                                axis=-1)
-        whole = len(group) == 1 and len(gathered) == count  # every candidate, in order
-        finals = dtw_rows(qplanes, planes if whole else planes[..., gathered], w)
-        took = time.perf_counter() - t0
-        start = 0
-        for qi in group:
-            (qa, ref), (lb_totals, swept, need, lb_time, dtw_time) = queries[qi], stages[qi]
-            # `met[k]`, the d_best candidate k meets.  Every bound is sound,
-            # so it is the smallest DTW distance among candidates 0..k-1: a
-            # skipped candidate's distance is at least the d_best it met.  The
-            # sweep computed those distances exactly, and a candidate it left
-            # out is at least the d_best it meets (+inf here).  Candidate 0
-            # meets +inf, and so does every candidate of `none`.  Then the
-            # skips on the envelope bound.
-            t0 = time.perf_counter()
-            distances = np.full(count, np.inf)
-            distances[need] = finals[start : start + len(need)]
-            start += len(need)
-            met = np.full(count, np.inf)
-            compared = np.ones(count, dtype=bool)
-            if bounded:
-                np.minimum.accumulate(distances[:-1], out=met[1:])
-                compared[1:] = ~(lb_totals[1:] >= met[1:])
-            best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
-            dtw_time += took * len(need) / len(gathered) + time.perf_counter() - t0
-            outcome = NnOutcome(best, float(distances[best]),
-                                lb_mv_evals=count - 1 if bounded else 0, lb_time=lb_time,
-                                dtw_time=dtw_time, total_time=lb_time + dtw_time,
-                                dtw_swept=len(need))
-            scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, compared,
-                               outcome, {}))
+        distances = np.full(count, np.inf)
+        distances[need] = finals[start : start + len(need)]
+        start += len(need)
+        met = np.full(count, np.inf)
+        compared = np.ones(count, dtype=bool)
+        if bounded:
+            np.minimum.accumulate(distances[:-1], out=met[1:])
+            compared[1:] = ~(lb_totals[1:] >= met[1:])
+        best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
+        dtw_time += took * len(need) / len(gathered) + time.perf_counter() - t0
+        outcome = NnOutcome(best, float(distances[best]),
+                            lb_mv_evals=count - 1 if bounded else 0, lb_time=lb_time,
+                            dtw_time=dtw_time, total_time=lb_time + dtw_time,
+                            dtw_swept=len(need))
+        scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, compared,
+                           outcome, {}))
     return scans
 
 
 def _kernel(scan: _Scan, params: SearchParams, adv: Method) -> tuple[partial, int]:
     """The advanced bound `adv`'s kernel on a plane set for the scan's query
-    under `params`, its per-query build done, and the floats the kernel's
-    temporaries take per candidate."""
+    under `params`, its per-query build done, and the floats its temporaries
+    take per candidate."""
     qa, w = scan.qa, scan.w
     n, dims = qa.shape
     if adv == Method.LB_TI:
@@ -329,11 +308,11 @@ def _kernel(scan: _Scan, params: SearchParams, adv: Method) -> tuple[partial, in
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     """The second stage of nn_search: the advanced bound `adv` (resolved by
-    _advanced_method) under `params`, and the counters.  The bound runs only
-    on triggered candidates that scan.evals lacks for this configuration
-    (LB_TI and its period, LB_PC and every box-set parameter, or LB_AD), and
-    its per-query build only when there is one; the record then keeps them,
-    and nothing else of `scan` changes."""
+    _advanced_method) under `params`, and the counters.  The bound and its
+    per-query build run only when a triggered candidate is still -1 in
+    scan.pruned for this configuration (LB_TI and its period, LB_PC and
+    every box-set parameter, or LB_AD), and write their decisions there;
+    nothing else of `scan` changes."""
     t_start = time.perf_counter()
     qa, planes, w = scan.qa, scan.planes, scan.w
     n, dims = qa.shape
@@ -370,18 +349,13 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
             adv_work = n * (2.0 * w + 1.0) * dims
         band = compared[1:] & (scan.lb_totals[1:] > _trigger(params, adv) * scan.met[1:])
         triggered = np.flatnonzero(band) + 1
-        evals = scan.evals.get(key)
-        new = triggered if evals is None else triggered[~evals.done[triggered]]
+        pruned = scan.pruned.setdefault(key, np.full(count, -1, dtype=np.int8))
+        new = triggered[pruned[triggered] < 0]
         if len(new):
-            if evals is None:
-                evals = scan.evals[key] = _Evals(*_kernel(scan, params, adv),
-                                                 *np.zeros((2, count), dtype=bool))
-            last, peak = _prune_sums(_blockwise(evals.terms, planes[..., new], evals.floats))
-            bar = scan.met[new]
-            evals.pruned[new] = (last >= bar) | (peak > bar)
-            evals.done[new] = True
-        if len(triggered):
-            compared[triggered] = ~evals.pruned[triggered]
+            terms, floats = _kernel(scan, params, adv)
+            last, peak = _prune_sums(_blockwise(terms, planes[..., new], floats))
+            pruned[new] = (last >= scan.met[new]) | (peak > scan.met[new])
+        compared[triggered] = pruned[triggered] == 0
         charges[triggered, 1] = adv_work
         out.advanced_lb_evals = len(triggered)
         out.lb_time += time.perf_counter() - t0

@@ -18,22 +18,20 @@ from .ingest import Dataset, _observed_ranges
 
 
 def _dataset(name: str, values: np.ndarray) -> Dataset:
-    return Dataset(name, values, normalized=False, dim_ranges=_observed_ranges(values))
+    return Dataset(name, values, _observed_ranges(values))
 
 
 def random_walk_dataset(
-    num_series: int, length: int, dims: int, seed: int, step: float = 1.0,
-    name: str = "random_walk",
+    num_series: int, length: int, dims: int, seed: int, name: str = "random_walk",
 ) -> Dataset:
     """Gaussian random walks."""
     rng = np.random.default_rng(seed)
-    vals = np.cumsum(rng.normal(0.0, step, (num_series, length, dims)), axis=1)
+    vals = np.cumsum(rng.normal(0.0, 1.0, (num_series, length, dims)), axis=1)
     return _dataset(name, vals)
 
 
 def smooth_walk_dataset(
-    num_series: int, length: int, dims: int, seed: int, momentum: float = 0.92,
-    name: str = "smooth_walk",
+    num_series: int, length: int, dims: int, seed: int, name: str = "smooth_walk",
 ) -> Dataset:
     """Densely sampled smooth trajectories: random walks whose increments are
     AR(1)-filtered, so consecutive points stay close relative to the series'
@@ -43,27 +41,24 @@ def smooth_walk_dataset(
     inc = np.empty_like(innov)
     inc[:, 0] = innov[:, 0]
     for t in range(1, length):
-        inc[:, t] = momentum * inc[:, t - 1] + innov[:, t]
+        inc[:, t] = 0.92 * inc[:, t - 1] + innov[:, t]
     return _dataset(name, np.cumsum(inc, axis=1))
 
 
 def clustered_dataset(
-    num_series: int, length: int, dims: int, seed: int, num_levels: int = 2,
-    separation: float = 8.0, jitter: float = 0.25, switch_prob: float = 0.35,
-    name: str = "clustered",
+    num_series: int, length: int, dims: int, seed: int, name: str = "clustered",
 ) -> Dataset:
-    """Regime-switching series: each point sits near one of a few widely
-    separated level vectors, with small jitter.  Window contents then form
-    tight clumps far apart, the worst case for a single envelope box."""
+    """Regime-switching series: each point sits near one of two widely
+    separated level vectors per series (scale 8), with jitter 0.25, and
+    switches level with probability 0.35.  Window contents then form tight
+    clumps far apart, the worst case for a single envelope box."""
     rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, separation, (num_series, num_levels, dims))
+    centers = rng.normal(0.0, 8.0, (num_series, 2, dims))
     state = np.zeros(num_series, dtype=np.int64)
     vals = np.empty((num_series, length, dims))
     for t in range(length):
-        flip = rng.random(num_series) < switch_prob
-        jump = rng.integers(1, num_levels, num_series)
-        state = np.where(flip, (state + jump) % num_levels, state)
-        vals[:, t] = centers[np.arange(num_series), state] + rng.normal(0.0, jitter, (num_series, dims))
+        state = np.where(rng.random(num_series) < 0.35, 1 - state, state)
+        vals[:, t] = centers[np.arange(num_series), state] + rng.normal(0.0, 0.25, (num_series, dims))
     return _dataset(name, vals)
 
 

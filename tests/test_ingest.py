@@ -202,7 +202,6 @@ def test_normalize_constant_dimension(tmp_path):
     vals = np.stack([np.column_stack([np.arange(4.0), np.full(4, 2.0)])] * 3)
     ds = normalize(raw_dataset(vals))
     assert np.all(ds.values[..., 1] == 0.0)  # zero-variance dimension maps to zeros
-    assert ds.normalized
     assert ds.dim_ranges[1] == 0.0
 
 

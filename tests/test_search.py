@@ -323,10 +323,11 @@ def test_sample_scans_reused_as_fresh_searches(make, num_series, n, dims, window
 ])
 @pytest.mark.parametrize("budget", ["default", 1], ids=["one-sweep", "count-capped-sweeps"])
 def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims, window, budget):
-    # _sample_scans sweeps every query's candidates in one dtw_rows call; a
-    # one-float budget caps a call at the candidate count, so whole queries
-    # share a call only while their columns fit in it.  Each query's scan
-    # must be the one a scan of that query alone gives, and finish alike
+    # _sample_scans sweeps every query's swept candidates in dtw_rows calls
+    # of at most max(C, BLOCK_FLOATS // (n D)) columns; a one-float budget
+    # caps a call at the candidate count, so a query's columns may span two
+    # calls.  Each query's scan must be the one a scan of that query alone
+    # gives, and finish alike
     import mvdtw.search as search
     from mvdtw.core import as_series
     from mvdtw.dtw import dtw_rows
@@ -341,7 +342,7 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
     calls = []
 
     def counted(qplanes, planes, w):
-        calls.append(planes.shape[-1])
+        calls.append((qplanes.shape[-1], planes.shape[-1]))
         return dtw_rows(qplanes, planes, w)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -350,16 +351,17 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
             mp.setattr(search, "BLOCK_FLOATS", budget)
         scans = search._sample_scans(qs, cands, params, ds.dim_ranges)
     assert len(scans) == queries
-    # The calls' columns: consecutive whole queries, greedily, within the cap
+    # The calls' columns: consecutive blocks of `cap`, the last one shorter
     cap = max(len(cands), (search.BLOCK_FLOATS if budget == "default" else budget) // (n * dims))
-    groups = [0]
-    for swept in (scan.outcome.dtw_swept for scan in scans):
-        if groups[-1] and groups[-1] + swept > cap:
-            groups.append(0)
-        groups[-1] += swept
-    assert calls == groups
+    ends = np.cumsum([scan.outcome.dtw_swept for scan in scans])
+    total = int(ends[-1])
+    assert [cols for _, cols in calls] == [min(cap, total - b) for b in range(0, total, cap)]
+    # one query's planes broadcast over every column, several queries' one per column
+    assert all(qcols == (1 if queries == 1 else cols) for qcols, cols in calls)
     if budget == "default":
         assert len(calls) == 1
+    elif queries > 1 and len(cands) > 1:  # some query's columns span two calls
+        assert any(a // cap < (b - 1) // cap for a, b in zip([0, *ends[:-1]], ends))
     for q, batched in zip(qs, scans):
         qa = as_series(q)
         alone, = search._scan([(qa, as_dim_range(ds.dim_ranges, qa))],
@@ -378,6 +380,64 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
                 assert getattr(a, name) == getattr(b, name), (p, name)
             assert a.work.hex() == b.work.hex()
             assert a.lb_time + a.dtw_time <= a.total_time
+
+
+def test_queries_sweeping_every_candidate_between_them_gather_their_columns():
+    # Two queries equal to candidate 0 each sweep only it: two columns, as
+    # many as candidates, which must still be gathered per query
+    import mvdtw.search as search
+
+    g = np.random.default_rng(4)
+    cands = [g.normal(size=(10, 2)) for _ in range(2)]
+    queries = [cands[0], cands[0].copy()]
+    params = SearchParams(window=2, method=Method.LB_MV)
+    scans = search._sample_scans(queries, cands, params, None)
+    assert [scan.outcome.dtw_swept for scan in scans] == [1, 1]
+    for q, scan in zip(queries, scans):
+        got, want = search._finish(scan, params, None), nn_search(q, cands, params)
+        assert (got.best_index, got.best_distance) == (want.best_index, want.best_distance) == (0, 0.0)
+
+
+def test_each_configuration_built_once_per_query(monkeypatch):
+    # tune_params (every bounded method) and tc_dtw_select build a bound's
+    # kernel once per sample query and configuration that triggers it on
+    # some candidate, in the order the library runs its grids
+    import mvdtw.search as search
+
+    ds = clustered_dataset(40, 20, 3, seed=29)
+    series = ds.series_list()
+    queries, cands = series[:12], series[12:]
+    seed = 5
+    sq, sc = selection_sample(queries, cands, seed)
+    builds = []
+    kernel = search._kernel
+    monkeypatch.setattr(search, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+
+    def pairs(configs):
+        # (query, configuration) pairs with a triggered candidate, and
+        # (query, grid point) pairs, by fresh searches
+        triggering, points = set(), 0
+        for p in configs:
+            key = (p.method, p.quant_levels if p.method == Method.LB_PC else None)
+            for qi, q in enumerate(sq):
+                if nn_search(q, sc, p, dim_range=ds.dim_ranges).advanced_lb_evals:
+                    triggering.add((qi, key))
+                    points += 1
+        return len(triggering), points
+
+    for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
+        builds.clear()
+        log = []
+        tuned = tune_params(queries, cands, SearchParams(window=4, method=method), seed=seed,
+                            dim_range=ds.dim_ranges, log=log)
+        built = len(builds)
+        want, points = pairs([replace(p, method=adv) for adv, p, _ in log])
+        assert built == want and 0 < want < points, method
+    builds.clear()
+    tc_dtw_select(sq, sc, tuned, dim_range=ds.dim_ranges)
+    built = len(builds)
+    want, _ = pairs([replace(tuned, method=m) for m in (Method.LB_TI, Method.LB_PC)])
+    assert built == want > 0
 
 
 def test_lb_pc_record_kept_per_box_set_configuration(monkeypatch):
