@@ -8,7 +8,10 @@ the metrics are the end-to-end ones of the change checkout's BENCHMARK.json;
 a run that lacks one of them stops the script.  The output JSON holds, per
 workload and metric: each side's runs, median and quartiles, and how many
 pairs the change won and lost (the better direction is the metric's
-`better`).  Every run's `correct` flag is kept.
+`better`).  Every run's `correct` flag is kept, with the host's load
+averages (os.getloadavg) just before it; the MALLOC_* environment variables
+the runs inherit are recorded once.  A run that exits non-zero stops the
+script, with its side, workload, seed, pair and the tail of its stderr.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -19,19 +22,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its result line with the metrics flattened."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, label: str) -> dict:
+    """One untraced perfbench run; its result line with the metrics flattened,
+    and the load averages before it.  A failing run stops the script, named
+    by `label`."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    load = os.getloadavg()
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.rstrip().splitlines()[-20:])
+        sys.exit(f"{label} exited with code {done.returncode}; stderr ends:\n{tail}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"correct": result["correct"],
+    return {"correct": result["correct"], "loadavg": load,
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
@@ -70,7 +80,9 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
-    report = {"pairs": args.pairs, "seconds": args.seconds, "results": []}
+    report = {"pairs": args.pairs, "seconds": args.seconds,
+              "malloc_env": {k: v for k, v in os.environ.items() if k.startswith("MALLOC_")},
+              "results": []}
     for seed in args.seed:
         for workload in args.workload:
             pairs = []
@@ -78,18 +90,20 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {}
                 for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                    label = (f"{side} checkout's run on {workload} "
+                             f"(seed {seed}, pair {k + 1}/{args.pairs})")
+                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds, label)
                     missing = [m["name"] for m in metrics
                                if m["name"] not in pair[side]["metrics"]]
                     if missing:
-                        sys.exit(f"{side} checkout's run on {workload} (seed {seed}) "
-                                 f"lacks {', '.join(missing)}")
+                        sys.exit(f"{label} lacks {', '.join(missing)}")
                 pairs.append(pair)
                 print(f"{workload} seed {seed} pair {k + 1}/{args.pairs} done",
                       file=sys.stderr, flush=True)
             report["results"].append({
                 "workload": workload, "seed": seed,
                 "correct": {side: [p[side]["correct"] for p in pairs] for side in checkouts},
+                "loadavg": {side: [p[side]["loadavg"] for p in pairs] for side in checkouts},
                 "metrics": compare(pairs, metrics),
             })
             args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -20,15 +20,13 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from .core import InvalidInputError, Method, SearchParams
-from .dtw import dtw_banded
 from .ingest import Dataset, ParseError, normalize, parse_native, parse_ts_subset, split, truncate_dims
-from .lb_mv import build_envelope, lb_ad, lb_mv
-from .lb_pc import build_box_sets, lb_pc
-from .lb_ti import lb_ti
-from .search import nn_search, selection_sample, tc_dtw_select, tune_params
+from .search import (
+    DEPLOYED, TUNED_FIELDS, nn_search, selection_sample, tc_dtw_select, tune_params, verify_bounds,
+)
 
 QUERY_FRAC = 0.3  # share of each dataset's series searched as queries
 # RunReport fields rounded in every output, and their digits
@@ -37,6 +35,8 @@ _ROUND_DIGITS = {"skip_pct": 4, "speedup": 4, "ideal_speedup": 4,
 # RunReport fields that are the NnOutcome field of the same name, summed over queries
 _SUMMED_COUNTERS = ("dtw_computed", "dtw_skipped", "lb_mv_evals", "advanced_lb_evals",
                     "work", "dtw_swept")
+# The params column's name for each tuned SearchParams field
+_FIELD_LABELS = {"trigger_ti": "e_ti", "trigger_pc": "e_pc", "quant_levels": "L"}
 
 
 class ConfigError(ValueError):
@@ -98,33 +98,6 @@ def _load(path: str, fmt: str) -> Dataset:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
-def _verify_soundness(queries, candidates, params: SearchParams, dim_range) -> None:
-    """Check every bound against exact DTW on a data subsample; raise on any
-    violation.  Used by --verify."""
-    n = queries[0].shape[0]
-    w = params.effective_window(n)
-    qs = queries[: min(3, len(queries))]
-    cs = candidates[: min(8, len(candidates))]
-    for qi, q in enumerate(qs):
-        env = build_envelope(q, w)
-        boxes = build_box_sets(q, w, params.group_width, params.quant_levels,
-                               params.max_boxes, params.min_cell_frac, dim_range)
-        for ci, c in enumerate(cs):
-            exact = dtw_banded(q, c, w).distance
-            checks = {
-                "lb_mv": lb_mv(c, env).value,
-                "lb_ad": lb_ad(q, c, w).value,
-                "lb_ti": lb_ti(q, c, w, refresh_period=params.refresh_period).value,
-                "lb_pc": lb_pc(c, boxes).value,
-            }
-            for name, value in checks.items():
-                if value > exact:
-                    raise InvalidInputError(
-                        f"soundness violation: {name}={value!r} exceeds dtw={exact!r} "
-                        f"(query {qi}, candidate {ci})"
-                    )
-
-
 def run_benchmark(config: BenchConfig) -> list[RunReport]:
     """Run every configured combination and return one report per cell.
 
@@ -132,10 +105,10 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
     for name in ("data", "methods", "windows", "dims"):
         if not getattr(config, name):
             raise ConfigError(f"no {name} given")
-    if config.reps < 1:
-        raise ConfigError("reps must be >= 1")
-    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {config.seed!r}")
+    for name, least in (("reps", 1), ("seed", 0)):
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     if not all(isinstance(w, numbers.Integral) and w >= 0 for w in config.windows):
         raise ConfigError(f"windows must be integers >= 0, got {config.windows}")
     try:
@@ -167,9 +140,7 @@ def run_benchmark(config: BenchConfig) -> list[RunReport]:
             for window in config.windows:
                 base_params = SearchParams(window=window, method=Method.NONE)
                 if config.verify:
-                    _verify_soundness(queries, candidates,
-                                      replace(base_params, method=Method.TC_DTW),
-                                      ds.dim_ranges)
+                    verify_bounds(queries, candidates, base_params, ds.dim_ranges)
                 baseline = _measure(queries, candidates, base_params, None,
                                     ds.dim_ranges, config.reps)
                 for method in methods:
@@ -232,15 +203,14 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunR
 
 
 def _describe_params(params: SearchParams, label: str) -> str:
-    if params.method in (Method.NONE, Method.LB_MV):
+    """The params column: `label`, then, for a method that deploys an
+    advanced bound, the fields tuned for its bounds and the fixed
+    constants."""
+    tuned = [f for adv in DEPLOYED[params.method] for f in TUNED_FIELDS[adv]]
+    if not tuned:
         return label
-    bits = [label]
-    if params.method in (Method.LB_TI, Method.LB_AD, Method.TC_DTW):
-        bits.append(f"e_ti={params.trigger_ti}")
-    if params.method in (Method.LB_PC, Method.TC_DTW):
-        bits.append(f"e_pc={params.trigger_pc} L={params.quant_levels}")
-    bits.append(f"P={params.refresh_period} K={params.max_boxes} w={params.group_width}")
-    return " ".join(bits)
+    return " ".join([label, *(f"{_FIELD_LABELS[f]}={getattr(params, f)}" for f in tuned),
+                     f"P={params.refresh_period} K={params.max_boxes} w={params.group_width}"])
 
 
 def _fmt_cell(value) -> str:

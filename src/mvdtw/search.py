@@ -13,22 +13,26 @@ finds.
 The scan runs as one batch pass in two stages (see nn_search): `_scan`
 computes what only the query, the candidates and the window decide, the
 envelope bounds, the DTW sweep and the d_best each candidate meets; `_finish`
-the advanced bound and the counters of one SearchParams.
+the advanced bound (`_bound`) and the counters of one SearchParams.
 
-Method and parameter selection on a data sample ranks configurations by a
-deterministic work model (bound point-touches and a full band of DP cells
-per compared DTW, dimension weighted) rather than wall time, so repeated runs
-with one seed pick the same configuration and produce bit-identical counters;
-wall times are still measured and reported.  Selection sweeps its sample
-queries together and finishes each scan under every configuration it
-compares, each advanced bound once per candidate and configuration.
+Method and parameter selection on a data sample ranks configurations
+(`_rank`: the first cheapest wins) by a deterministic work model (bound
+point-touches and a full band of DP cells per compared DTW, dimension
+weighted) rather than wall time, so repeated runs with one seed pick the
+same configuration and produce bit-identical counters; wall times are still
+measured and reported.  Selection sweeps its sample queries together and
+finishes each scan under every configuration it compares, each advanced
+bound once per candidate and configuration.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,22 +77,31 @@ class NnOutcome:
     dtw_swept: int = 0
 
 
+# The advanced bounds each method deploys at the cascade's second step, in
+# the order tune_params tunes them; TC_DTW deploys the one of its two that
+# tc_dtw_select picks.
+DEPLOYED = {Method.NONE: (), Method.LB_MV: (), Method.LB_TI: (Method.LB_TI,),
+            Method.LB_PC: (Method.LB_PC,), Method.LB_AD: (Method.LB_AD,),
+            Method.TC_DTW: (Method.LB_TI, Method.LB_PC)}
+# The SearchParams fields each advanced bound's tuning grid sets.  The grid
+# is the product of the fields' _GRID values, the first field outermost.
+TUNED_FIELDS = {Method.LB_TI: ("trigger_ti",), Method.LB_PC: ("trigger_pc", "quant_levels"),
+                Method.LB_AD: ("trigger_ti",)}
+_GRID = {"trigger_ti": (0.05, 0.1, 0.2), "trigger_pc": (0.1, 0.5), "quant_levels": (2, 3)}
+
+
 def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | None:
     """Resolve which bound runs at the cascade's second step, if any.
     `advanced` resolves TC_DTW and is rejected with any other method."""
-    method = params.method
-    if method == Method.TC_DTW:
-        if advanced not in (Method.LB_TI, Method.LB_PC):
+    deployed = DEPLOYED[params.method]
+    if len(deployed) > 1:
+        if advanced not in deployed:
             raise InvalidInputError("TC_DTW must be resolved with tc_dtw_select first")
         return advanced
     if advanced is not None:
         raise InvalidInputError(f"advanced={advanced!r} applies only to method tc_dtw, "
-                                f"not {method.value}")
-    return None if method in (Method.NONE, Method.LB_MV) else method
-
-
-def _trigger(params: SearchParams, advanced: Method) -> float:
-    return params.trigger_pc if advanced == Method.LB_PC else params.trigger_ti
+                                f"not {params.method.value}")
+    return deployed[0] if deployed else None
 
 
 def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
@@ -150,7 +163,7 @@ def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Scan:
     """One query's first stage; triggers, quantization level and advanced
     bound leave it unchanged.  `pruned` holds, per bound configuration
-    (_finish's key), one int8 per candidate: -1 not evaluated, 0 kept, 1
+    (_Bound.key), one int8 per candidate: -1 not evaluated, 0 kept, 1
     pruned (by _prune_sums at the d_best it meets, which no configuration
     changes)."""
 
@@ -289,34 +302,50 @@ def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Sca
     return scans
 
 
-def _kernel(scan: _Scan, params: SearchParams, adv: Method) -> tuple[partial, int]:
-    """The advanced bound `adv`'s kernel on a plane set for the scan's query
-    under `params`, its per-query build done, and the floats its temporaries
-    take per candidate."""
+class _Bound(NamedTuple):
+    """One advanced bound under one SearchParams for one scanned query."""
+
+    trigger: float  # it runs where trigger < envelope bound / d_best < 1
+    key: tuple  # its array in _Scan.pruned: the bound and the fields its values depend on
+    build_work: float  # work-model charge of the per-query build, whether or not it runs
+    eval_work: float  # work-model charge per evaluation (point-dimension touches)
+    build: Callable  # () -> (kernel on a plane set, floats its temporaries take per candidate)
+
+
+def _bound(scan: _Scan, params: SearchParams, adv: Method) -> _Bound:
+    """The advanced bound `adv` (LB_TI, LB_PC or LB_AD) under `params` for
+    the scan's query: the one place the search tells the three apart.
+    `build` runs the per-query build (neighbour steps, box sets)."""
     qa, w = scan.qa, scan.w
     n, dims = qa.shape
     if adv == Method.LB_TI:
         p = min(params.refresh_period, n)
-        return (partial(lb_ti_terms, qa, w=w, refresh_period=p, qsteps=neighbor_steps(qa)),
-                -(-n // p) * (2 * w + p) * dims)
+        return _Bound(params.trigger_ti, (adv,), n * dims,
+                      n * (4.0 + (2.0 + w / params.refresh_period) * dims),
+                      lambda: (partial(lb_ti_terms, qa, w=w, refresh_period=p,
+                                       qsteps=neighbor_steps(qa)),
+                               -(-n // p) * (2 * w + p) * dims))
     if adv == Method.LB_PC:
-        boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
-                               params.max_boxes, params.min_cell_frac, scan.ref)
-        return partial(lb_pc_terms, grouping=boxes), n * boxes.lo.shape[2] * dims
-    return partial(lb_ad_terms, qa, w=w), n * dims
+        def build():
+            boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
+                                   params.max_boxes, params.min_cell_frac, scan.ref)
+            return partial(lb_pc_terms, grouping=boxes), n * boxes.lo.shape[2] * dims
+        return _Bound(params.trigger_pc, (adv, params.quant_levels),
+                      n * dims * (1 + params.quant_levels), n * params.max_boxes * dims, build)
+    return _Bound(params.trigger_ti, (adv,), 0, n * (2.0 * w + 1.0) * dims,
+                  lambda: (partial(lb_ad_terms, qa, w=w), n * dims))
 
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     """The second stage of nn_search: the advanced bound `adv` (resolved by
     _advanced_method) under `params`, and the counters.  The bound and its
     per-query build run only when a triggered candidate is still -1 in
-    scan.pruned for this configuration (LB_TI and its period, LB_PC and
-    every box-set parameter, or LB_AD), and write their decisions there;
-    nothing else of `scan` changes."""
+    scan.pruned under the bound's key (LB_PC with its quantization level,
+    LB_TI or LB_AD), and write their decisions there; nothing else of
+    `scan` changes."""
     t_start = time.perf_counter()
-    qa, planes, w = scan.qa, scan.planes, scan.w
-    n, dims = qa.shape
-    count = planes.shape[-1]
+    planes, w = scan.planes, scan.w
+    dims, n, count = planes.shape
     out = replace(scan.outcome)
     # Work-model charges in scan order: the per-query builds, then per
     # candidate its envelope bound, advanced bound and DP cells (zero where
@@ -327,36 +356,23 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
         setup_work.append(n * dims)
         charges[1:, 0] = n * dims
 
-    # The advanced bound's per-query build and the bound on the candidates
-    # it triggers on (trigger < bound / d_best < 1), at once, charged to
-    # lb_time.  The work model charges the build whether or not it runs, and
-    # per evaluation the bound's price (point-dimension touches, as for
-    # every bound).
+    # The advanced bound on the candidates it triggers on, at once, charged
+    # to lb_time.
     compared = scan.compared.copy()
     if adv is not None:
         t0 = time.perf_counter()
-        if adv == Method.LB_TI:
-            key = (adv, min(params.refresh_period, n))
-            setup_work.append(n * dims)
-            adv_work = n * (4.0 + (2.0 + w / params.refresh_period) * dims)
-        elif adv == Method.LB_PC:
-            key = (adv, params.quant_levels, params.group_width, params.max_boxes,
-                   params.min_cell_frac)
-            setup_work.append(n * dims * (1 + params.quant_levels))
-            adv_work = n * params.max_boxes * dims
-        else:  # LB_AD
-            key = (adv,)
-            adv_work = n * (2.0 * w + 1.0) * dims
-        band = compared[1:] & (scan.lb_totals[1:] > _trigger(params, adv) * scan.met[1:])
+        bound = _bound(scan, params, adv)
+        setup_work.append(bound.build_work)
+        band = compared[1:] & (scan.lb_totals[1:] > bound.trigger * scan.met[1:])
         triggered = np.flatnonzero(band) + 1
-        pruned = scan.pruned.setdefault(key, np.full(count, -1, dtype=np.int8))
+        pruned = scan.pruned.setdefault(bound.key, np.full(count, -1, dtype=np.int8))
         new = triggered[pruned[triggered] < 0]
         if len(new):
-            terms, floats = _kernel(scan, params, adv)
+            terms, floats = bound.build()
             last, peak = _prune_sums(_blockwise(terms, planes[..., new], floats))
             pruned[new] = (last >= scan.met[new]) | (peak > scan.met[new])
         compared[triggered] = pruned[triggered] == 0
-        charges[triggered, 1] = adv_work
+        charges[triggered, 1] = bound.eval_work
         out.advanced_lb_evals = len(triggered)
         out.lb_time += time.perf_counter() - t0
 
@@ -406,12 +422,20 @@ def _sample_scans(queries, candidates, params: SearchParams, dim_range) -> list[
     return _scan(checked, planes, params.effective_window(len(checked[0][0])), True)
 
 
-def _run_sample(scans: list[_Scan], params: SearchParams) -> float:
-    """nn_search's work summed over the scanned queries, for params.method."""
-    cost = 0.0
-    for scan in scans:
-        cost += _finish(scan, params, _advanced_method(params, None)).work
-    return cost
+def _rank(scans: list[_Scan], configs: list, log: list | None = None) -> tuple:
+    """The first of `configs`, (advanced bound, SearchParams) pairs, whose
+    work summed over the scanned queries (each nn_search's, in query order)
+    is smallest.  Each is appended to `log`, when given, as (bound, params,
+    cost)."""
+    costs = []
+    for adv, p in configs:
+        cost = 0.0
+        for scan in scans:
+            cost += _finish(scan, p, adv).work
+        costs.append(cost)
+        if log is not None:
+            log.append((adv, p, cost))
+    return configs[costs.index(min(costs))]
 
 
 def tc_dtw_select(
@@ -426,14 +450,9 @@ def tc_dtw_select(
     whose deterministic work-model cost is smaller; ties go to LB_PC.
     """
     scans = _sample_scans(sample_queries, sample_candidates, params, dim_range)
-    cost_ti = _run_sample(scans, replace(params, method=Method.LB_TI))
-    cost_pc = _run_sample(scans, replace(params, method=Method.LB_PC))
-    return Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
-
-
-_GRID_E_TI = (0.05, 0.1, 0.2)
-_GRID_E_PC = (0.1, 0.5)
-_GRID_LEVELS = (2, 3)
+    # LB_PC ranked first, so that a tie goes to it
+    adv, _ = _rank(scans, [(m, params) for m in reversed(DEPLOYED[Method.TC_DTW])])
+    return adv
 
 
 def tune_params(
@@ -446,39 +465,48 @@ def tune_params(
 ) -> SearchParams:
     """Grid-search triggering thresholds (and quantization level) on a sample.
 
-    The sample is selection_sample(queries, candidates, seed).  Depending on
-    params.method the grid covers the triangle trigger (3 runs), the
-    clustering trigger x quantization level (4 runs), or both (7 runs for
-    TC_DTW).  The SearchParams constants (refresh period, box cap, group
-    width, cell floor) stay fixed.  Each grid evaluation is appended to `log`
-    when given, as (method, params, cost).
+    The sample is selection_sample(queries, candidates, seed).  Each advanced
+    bound the method deploys (DEPLOYED) is tuned on its TUNED_FIELDS grid:
+    the triangle trigger (3 runs) for LB_TI and LB_AD, the clustering trigger
+    x quantization level (4 runs) for LB_PC, both (7 runs) for TC_DTW.  The
+    SearchParams constants (refresh period, box cap, group width, cell floor)
+    stay fixed.  Each grid evaluation is appended to `log` when given, as
+    (method, params, cost).
     """
-    method = params.method
-    if method in (Method.NONE, Method.LB_MV):
+    if not DEPLOYED[params.method]:
         return params
     scans = _sample_scans(*selection_sample(queries, candidates, seed), params, dim_range)
-
-    def eval_grid(adv: Method, variants: list[SearchParams]) -> SearchParams:
-        best, best_cost = None, None
-        for p in variants:
-            cost = _run_sample(scans, replace(p, method=adv))
-            if log is not None:
-                log.append((adv, p, cost))
-            if best_cost is None or cost < best_cost:
-                best, best_cost = p, cost
-        return best
-
     tuned = params
-    if method in (Method.LB_TI, Method.LB_AD, Method.TC_DTW):
-        adv = Method.LB_TI if method == Method.TC_DTW else method
-        cands = [replace(params, trigger_ti=e) for e in _GRID_E_TI]
-        tuned = replace(tuned, trigger_ti=eval_grid(adv, cands).trigger_ti)
-    if method in (Method.LB_PC, Method.TC_DTW):
-        cands = [
-            replace(params, trigger_pc=e, quant_levels=lv)
-            for e in _GRID_E_PC
-            for lv in _GRID_LEVELS
-        ]
-        best = eval_grid(Method.LB_PC, cands)
-        tuned = replace(tuned, trigger_pc=best.trigger_pc, quant_levels=best.quant_levels)
+    for adv in DEPLOYED[params.method]:
+        fields = TUNED_FIELDS[adv]
+        grid = [replace(params, **dict(zip(fields, values)))
+                for values in product(*(_GRID[f] for f in fields))]
+        _, best = _rank(scans, [(adv, p) for p in grid], log)
+        tuned = replace(tuned, **{f: getattr(best, f) for f in fields})
     return tuned
+
+
+def verify_bounds(queries, candidates, params: SearchParams, dim_range=None) -> None:
+    """Check the envelope bound and the three advanced bounds, as the search
+    computes them under `params`, against exact DTW on the first 3 queries
+    x 8 candidates; raise InvalidInputError at the first bound above its
+    DTW distance.  `mvdtw-bench --verify` runs it.
+
+    An unbounded scan of the queries sweeps every candidate, so its
+    distances are all exact (dtw_rows)."""
+    checked = [(qa, as_dim_range(dim_range, qa)) for qa in map(as_series, queries[:3])]
+    n, dims = checked[0][0].shape
+    planes = _stack_candidates(candidates[:8], (n, dims))
+    for qi, scan in enumerate(_scan(checked, planes, params.effective_window(n), False)):
+        kernels = {"lb_mv": (partial(lb_pc_terms, grouping=build_envelope(scan.qa, scan.w)),
+                             n * dims)}
+        for adv in (Method.LB_TI, Method.LB_PC, Method.LB_AD):
+            kernels[adv.value] = _bound(scan, params, adv).build()
+        for name, (terms, floats) in kernels.items():
+            totals, _ = _prune_sums(_blockwise(terms, planes, floats))
+            over = np.flatnonzero(totals > scan.distances)
+            if len(over):
+                ci = int(over[0])
+                raise InvalidInputError(
+                    f"soundness violation: {name}={float(totals[ci])!r} exceeds "
+                    f"dtw={float(scan.distances[ci])!r} (query {qi}, candidate {ci})")

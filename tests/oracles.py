@@ -52,7 +52,6 @@ from mvdtw.dtw import point_costs
 from mvdtw.lb_mv import lb_ad_terms
 from mvdtw.lb_pc import lb_pc_terms
 from mvdtw.lb_ti import lb_ti_terms
-from mvdtw.search import _advanced_method, _trigger
 
 
 def point_dist(a, b) -> float:
@@ -213,6 +212,19 @@ def band_cells(n: int, window: int) -> int:
     return sum(min(n - 1, i + w) - max(0, i - w) + 1 for i in range(n))
 
 
+def reference_advanced(params, advanced) -> Method | None:
+    """The bound a method deploys second, read from the method alone: its
+    namesake for lb_ti, lb_pc and lb_ad, the one `advanced` names for
+    tc_dtw, none for none and lb_mv."""
+    if params.method == Method.TC_DTW:
+        if advanced not in (Method.LB_TI, Method.LB_PC):
+            raise InvalidInputError("tc_dtw needs its advanced bound, lb_ti or lb_pc")
+        return advanced
+    if advanced is not None:
+        raise InvalidInputError(f"advanced applies only to tc_dtw, not {params.method.value}")
+    return params.method if params.method in (Method.LB_TI, Method.LB_PC, Method.LB_AD) else None
+
+
 def reference_nn_search(query, candidates, params, advanced=None, dim_range=None) -> NnOutcome:
     """The search cascade run one candidate at a time, in scan order: every
     compared DTW is a full reference_dtw call, charged its whole band, and
@@ -226,7 +238,8 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
         raise InvalidInputError("candidate list is empty")
     n, dims = qa.shape
     method = params.method
-    adv = _advanced_method(params, advanced)
+    adv = reference_advanced(params, advanced)
+    trigger = params.trigger_pc if adv == Method.LB_PC else params.trigger_ti
     w = params.effective_window(n)
 
     out = NnOutcome(best_index=0, best_distance=0.0)
@@ -276,7 +289,7 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
             if b1 >= d_best:
                 out.dtw_skipped += 1
                 continue
-            if adv is not None and b1 > _trigger(params, adv) * d_best:
+            if adv is not None and b1 > trigger * d_best:
                 t0 = time.perf_counter()
                 if adv == Method.LB_TI:
                     terms = lb_ti_terms(qa, planes, w, params.refresh_period, qsteps)

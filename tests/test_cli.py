@@ -171,6 +171,27 @@ def test_params_column_equals_the_table_column(data_file, capsys):
     assert from_table[2].startswith("tc_dtw(") and "e_pc=" in from_table[2]
 
 
+def test_params_label_of_every_method():
+    # the full `params` text: the fields each method's bounds are tuned on,
+    # then the fixed constants
+    from mvdtw.cli import _describe_params
+    from mvdtw.core import SearchParams
+
+    want = {
+        ("none", "none"): "none",
+        ("lb_mv", "lb_mv"): "lb_mv",
+        ("lb_ti", "lb_ti"): "lb_ti e_ti=0.05 P=5 K=6 w=6",
+        ("lb_pc", "lb_pc"): "lb_pc e_pc=0.5 L=3 P=5 K=6 w=6",
+        ("lb_ad", "lb_ad"): "lb_ad e_ti=0.05 P=5 K=6 w=6",
+        ("tc_dtw", "tc_dtw(lb_pc)"): "tc_dtw(lb_pc) e_ti=0.05 e_pc=0.5 L=3 P=5 K=6 w=6",
+        ("tc_dtw", "tc_dtw(lb_ti)"): "tc_dtw(lb_ti) e_ti=0.05 e_pc=0.5 L=3 P=5 K=6 w=6",
+    }
+    for (method, label), text in want.items():
+        params = SearchParams(window=4, method=Method(method), trigger_ti=0.05,
+                              trigger_pc=0.5, quant_levels=3)
+        assert _describe_params(params, label) == text
+
+
 def test_out_file(data_file, tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out = run_cli(
@@ -201,6 +222,23 @@ def test_verify_flag(data_file, capsys):
         capsys,
     )
     assert code == 0
+
+
+def test_verify_flag_reports_a_bound_above_dtw(data_file, capsys, monkeypatch):
+    # a kernel that overshoots every DTW distance: --verify names it, with
+    # plain float values, and exits as a data error before any search
+    import re
+
+    import mvdtw.search as search
+
+    terms = search.lb_ad_terms
+    monkeypatch.setattr(search, "lb_ad_terms", lambda *a, **k: terms(*a, **k) + 1e6)
+    code = main(["--data", data_file, "--method", "lb_mv", "--window", "3",
+                 "--reps", "1", "--verify"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"data error: soundness violation: lb_ad=[0-9.e+]+ exceeds "
+                        r"dtw=[0-9.e+]+ \(query 0, candidate 0\)\n", err), err
 
 
 def test_config_errors(data_file, capsys):
@@ -274,6 +312,8 @@ def test_run_benchmark_rejects_bad_config(data_file, monkeypatch):
         dict(data=[data_file], methods=[Method.NONE], dims=["x"]),
         dict(data=[data_file], methods=[Method.NONE], dims=[1, 3]),
         dict(data=[data_file], methods=[Method.NONE], reps=0),
+        dict(data=[data_file], methods=[Method.NONE], reps=2.5),
+        dict(data=[data_file], methods=[Method.NONE], reps="3"),
         dict(data=[data_file], methods=[Method.NONE], seed=-1),
         dict(data=[data_file], methods=[Method.NONE], seed=1.5),
     ]

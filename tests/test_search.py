@@ -182,7 +182,7 @@ def test_tc_dtw_select_prefers_clustering_on_clustered_data():
 def test_tc_dtw_select_tie_breaks_to_lb_pc(monkeypatch):
     import mvdtw.search as search
 
-    monkeypatch.setattr(search, "_run_sample", lambda *a, **k: 123.0)
+    monkeypatch.setattr(search, "_finish", lambda *a: search.NnOutcome(0, 0.0, work=123.0))
     params = SearchParams(window=3, method=Method.TC_DTW)
     assert tc_dtw_select([np.zeros((4, 1))], [np.zeros((4, 1))], params) == Method.LB_PC
 
@@ -245,7 +245,7 @@ def fresh_cost(queries, cands, params, dim_range):
     return cost
 
 
-GRIDS = ("_GRID_E_TI", "_GRID_E_PC", "_GRID_LEVELS")
+GRIDS = ("trigger_ti", "trigger_pc", "quant_levels")
 
 
 def assert_tuning_as_fresh_searches(queries, cands, window, seed, dim_range):
@@ -259,13 +259,13 @@ def assert_tuning_as_fresh_searches(queries, cands, window, seed, dim_range):
 
     sq, sc = selection_sample(queries, cands, seed)
     fresh = {}
-    given = [getattr(search, name) for name in GRIDS]
+    given = [search._GRID[name] for name in GRIDS]
     shuffle = random.Random(seed)
     for order in (given, [grid[::-1] for grid in given],
                   [tuple(shuffle.sample(grid, len(grid))) for grid in given]):
         with pytest.MonkeyPatch.context() as mp:
             for name, grid in zip(GRIDS, order):
-                mp.setattr(search, name, grid)
+                mp.setitem(search._GRID, name, grid)
             for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
                 params = SearchParams(window=window, method=method)
                 log = []
@@ -410,8 +410,13 @@ def test_each_configuration_built_once_per_query(monkeypatch):
     seed = 5
     sq, sc = selection_sample(queries, cands, seed)
     builds = []
-    kernel = search._kernel
-    monkeypatch.setattr(search, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+    bound = search._bound
+
+    def counted(*args):
+        b = bound(*args)
+        return b._replace(build=lambda: builds.append(1) or b.build())
+
+    monkeypatch.setattr(search, "_bound", counted)
 
     def pairs(configs):
         # (query, configuration) pairs with a triggered candidate, and
@@ -438,27 +443,6 @@ def test_each_configuration_built_once_per_query(monkeypatch):
     built = len(builds)
     want, _ = pairs([replace(tuned, method=m) for m in (Method.LB_TI, Method.LB_PC)])
     assert built == want > 0
-
-
-def test_lb_pc_record_kept_per_box_set_configuration(monkeypatch):
-    # One scan finished under LB_PC with different box-set constants in turn:
-    # every finish must equal a fresh search under the same constants, so no
-    # configuration reuses another's prune decisions
-    import mvdtw.search as search
-
-    ds = clustered_dataset(31, 20, 3, seed=29)
-    series = ds.series_list()
-    qs, cands = series[:8], series[8:]
-    params = SearchParams(window=4, method=Method.LB_PC, trigger_pc=0.01)
-    scans = search._sample_scans(qs, cands, params, ds.dim_ranges)
-    for name, value in (("max_boxes", 1), ("group_width", 2), ("min_cell_frac", 0.3),
-                        ("max_boxes", 6)):
-        monkeypatch.setattr(SearchParams, name, value)
-        for q, scan in zip(qs, scans):
-            got = search._finish(scan, params, Method.LB_PC)
-            want = nn_search(q, cands, params, dim_range=ds.dim_ranges)
-            for field in COUNTER_FIELDS:
-                assert getattr(got, field) == getattr(want, field), (name, value, field)
 
 
 @pytest.mark.parametrize("bad", [np.full((8, 2), np.nan), np.zeros((9, 2))],
