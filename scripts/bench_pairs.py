@@ -8,10 +8,13 @@ the metrics are the end-to-end ones of the change checkout's BENCHMARK.json;
 a run that lacks one of them stops the script.  The output JSON holds, per
 workload and metric: each side's runs, median and quartiles, and how many
 pairs the change won and lost (the better direction is the metric's
-`better`).  Every run's `correct` flag is kept, with the host's load
-averages (os.getloadavg) just before it; the MALLOC_* environment variables
-the runs inherit are recorded once.  A run that exits non-zero stops the
-script, with its side, workload, seed, pair and the tail of its stderr.
+`better`), and the relative change of the medians, signed so that positive
+means better, next to the metric's `bound`: a metric has regressed past its
+bound when `rel_change < -bound`.  Every run's `correct` flag is kept, with
+the host's load averages (os.getloadavg) just before it; the MALLOC_*
+environment variables the runs inherit are recorded once.  A run that exits
+non-zero stops the script, with its side, workload, seed, pair and the tail
+of its stderr.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -52,17 +55,20 @@ def summary(values: list) -> dict:
 
 
 def compare(pairs: list, metrics: list) -> dict:
-    """Per metric: each side's summary and the pairs the change won."""
+    """Per metric: each side's summary, the pairs the change won, and the
+    signed relative change of the medians next to the metric's bound."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         sides = {side: [p[side]["metrics"][name] for p in pairs]
                  for side in ("parent", "change")}
         diffs = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
-        out[name] = {"unit": m["unit"], "better": m["better"],
-                     "parent": summary(sides["parent"]), "change": summary(sides["change"]),
+        parent, change = summary(sides["parent"]), summary(sides["change"])
+        base = parent["median"]
+        rel = sign * (change["median"] - base) / abs(base) if base else None
+        out[name] = {"unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
                      "won": sum(d > 0 for d in diffs), "lost": sum(d < 0 for d in diffs),
-                     "pairs": len(pairs)}
+                     "pairs": len(pairs), "rel_change": rel, "bound": m["bound"]}
     return out
 
 

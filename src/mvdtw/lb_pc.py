@@ -2,10 +2,11 @@
 
 The envelope bound collapses each query window to one axis-aligned box, which
 gets very loose when the window's points sit in separated clumps.  This bound
-quantizes each window's points onto a grid of `levels` cells per dimension,
-keeps the tight bounding box of every non-empty cell (capped at `max_boxes`
-boxes), and charges each candidate point the distance to its nearest box
-instead of the distance to the single envelope box.
+quantizes each window's points onto a grid of `levels` cells per dimension
+and charges each candidate point the distance to its nearest cell box
+instead of the distance to the single envelope box.  The box cap is a rank
+threshold over the points sorted by cell: each non-empty cell of rank below
+`max_boxes` opens a box, and the last box runs on over the later cells.
 
 To amortize the clustering cost, boxes are built per *expanded window*: a
 merge of `group_width` consecutive original windows.  Expanded window g
@@ -41,12 +42,12 @@ class BoxGrouping:
 
 @dataclass(frozen=True, eq=False)
 class _GroupedCells:
-    """Per-cell boxes of every expanded window, before the box-count cap."""
+    """Every expanded window's points in stable (window, cell) order, before
+    the box cap.  `rank` (G, t_max) holds each cell's rank within its window
+    at the cell's first row, and int64's maximum on every other row."""
 
-    cell_lo: np.ndarray
-    cell_hi: np.ndarray
-    counts: np.ndarray
-    offsets: np.ndarray
+    points: np.ndarray
+    rank: np.ndarray
     group_width: int
     n: int
 
@@ -67,7 +68,7 @@ def _grouped_cells(
     # repeat their last point, which changes neither ranges nor cell boxes.
     t_max = int((b - a).max()) + 1
     idx = np.minimum(a[:, None] + np.arange(t_max)[None, :], b[:, None])
-    pts = qa[idx]
+    pts = qa.take(idx, axis=0)
 
     mn = pts.min(axis=1)
     mx = pts.max(axis=1)
@@ -95,36 +96,30 @@ def _grouped_cells(
             radix = len(distinct)
         keys = keys * levels + flat_idx[:, p]
         radix *= levels
-    flat_pts = pts.reshape(-1, dims)
 
+    # The group leads the key, so window g keeps rows [g*t_max, (g+1)*t_max)
+    # and a cell's rank is its count of cells less its window's first row's.
     order = keys.argsort(kind="stable")
     sorted_keys = keys[order]
-    sorted_pts = flat_pts[order]
-    cell_starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    cell_lo = np.minimum.reduceat(sorted_pts, cell_starts, axis=0)
-    cell_hi = np.maximum.reduceat(sorted_pts, cell_starts, axis=0)
-    cell_group = order[cell_starts] // t_max
-    counts = np.bincount(cell_group, minlength=groups)
-    offsets = np.concatenate([[0], counts.cumsum()])
-    return _GroupedCells(cell_lo, cell_hi, counts, offsets, group_width, n)
+    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])).reshape(groups, t_max)
+    seen = first.cumsum().reshape(groups, t_max)
+    rank = np.where(first, seen - seen[:, :1], np.iinfo(np.int64).max)
+    return _GroupedCells(pts.reshape(-1, dims).take(order, axis=0), rank, group_width, n)
 
 
 def _cap_cells(cells: _GroupedCells, max_boxes: int) -> BoxGrouping:
-    """Apply the per-group box cap: one reduceat segment per kept box; the
-    last kept slot's segment runs to the group's end, merging the overflow
-    cells into it."""
-    groups = len(cells.counts)
-    dims = cells.cell_lo.shape[1]
-    n_boxes = np.minimum(cells.counts, max_boxes)
-    box_group = np.arange(groups).repeat(n_boxes)
-    slot = np.arange(len(box_group)) - (n_boxes.cumsum() - n_boxes)[box_group]
-    seg_starts = cells.offsets[box_group] + slot
-    box_lo = np.minimum.reduceat(cells.cell_lo, seg_starts, axis=0)
-    box_hi = np.maximum.reduceat(cells.cell_hi, seg_starts, axis=0)
+    """Apply the per-group box cap: a box starts at every cell of rank below
+    `max_boxes` and runs to the next box's start, so the last box runs to its
+    window's end and absorbs the overflow cells."""
+    groups, t_max = cells.rank.shape
+    starts = np.flatnonzero(cells.rank < max_boxes)
+    box_group, slot = starts // t_max, cells.rank.ravel()[starts]
+    box_lo = np.minimum.reduceat(cells.points, starts, axis=0)
+    box_hi = np.maximum.reduceat(cells.points, starts, axis=0)
 
     # lo and hi of every set padded to K_max slots with +inf/-inf, then laid
     # out dimension first, index i getting set i // group_width
-    pads = np.full((2, groups, int(n_boxes.max()), dims), np.inf)
+    pads = np.full((2, groups, int(slot.max()) + 1, cells.points.shape[1]), np.inf)
     pads[1] = -np.inf
     pads[0, box_group, slot] = box_lo
     pads[1, box_group, slot] = box_hi
@@ -157,13 +152,13 @@ def build_box_sets(
 
     Each dimension of an expanded window's points is split into `levels`
     equal segments, except dimensions whose range is zero or falls below
-    min_cell_frac * dim_range, which stay whole.  Every non-empty cell
-    contributes the tight bounding box of its own points.  If more than
-    `max_boxes` cells are non-empty, the cells are ordered lexicographically
-    by cell index and all cells from position max_boxes-1 onward merge into
-    a single union box.  `dim_range` is the reference range of the cell-size
-    floor (normally the dataset's normalized value range), checked by
-    as_dim_range.  All windows are quantized in one batched pass.
+    min_cell_frac * dim_range, which stay whole.  With the points sorted
+    lexicographically by cell index, every non-empty cell of rank below
+    `max_boxes` opens a box, the tight bounding box of the points up to the
+    next box's cell: the cells from rank max_boxes-1 onward merge into one.
+    `dim_range` is the reference range of the cell-size floor (normally the
+    dataset's normalized value range), checked by as_dim_range.  All windows
+    are quantized in one batched pass.
     """
     qa = as_series(q)
     group_width = as_int(group_width, "group_width", 1)

@@ -12,6 +12,7 @@ from mvdtw import (
     lb_mv,
     lb_pc,
 )
+from mvdtw.lb_pc import _cap_cells, _grouped_cells
 
 from conftest import random_instance
 from oracles import box_set_for_index, expanded_span, naive_box_dist, quantize_cluster
@@ -142,6 +143,21 @@ def test_box_sets_match_quantize_cluster_at_high_dims(dims, levels):
         window, group_width, cap = int(g.integers(0, 12)), int(g.integers(1, 7)), 6
         grouping = build_box_sets(q, window, group_width, levels, cap, 1e-5)
         assert_box_sets_match(grouping, q, window, group_width, levels, cap, None)
+
+
+def test_one_quantization_serves_every_cap(rng):
+    # the soundness suites quantize once and cap at several K: capping must
+    # leave the shared record as it found it
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        q = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+        w, gw = int(rng.integers(0, 10)), int(rng.integers(1, 7))
+        ref = q.max(axis=0) - q.min(axis=0)
+        cells = _grouped_cells(q, w, gw, 3, 1e-5, ref)
+        for cap in (1, 2, 6, 6):
+            got = _cap_cells(cells, cap)
+            want = build_box_sets(q, w, gw, 3, cap, 1e-5, ref)
+            assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
 
 
 def test_grouped_boxes_cover_original_windows(rng):
