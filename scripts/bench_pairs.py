@@ -8,13 +8,16 @@ the metrics are the end-to-end ones of the change checkout's BENCHMARK.json;
 a run that lacks one of them stops the script.  The output JSON holds, per
 workload and metric: each side's runs, median and quartiles, and how many
 pairs the change won and lost (the better direction is the metric's
-`better`), and the relative change of the medians, signed so that positive
-means better, next to the metric's `bound`: a metric has regressed past its
-bound when `rel_change < -bound`.  Every run's `correct` flag is kept, with
-the host's load averages (os.getloadavg) just before it; the MALLOC_*
-environment variables the runs inherit are recorded once.  A run that exits
-non-zero stops the script, with its side, workload, seed, pair and the tail
-of its stderr.
+`better`), the relative change of the medians, signed so that positive means
+better, next to the metric's `bound`, the parent's relative spread
+`(q3 - q1) / median` and `past_bound`, true when `rel_change < -bound`.
+`flagged`, at the top, lists each (workload, seed, metric) that is past its
+bound or unresolved: its parent's spread exceeds its bound, so the pairs
+cannot tell a change of that size from noise.  Every run's `correct`
+flag is kept, with the host's load averages (os.getloadavg) just before it;
+the MALLOC_* environment variables the runs inherit are recorded once.  A run
+that exits non-zero stops the script, with its side, workload, seed, pair and
+the tail of its stderr.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -55,8 +58,9 @@ def summary(values: list) -> dict:
 
 
 def compare(pairs: list, metrics: list) -> dict:
-    """Per metric: each side's summary, the pairs the change won, and the
-    signed relative change of the medians next to the metric's bound."""
+    """Per metric: each side's summary, the pairs the change won, the signed
+    relative change of the medians next to the metric's bound, the parent's
+    relative spread and whether the change is past the bound."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -66,9 +70,26 @@ def compare(pairs: list, metrics: list) -> dict:
         parent, change = summary(sides["parent"]), summary(sides["change"])
         base = parent["median"]
         rel = sign * (change["median"] - base) / abs(base) if base else None
+        spread = (parent["q3"] - parent["q1"]) / abs(base) if base else None
         out[name] = {"unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
                      "won": sum(d > 0 for d in diffs), "lost": sum(d < 0 for d in diffs),
-                     "pairs": len(pairs), "rel_change": rel, "bound": m["bound"]}
+                     "pairs": len(pairs), "rel_change": rel, "bound": m["bound"],
+                     "parent_spread": spread,
+                     "past_bound": rel is not None and rel < -m["bound"]}
+    return out
+
+
+def flagged(results: list) -> list:
+    """The (workload, seed, metric) entries past their bound or unresolved."""
+    out = []
+    for r in results:
+        for name, m in r["metrics"].items():
+            unresolved = m["parent_spread"] is not None and m["parent_spread"] > m["bound"]
+            if m["past_bound"] or unresolved:
+                out.append({"workload": r["workload"], "seed": r["seed"], "metric": name,
+                            "past_bound": m["past_bound"], "unresolved": unresolved,
+                            "rel_change": m["rel_change"], "parent_spread": m["parent_spread"],
+                            "bound": m["bound"]})
     return out
 
 
@@ -86,7 +107,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
-    report = {"pairs": args.pairs, "seconds": args.seconds,
+    report = {"flagged": [], "pairs": args.pairs, "seconds": args.seconds,
               "malloc_env": {k: v for k, v in os.environ.items() if k.startswith("MALLOC_")},
               "results": []}
     for seed in args.seed:
@@ -112,6 +133,7 @@ def main(argv=None) -> int:
                 "loadavg": {side: [p[side]["loadavg"] for p in pairs] for side in checkouts},
                 "metrics": compare(pairs, metrics),
             })
+            report["flagged"] = flagged(report["results"])
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -214,8 +214,6 @@ def _describe_params(params: SearchParams, label: str) -> str:
 
 
 def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.6f}".rstrip("0").rstrip(".") if value == value else ""
     return str(value)

@@ -10,16 +10,19 @@ propagation sound.
 Each arithmetic rule has one owner, which every bound and the search call,
 so the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad,
 the batched search equal to the one-pair scan) need no hand-kept copies:
-array coercion `as_array`; series and pair checks `as_series`/`as_pair`;
-integer and window checks `as_int`/`as_window`; the candidates' (D, n, C)
-plane set `search._stack_candidates`; dimension-first point distances
+array coercion `as_array`; series and pair checks `as_series`/`as_pair`,
+which `search._stack_candidates` runs on each candidate to name a bad one;
+integer and window checks `as_int`/`as_window`, the latter also the window
+cap of `SearchParams.effective_window`; the fixed bound constants,
+SearchParams' class constants, which the per-pair lb_ti's default refresh
+period reads; the candidates' (D, n, C) plane set
+`search._stack_candidates`; dimension-first point distances
 `dtw.point_costs` and point-to-box distances `lb_pc.lb_pc_terms`, which
 lb_mv runs on the envelope's one box per index; the banded DTW recurrence
 `dtw.dtw_rows`, which dtw_banded runs on one candidate; every float total,
-over dimensions, bound terms or work charges alike, `sequential_sums`,
-which adds its leading axis left to right; and the prune rule, pruning
-a candidate at the first prefix of its bound terms above d_best,
-`search._prune_sums`.
+over dimensions, bound terms or work charges alike, `sequential_sums`, which
+adds its leading axis left to right; and the prune rule, pruning a candidate
+at the first prefix of its bound terms above d_best, `search._prune_sums`.
 """
 
 from __future__ import annotations
@@ -172,5 +175,5 @@ class SearchParams:
         object.__setattr__(self, "quant_levels", as_int(self.quant_levels, "quant_levels", 1))
 
     def effective_window(self, n: int) -> int:
-        return min(self.window, n - 1)
+        return as_window(self.window, n)
 

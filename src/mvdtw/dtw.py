@@ -52,20 +52,15 @@ def _sweep_plan(n: int, w: int) -> tuple:
     i + 1 holds the cell of row i, so entries 0 and n + 1 stand for rows -1
     and n.  Returns (steps, first, ends).  Per step: the slice of its rows
     i, which is also the buffer slice of rows i - 1, and the buffer slice of
-    its rows (both None for an empty step).  Numbering the band's cells by
-    step and then by rising row, step s holds cells ends[s] to ends[s+1] - 1,
-    from row first[s] up (column s - i); dtw_rows builds a chunk's cell
-    indices from these, so only O(n) integers are cached per (n, w).
+    its rows.  Numbering the band's cells by step and then by rising row,
+    step s holds cells ends[s] to ends[s+1] - 1, from row first[s] up
+    (column s - i); dtw_rows builds a chunk's cell indices from these, so
+    only O(n) integers are cached per (n, w).
     """
     steps, first, ends = [], [], [0]
     for s in range(2 * n - 1):
         i_lo = max(0, s - (n - 1), (s - w + 1) // 2)  # j <= n - 1, i - j >= -w
-        i_hi = min(n - 1, s, (s + w) // 2)
-        if i_lo > i_hi:  # window 0: odd anti-diagonals are empty
-            steps.append((None, None))
-            first.append(0)
-            ends.append(ends[-1])
-            continue
+        i_hi = min(n - 1, s, (s + w) // 2)  # i_lo - 1 on window 0's odd (empty) steps
         steps.append((slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2)))
         first.append(i_lo)
         ends.append(ends[-1] + i_hi - i_lo + 1)
@@ -131,11 +126,11 @@ def dtw_rows(qplanes: np.ndarray, planes: np.ndarray, w: int):
     scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count)))
     # Buffers for anti-diagonals s-2, s-1 and s, all +inf at first but for
     # the virtual cell (-1, -1) of value 0, which makes cell (0, 0) cost
-    # exactly itself.  A step writes its rows and sets the row on either
-    # side to +inf (out of the band).  Step s reads rows first[s] - 1 up to
-    # its last row of s-1 and s-2, which lie within those edges because
-    # first[s] never falls and the last row rises by at most one per step;
-    # so no buffer needs refilling.
+    # exactly itself.  A step writes its rows (none on window 0's odd
+    # anti-diagonals) and sets the row on either side to +inf (out of the
+    # band).  Step s reads rows first[s] - 1 up to its last row of s-1 and
+    # s-2, which lie within those edges because first[s] never falls and the
+    # last row rises by at most one per step; so no buffer needs refilling.
     two_back, one_back, cur = np.full((3, n + 2, count), _INF)
     two_back[0] = 0.0
     chunk_end = 0
@@ -144,11 +139,10 @@ def dtw_rows(qplanes: np.ndarray, planes: np.ndarray, w: int):
             fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // count) - 1
             chunk_end, base = max(fit, s + 1), ends[s]
             costs = _chunk_costs(qplanes, planes, *_chunk_cells(first, ends, s, chunk_end), scratch)
-        if below is not None:
-            cells = cur[mine]
-            np.minimum(one_back[below], one_back[mine], out=cells)  # (i-1, j), (i, j-1)
-            np.minimum(cells, two_back[below], out=cells)  # (i-1, j-1)
-            np.add(cells, costs[ends[s] - base : ends[s + 1] - base], out=cells)
-            cur[below.start] = cur[mine.stop] = _INF
+        cells = cur[mine]
+        np.minimum(one_back[below], one_back[mine], out=cells)  # (i-1, j), (i, j-1)
+        np.minimum(cells, two_back[below], out=cells)  # (i-1, j-1)
+        np.add(cells, costs[ends[s] - base : ends[s + 1] - base], out=cells)
+        cur[below.start] = cur[mine.stop] = _INF
         two_back, one_back, cur = one_back, cur, two_back
     return one_back[n].copy()  # cell (n-1, n-1)

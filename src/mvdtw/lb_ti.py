@@ -35,7 +35,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import (
-    BLOCK_FLOATS, BoundResult, InvalidInputError, as_int, as_pair, as_series, sequential_sums,
+    BLOCK_FLOATS, BoundResult, InvalidInputError, SearchParams, as_int, as_pair, as_series,
+    sequential_sums,
 )
 from .dtw import point_costs
 
@@ -73,7 +74,7 @@ def lb_ti(
     q,
     c,
     window: int,
-    refresh_period: int = 5,
+    refresh_period: int = SearchParams.refresh_period,
     neighbor: NeighborDistances | None = None,
 ) -> BoundResult:
     """Triangle-inequality lower bound of the banded DTW distance.

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_array, as_int, as_series, sequential_sums,
+    BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_int, as_series, sequential_sums,
 )
 from .dtw import dtw_rows, point_costs
 from .lb_mv import build_envelope, lb_ad_terms
@@ -108,9 +108,9 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
     """Validate the candidates once, as the C-contiguous (D, n, C) float64
     plane set every batched kernel reads (dimension, point, candidate).
 
-    Every candidate must have the query's shape and finite values; anything
-    else raises InvalidInputError naming the first offending candidate.
-    Equal-shape arrays (1-D if univariate) convert in one call; the
+    Every candidate must be a series (as_series) of the query's shape;
+    anything else raises InvalidInputError naming the first bad candidate in
+    order.  Equal-shape arrays (1-D if univariate) convert in one call; the
     candidates are visited one by one only to name an offender.
     """
     try:
@@ -123,7 +123,7 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
         arrays = []
         for k, c in enumerate(candidates):
             try:
-                a = as_array(c)
+                a = as_series(c)
             except InvalidInputError as exc:
                 raise InvalidInputError(f"candidate {k}: {exc}") from None
             if a.shape != shape:
@@ -132,10 +132,6 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
         if not arrays:
             raise InvalidInputError("candidate list is empty")
         stack = np.stack(arrays)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise InvalidInputError(f"candidate {k} contains non-finite values")
     return np.ascontiguousarray(stack.transpose(2, 1, 0))
 
 

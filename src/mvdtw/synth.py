@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import Dataset, _observed_ranges
+from .ingest import Dataset
 
 
 def _dataset(name: str, values: np.ndarray) -> Dataset:
-    return Dataset(name, values, _observed_ranges(values))
+    return Dataset(name, values, np.ptp(values, axis=(0, 1)))
 
 
 def random_walk_dataset(

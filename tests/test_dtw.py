@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvdtw import InvalidInputError, dtw_banded
@@ -123,6 +123,10 @@ def pair_distances(q, cands, window, budget):
     walk=st.booleans(),
     budget=st.sampled_from(CHUNK_BUDGETS),
 )
+# W = 0, whose odd anti-diagonals are empty steps, in one-step chunks and in
+# one chunk
+@example(seed=3, n=7, dims=3, extra_window=0, count=4, walk=True, budget=1)
+@example(seed=3, n=7, dims=3, extra_window=0, count=4, walk=False, budget=BLOCK_FLOATS)
 def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk, budget):
     window = extra_window % (n + 4)  # W in [0, n + 3]
     g = np.random.default_rng(seed)

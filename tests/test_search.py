@@ -613,6 +613,16 @@ def test_bad_last_candidate_rejected_at_the_boundary(bad):
                 nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced)
 
 
+def test_first_bad_candidate_named_in_order():
+    # a non-finite candidate before a misshapen one is the one named
+    g = np.random.default_rng(6)
+    q = g.normal(size=(6, 2))
+    good = [g.normal(size=(6, 2)) for _ in range(4)]
+    cands = [good[0], np.array([[0.0, np.inf]] * 6), good[1], g.normal(size=(5, 2)), *good[2:]]
+    with pytest.raises(InvalidInputError, match="candidate 1: series contains non-finite"):
+        nn_search(q, cands, SearchParams(window=2, method=Method.NONE))
+
+
 def test_candidates_stack_as_one_by_one():
     # One conversion of the whole candidate set must give the bytes of the
     # per-candidate stack, and never write into a caller's array.
