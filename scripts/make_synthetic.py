@@ -29,7 +29,7 @@ FAMILIES = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="data")
     ap.add_argument("--family", nargs="+", default=["all"],
@@ -38,7 +38,7 @@ def main() -> int:
     ap.add_argument("--length", type=int, default=50)
     ap.add_argument("--dims", type=int, default=3)
     ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     names = list(FAMILIES) if "all" in args.family else args.family
     os.makedirs(args.out_dir, exist_ok=True)

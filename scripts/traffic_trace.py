@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """List the statements of `src/mvdtw` that the code's real traffic never runs.
 
-The traffic, run in this process under a line tracer (sys.settrace) that
-records only frames of this checkout's `src/mvdtw` files:
+The traffic, run in this process under the standard library's line counter
+(`trace.Trace`); only the counts of this checkout's `src/mvdtw` files are
+read:
 
 * perfbench: for each workload of `perfbench/workloads.py`, the set-up
   (`set_up`: parse, normalize, split, tune, select) and one untraced pass of
   queries (`run_pass`), as `perfbench/run.py` runs them, on the workload's
   file written to a temporary directory;
-* README's `mvdtw-bench` commands ("Experiment scripts"), with `--verify`,
-  on the files `scripts/make_synthetic.py` would write for them, generated
-  into a temporary directory, with `--reps 1` (more repetitions repeat the
-  same calls).
+* the commands of README's "Experiment scripts" block, run in a temporary
+  directory: each `scripts/make_synthetic.py` line through that script's
+  `main`, each `mvdtw-bench` (`python -m mvdtw`) line through
+  `mvdtw.cli.main` with `--reps 1` (more repetitions repeat the same calls)
+  and `--verify`.
 
 perfbench is imported, not changed: no bytecode is written there.  A
 statement counts as run when a line event fires on one of its own lines (a
@@ -20,29 +22,26 @@ statements that compile to no instructions, such as docstrings, are not
 counted.  Prints, per module, the count and the statements that never ran.
 
 Example:
-    python3 scripts/traffic_trace.py --workload clustered-w10
+    python3 scripts/traffic_trace.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
+import glob
 import io
+import shlex
 import sys
 import tempfile
+import trace
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mvdtw"
-README_RUNS = [  # (families, num_series, length, mvdtw-bench arguments after --data)
-    (("walk", "smooth", "clustered", "iid"), 200, 50,
-     ["--method", "none", "lb_mv", "tc_dtw", "--window", "10", "20", "--emit", "table"]),
-    (("walk", "smooth", "clustered"), 120, 48,
-     ["--method", "none", "lb_mv", "lb_ti", "lb_pc", "tc_dtw", "--window", "20", "10",
-      "--emit", "table"]),
-]
+MAKE_SYNTHETIC = ["python", "scripts/make_synthetic.py"]
+MVDTW_BENCH = ["PYTHONPATH=src", "python", "-m", "mvdtw"]
 
 
 def own_lines(stmt: ast.stmt) -> set:
@@ -79,14 +78,13 @@ def unrun(path: Path, hit: set) -> tuple[int, list]:
     return counted, missed
 
 
-def perfbench_traffic(workloads: list) -> None:
+def perfbench_traffic() -> None:
     import run
     from refclock import ReferenceClock
 
     mv = run.load_library()
     clock = ReferenceClock()
-    for name in workloads:
-        workload = run.WORKLOADS[name]
+    for name, workload in run.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{name}.mts"
             mv.write_native(workload.generate(42), path)
@@ -96,49 +94,46 @@ def perfbench_traffic(workloads: list) -> None:
             sys.exit(f"perfbench pass on {name} failed:\n" + "\n".join(done.errors))
 
 
+def readme_commands() -> list:
+    """The commands of README's "Experiment scripts" block, each split into
+    words, with continuation lines joined and comments dropped."""
+    block = (ROOT / "README.md").read_text().split("## Experiment scripts", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [words for line in lines if (words := shlex.split(line, comments=True))]
+
+
 def readme_traffic() -> None:
-    from mvdtw import synth, write_native
-    from mvdtw.cli import main
+    import make_synthetic
+    from mvdtw.cli import main as mvdtw_bench
 
-    families = {"walk": synth.random_walk_dataset, "smooth": synth.smooth_walk_dataset,
-                "clustered": synth.clustered_dataset, "iid": synth.iid_noise_dataset}
-    for names, num_series, length, args in README_RUNS:
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = []
-            for name in names:
-                paths.append(str(Path(tmp) / f"{name}.mts"))
-                write_native(families[name](num_series, length, 3, seed=42, name=name), paths[-1])
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["--data", *paths, *args, "--reps", "1", "--verify"])
-            if code:
-                sys.exit(f"mvdtw-bench {' '.join(args)} exited with code {code}")
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp),
+          contextlib.redirect_stdout(io.StringIO())):
+        for words in readme_commands():
+            if words[:2] == MAKE_SYNTHETIC:
+                make_synthetic.main(words[2:])
+            elif words[:4] == MVDTW_BENCH:
+                args = [path for word in words[4:] for path in sorted(glob.glob(word)) or [word]]
+                if mvdtw_bench([*args, "--reps", "1", "--verify"]):
+                    sys.exit(f"README command failed: {shlex.join(words)}")
+            else:
+                sys.exit(f"README command not recognised: {shlex.join(words)}")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", nargs="+", help="perfbench workloads (default: all)")
-    args = ap.parse_args(argv)
+def traffic() -> None:
+    perfbench_traffic()
+    readme_traffic()
+
+
+def main() -> int:
     sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+    # No ignoredirs: trace caches what it ignores by bare module name, so
+    # ignoring numpy's __init__.py would also ignore mvdtw's.
+    counter = trace.Trace(count=1, trace=0)
+    counter.runfunc(traffic)  # before mvdtw is imported, so module bodies count too
     hit = defaultdict(set)  # file name -> lines run
-    package = str(PACKAGE)
-
-    def local(frame, event, arg):
-        if event == "line":
-            hit[frame.f_code.co_filename].add(frame.f_lineno)
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(package) else None
-
-    sys.settrace(tracer)  # before mvdtw is imported, so module bodies count too
-    try:
-        sys.path.insert(0, str(ROOT / "perfbench"))
-        from workloads import WORKLOADS
-
-        perfbench_traffic(args.workload or list(WORKLOADS))
-        readme_traffic()
-    finally:
-        sys.settrace(None)
+    for filename, lineno in counter.results().counts:
+        hit[filename].add(lineno)
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         counted, missed = unrun(path, hit[str(path)])

@@ -253,6 +253,11 @@ def parse_ts_subset(path) -> RawDataset:
     return RawDataset(name, np.stack(series_rows))
 
 
+def _observed_ranges(values: np.ndarray) -> np.ndarray:
+    flat = values.reshape(-1, values.shape[2])
+    return flat.max(axis=0) - flat.min(axis=0)
+
+
 def normalize(ds: RawDataset | Dataset) -> Dataset:
     """Z-normalize per dimension over every point of every series.
 
@@ -269,7 +274,7 @@ def normalize(ds: RawDataset | Dataset) -> Dataset:
     safe = np.where(std > 0.0, std, 1.0)
     normed = (vals - mean) / safe
     normed[..., std == 0.0] = 0.0
-    return Dataset(ds.name, normed, np.ptp(normed, axis=(0, 1)))
+    return Dataset(ds.name, normed, _observed_ranges(normed))
 
 
 def truncate_dims(ds: Dataset, dims_used: int) -> Dataset:

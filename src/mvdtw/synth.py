@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import Dataset
+from .ingest import Dataset, _observed_ranges
 
 
 def _dataset(name: str, values: np.ndarray) -> Dataset:
-    return Dataset(name, values, np.ptp(values, axis=(0, 1)))
+    return Dataset(name, values, _observed_ranges(values))
 
 
 def random_walk_dataset(
