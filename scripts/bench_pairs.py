@@ -17,7 +17,9 @@ cannot tell a change of that size from noise.  Every run's `correct`
 flag is kept, with the host's load averages (os.getloadavg) just before it;
 the MALLOC_* environment variables the runs inherit are recorded once.  A run
 that exits non-zero stops the script, with its side, workload, seed, pair and
-the tail of its stderr.
+the tail of its stderr.  After writing the JSON, the script exits with status
+1 when a run is not `correct` or a metric is past its bound, naming each on
+stderr; a metric that is only unresolved leaves the status 0.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -135,7 +137,14 @@ def main(argv=None) -> int:
             })
             report["flagged"] = flagged(report["results"])
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    failures = [f"{r['workload']} seed {r['seed']}: a {side} run is not correct"
+                for r in report["results"] for side, runs in r["correct"].items()
+                if not all(runs)]
+    failures += [f"{f['workload']} seed {f['seed']}: {f['metric']} is past its bound"
+                 for f in report["flagged"] if f["past_bound"]]
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

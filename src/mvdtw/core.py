@@ -7,22 +7,23 @@ a DTW distance is the plain sum of point costs along the warping path.  The
 non-squared form is a metric, which is what makes triangle-inequality bound
 propagation sound.
 
-Each arithmetic rule has one owner, which every bound and the search call,
-so the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad,
-the batched search equal to the one-pair scan) need no hand-kept copies:
-array coercion `as_array`; series and pair checks `as_series`/`as_pair`,
-which `search._stack_candidates` runs on each candidate to name a bad one;
-integer and window checks `as_int`/`as_window`, the latter also the window
-cap of `SearchParams.effective_window`; the fixed bound constants,
+Each arithmetic rule has one owner, which every bound and the search call, so
+the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad, the
+batched search equal to the one-pair scan) need no hand-kept copies: array
+coercion `as_array`; series and pair checks `as_series`/`as_pair`; integer and
+window checks `as_int`/`as_window`, the latter also the window cap of
+`SearchParams.effective_window`; the search's one checked entry
+`search._scan`, which checks each query and its range (`lb_pc.as_dim_range`)
+and stacks the candidates, each a checked series, as their (D, n, C) plane set
+(`search._stack_candidates`) before any sweep; the fixed bound constants,
 SearchParams' class constants, which the per-pair lb_ti's default refresh
-period reads; the candidates' (D, n, C) plane set
-`search._stack_candidates`; dimension-first point distances
-`dtw.point_costs` and point-to-box distances `lb_pc.lb_pc_terms`, which
-lb_mv runs on the envelope's one box per index; the banded DTW recurrence
-`dtw.dtw_rows`, which dtw_banded runs on one candidate; every float total,
-over dimensions, bound terms or work charges alike, `sequential_sums`, which
-adds its leading axis left to right; and the prune rule, pruning a candidate
-at the first prefix of its bound terms above d_best, `search._prune_sums`.
+period reads; dimension-first point distances `dtw.point_costs` and
+point-to-box distances `lb_pc.lb_pc_terms`, which lb_mv runs on the envelope's
+one box per index; the banded DTW recurrence `dtw.dtw_rows`, which dtw_banded
+runs on one candidate; every float total, over dimensions, bound terms or work
+charges alike, `sequential_sums`, which adds its leading axis left to right;
+and the prune rule, pruning a candidate at the first prefix of its bound terms
+above d_best, `search._prune_sums`.
 """
 
 from __future__ import annotations
@@ -166,7 +167,11 @@ class SearchParams:
     min_cell_frac: ClassVar[float] = 0.00001
 
     def __post_init__(self):
-        object.__setattr__(self, "method", Method(self.method))
+        try:
+            object.__setattr__(self, "method", Method(self.method))
+        except ValueError:
+            raise InvalidInputError(f"method must be one of {', '.join(Method)}, "
+                                    f"got {self.method!r}") from None
         object.__setattr__(self, "window", as_int(self.window, "window", 0))
         for name in ("trigger_ti", "trigger_pc"):
             v = getattr(self, name)

@@ -99,12 +99,12 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
     row whose window holds it.
 
     `qa` is a validated (n, D) query, `planes` a validated plane set of its
-    shape, `w` the effective window, `refresh_period` >= 1 and `qsteps` the
-    query's neighbor_steps.  Returns an (n, C) array.  Blocks of P rows
-    advance together in chunks of as many blocks as fit in BLOCK_FLOATS, at
-    least one: a block holds 2w + P interval slots per candidate, and the
-    temporaries D floats per slot.  The search's candidate blocks are sized
-    by the same count, so each runs as one chunk.
+    shape, `w` the effective window, `refresh_period` >= 1, which only this
+    kernel caps at n (P), and `qsteps` the query's neighbor_steps.  Returns an
+    (n, C) array.  Blocks of P rows advance together in chunks of as many
+    blocks as fit in BLOCK_FLOATS, at least one: a block holds 2w + P interval
+    slots per candidate, and the temporaries D floats per slot.  Sized by that
+    count at the uncapped period, the search's blocks each run as one chunk.
     """
     dims, n, count = planes.shape
     p = min(refresh_period, n)

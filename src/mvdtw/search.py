@@ -187,9 +187,10 @@ def nn_search(
 
     Candidates are processed in the given order; d_best starts from an exact
     DTW against the first candidate.  `advanced` names the second-step bound
-    when params.method is TC_DTW (fill it from tc_dtw_select).  `dim_range`
-    is the dataset's per-dimension value range, used by the clustering bound's
-    minimum cell size; it is checked for every method.
+    when params.method is TC_DTW (fill it from tc_dtw_select).  `dim_range` is
+    the dataset's per-dimension value range, used by the clustering bound's
+    minimum cell size.  _scan checks the query, `dim_range` (for every method)
+    and the candidates, in that order, before any work; `advanced` after it.
 
     The work runs as one batch pass: the envelope bound of every candidate
     at once, one batched DTW sweep (dtw_rows) to the last row of every
@@ -202,21 +203,19 @@ def nn_search(
     only a diagonal-path cost below the DTW distance could cause.
     """
     t_start = time.perf_counter()
-    qa = as_series(query)
-    ref = as_dim_range(dim_range, qa)
-    planes = _stack_candidates(candidates, qa.shape)
-    adv = _advanced_method(params, advanced)
-    bounded = params.method != Method.NONE
-    scan, = _scan([(qa, ref)], planes, params.effective_window(len(qa)), bounded)
-    out = _finish(scan, params, adv)
+    scan, = _scan([query], candidates, params, dim_range, params.method != Method.NONE)
+    out = _finish(scan, params, _advanced_method(params, advanced))
     out.total_time = time.perf_counter() - t_start
     return out
 
 
-def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Scan]:
-    """nn_search's first stage for each checked (query, reference range) of
-    `queries` against one plane set; `bounded` is False for method `none`,
-    which runs no bound.  nn_search is the batch of one.
+def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -> list[_Scan]:
+    """nn_search's first stage for each of `queries` against `candidates` under
+    params' window; `bounded` is False for method `none`, which runs no bound.
+    The search's one checked entry: before any sweep it checks each query
+    (as_series) and its range (as_dim_range) in turn, stacking the candidates
+    (_stack_candidates) for the first query's shape and again for a later query
+    of another shape, which raises, as does an empty query list.
 
     One DTW sweep covers the (query, candidate) columns of every query's
     swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
@@ -224,10 +223,18 @@ def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Sca
     candidates' plane set or one block.  A query's dtw_time gets the sweep's
     time in proportion to its columns.
     """
-    n, dims = queries[0][0].shape
-    count = planes.shape[-1]
+    if len(queries) == 0:
+        raise InvalidInputError("query list is empty")
+    checked, planes = [], None
+    for q in queries:
+        qa = as_series(q)
+        checked.append((qa, as_dim_range(dim_range, qa)))
+        if planes is None or planes.shape[:2] != qa.shape[::-1]:
+            planes = _stack_candidates(candidates, qa.shape)
+    dims, n, count = planes.shape
+    w = params.effective_window(n)
     stages = []
-    for qa, _ in queries:
+    for qa, _ in checked:
         # The batched envelope bound (the one-box lb_pc), charged to lb_time.
         t0 = time.perf_counter()
         lb_totals = None
@@ -259,18 +266,18 @@ def _scan(queries: list, planes: np.ndarray, w: int, bounded: bool) -> list[_Sca
     t0 = time.perf_counter()
     needs = [stage[2] for stage in stages]
     gathered = np.concatenate(needs)
-    qstack = np.stack([qa.T for qa, _ in queries], axis=-1)
-    owner = np.repeat(np.arange(len(queries)), [len(need) for need in needs])
+    qstack = np.stack([qa.T for qa, _ in checked], axis=-1)
+    owner = np.repeat(np.arange(len(checked)), [len(need) for need in needs])
     cap = max(count, BLOCK_FLOATS // (n * dims))
-    whole = len(queries) == 1 and len(gathered) == count  # every candidate, in order
+    whole = len(checked) == 1 and len(gathered) == count  # every candidate, in order
     finals = np.concatenate([
-        dtw_rows(qstack if len(queries) == 1 else qstack.take(owner[b : b + cap], axis=-1),
+        dtw_rows(qstack if len(checked) == 1 else qstack.take(owner[b : b + cap], axis=-1),
                  planes if whole else planes[..., gathered[b : b + cap]], w)
         for b in range(0, len(gathered), cap)])
     took = time.perf_counter() - t0
 
     scans, start = [], 0
-    for (qa, ref), (lb_totals, swept, need, lb_time, dtw_time) in zip(queries, stages):
+    for (qa, ref), (lb_totals, swept, need, lb_time, dtw_time) in zip(checked, stages):
         # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
         # is the smallest DTW distance among candidates 0..k-1: a skipped
         # candidate's distance is at least the d_best it met.  The sweep
@@ -315,9 +322,8 @@ def _bound(scan: _Scan, params: SearchParams, adv: Method) -> _Bound:
     qa, w = scan.qa, scan.w
     n, dims = qa.shape
     if adv == Method.LB_TI:
-        p = min(params.refresh_period, n)
-        return _Bound(params.trigger_ti, (adv,), n * dims,
-                      n * (4.0 + (2.0 + w / params.refresh_period) * dims),
+        p = params.refresh_period  # lb_ti_terms caps it at n
+        return _Bound(params.trigger_ti, (adv,), n * dims, n * (4.0 + (2.0 + w / p) * dims),
                       lambda: (partial(lb_ti_terms, qa, w=w, refresh_period=p,
                                        qsteps=neighbor_steps(qa)),
                                -(-n // p) * (2 * w + p) * dims))
@@ -404,18 +410,10 @@ def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
 
 
 def _sample_scans(queries, candidates, params: SearchParams, dim_range) -> list[_Scan]:
-    """A bounded scan of each sample query, every query checked as nn_search
-    checks it before any sweep (the candidates are stacked once per query
-    shape); an empty sample raises InvalidInputError."""
+    """A bounded _scan of each sample query; an empty sample is rejected."""
     if len(queries) == 0 or len(candidates) == 0:
         raise InvalidInputError("selection sample is empty")
-    checked, planes = [], None
-    for q in queries:
-        qa = as_series(q)
-        checked.append((qa, as_dim_range(dim_range, qa)))
-        if planes is None or planes.shape[:2] != qa.shape[::-1]:
-            planes = _stack_candidates(candidates, qa.shape)
-    return _scan(checked, planes, params.effective_window(len(checked[0][0])), True)
+    return _scan(queries, candidates, params, dim_range, True)
 
 
 def _rank(scans: list[_Scan], configs: list, log: list | None = None) -> tuple:
@@ -488,18 +486,15 @@ def verify_bounds(queries, candidates, params: SearchParams, dim_range=None) -> 
     x 8 candidates; raise InvalidInputError at the first bound above its
     DTW distance.  `mvdtw-bench --verify` runs it.
 
-    An unbounded scan of the queries sweeps every candidate, so its
-    distances are all exact (dtw_rows)."""
-    checked = [(qa, as_dim_range(dim_range, qa)) for qa in map(as_series, queries[:3])]
-    n, dims = checked[0][0].shape
-    planes = _stack_candidates(candidates[:8], (n, dims))
-    for qi, scan in enumerate(_scan(checked, planes, params.effective_window(n), False)):
+    An unbounded _scan of the queries, which checks the inputs first, sweeps
+    every candidate, so its distances are all exact (dtw_rows)."""
+    for qi, scan in enumerate(_scan(queries[:3], candidates[:8], params, dim_range, False)):
         kernels = {"lb_mv": (partial(lb_pc_terms, grouping=build_envelope(scan.qa, scan.w)),
-                             n * dims)}
+                             scan.qa.size)}
         for adv in (Method.LB_TI, Method.LB_PC, Method.LB_AD):
             kernels[adv.value] = _bound(scan, params, adv).build()
         for name, (terms, floats) in kernels.items():
-            totals, _ = _prune_sums(_blockwise(terms, planes, floats))
+            totals, _ = _prune_sums(_blockwise(terms, scan.planes, floats))
             over = np.flatnonzero(totals > scan.distances)
             if len(over):
                 ci = int(over[0])

@@ -103,6 +103,9 @@ def test_search_params_defaults_and_validation():
         for bad in (1.0, 0.0, "0.5", None, float("nan"), np.array([0.5, 0.5])):
             with pytest.raises(InvalidInputError, match=name):
                 SearchParams(window=1, **{name: bad})
+    for bad in ("bogus", None):
+        with pytest.raises(InvalidInputError, match=f"method must be one of .*got {bad!r}"):
+            SearchParams(window=5, method=bad)
     SearchParams(window=1, method="lb_ti")  # strings coerce to the enum
 
 

@@ -329,9 +329,7 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
     # calls.  Each query's scan must be the one a scan of that query alone
     # gives, and finish alike
     import mvdtw.search as search
-    from mvdtw.core import as_series
     from mvdtw.dtw import dtw_rows
-    from mvdtw.lb_pc import as_dim_range
 
     ds = make(num_series, n, dims, seed=29)
     series = ds.series_list()
@@ -363,10 +361,7 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
     elif queries > 1 and len(cands) > 1:  # some query's columns span two calls
         assert any(a // cap < (b - 1) // cap for a, b in zip([0, *ends[:-1]], ends))
     for q, batched in zip(qs, scans):
-        qa = as_series(q)
-        alone, = search._scan([(qa, as_dim_range(ds.dim_ranges, qa))],
-                              search._stack_candidates(cands, qa.shape),
-                              params.effective_window(n), True)
+        alone, = search._scan([q], cands, params, ds.dim_ranges, True)
         for name in ("lb_totals", "distances", "swept", "met", "compared"):
             a, b = getattr(batched, name), getattr(alone, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -621,6 +616,41 @@ def test_first_bad_candidate_named_in_order():
     cands = [good[0], np.array([[0.0, np.inf]] * 6), good[1], g.normal(size=(5, 2)), *good[2:]]
     with pytest.raises(InvalidInputError, match="candidate 1: series contains non-finite"):
         nn_search(q, cands, SearchParams(window=2, method=Method.NONE))
+
+
+def test_nn_search_checks_in_order():
+    # with every input bad, the first one still bad is named, in the order
+    # query, dim_range, candidates, advanced
+    g = np.random.default_rng(8)
+    good_q, good_cands = g.normal(size=(6, 2)), [g.normal(size=(6, 2)) for _ in range(3)]
+    good = {"query": good_q, "dim_range": None, "candidates": good_cands, "advanced": None}
+    bad = {"query": np.full((6, 2), np.nan), "dim_range": [1.0, np.nan],
+           "candidates": [good_cands[0], np.zeros((5, 2))], "advanced": Method.LB_PC}
+    named = {"query": "^series contains non-finite", "dim_range": "dim_range",
+             "candidates": "candidate 1", "advanced": "advanced"}
+    args = dict(bad)
+    for name in ("query", "dim_range", "candidates", "advanced"):
+        with pytest.raises(InvalidInputError, match=named[name]):
+            nn_search(args["query"], args["candidates"], SearchParams(window=2, method=Method.LB_TI),
+                      advanced=args["advanced"], dim_range=args["dim_range"])
+        args[name] = good[name]
+    nn_search(args["query"], args["candidates"], SearchParams(window=2, method=Method.LB_TI),
+              advanced=args["advanced"], dim_range=args["dim_range"])
+
+
+def test_verify_bounds_checks_every_query():
+    # a later query of another shape than the candidates', and an empty
+    # query list, are rejected like any other bad input
+    from mvdtw.search import verify_bounds
+
+    g = np.random.default_rng(12)
+    cands = [g.normal(size=(6, 2)) for _ in range(4)]
+    params = SearchParams(window=2, method=Method.NONE)
+    verify_bounds([g.normal(size=(6, 2)) for _ in range(2)], cands, params)
+    with pytest.raises(InvalidInputError, match=r"has shape \(6, 2\), query has \(5, 2\)"):
+        verify_bounds([g.normal(size=(6, 2)), g.normal(size=(5, 2))], cands, params)
+    with pytest.raises(InvalidInputError, match="query list is empty"):
+        verify_bounds([], cands, params)
 
 
 def test_candidates_stack_as_one_by_one():
