@@ -1,8 +1,9 @@
 """Sakoe-Chiba banded dependent multivariate DTW.
 
 One DP computes every banded DTW in the package: dtw_rows, which sweeps the
-anti-diagonals of (query, candidate) columns.  The search runs it on the
-candidates each query may compare, and dtw_banded on a set of one."""
+anti-diagonals of (query, candidate) columns in offset layout.  The search
+runs it on the candidates each query may compare, and dtw_banded on a set of
+one."""
 
 from __future__ import annotations
 
@@ -48,23 +49,28 @@ def dtw_banded(q, c, window: int) -> DtwResult:
 def _sweep_plan(n: int, w: int) -> tuple:
     """Steps and cell layout of the anti-diagonals s = i + j of an (n, w) band.
 
-    dtw_rows keeps each anti-diagonal in an (n + 2, C) buffer whose entry
-    i + 1 holds the cell of row i, so entries 0 and n + 1 stand for rows -1
-    and n.  Returns (steps, first, ends).  Per step: the slice of its rows
-    i, which is also the buffer slice of rows i - 1, and the buffer slice of
-    its rows.  Numbering the band's cells by step and then by rising row,
-    step s holds cells ends[s] to ends[s+1] - 1, from row first[s] up
-    (column s - i); dtw_rows builds a chunk's cell indices from these, so
-    only O(n) integers are cached per (n, w).
+    dtw_rows keeps a cell (i, j) at its offset d = i - j, as e = d + w + 1,
+    in one of two buffers: even e at entry e // 2 of a (w + 2, C) buffer,
+    whose end entries e = 0 and 2w + 2 (d = -(w+1) and w + 1) lie outside
+    the band, and odd e at entry e // 2 of a (w + 1, C) buffer.  A step's
+    cells share the parity of s, so they fill one contiguous slice of one
+    buffer, in the order of their rows.  Returns (keys, steps, first,
+    ends): the distinct (parity of e, start, stop) slices of the steps, and
+    per step the index of its slice in keys.  Numbering the band's cells by
+    step and then by rising row, step s holds cells ends[s] to ends[s+1] - 1,
+    from row first[s] up (column s - i); dtw_rows builds a chunk's cell
+    indices from these, so only O(n) integers are cached per (n, w).
     """
-    steps, first, ends = [], [], [0]
+    keys, steps, first, ends = {}, [], [], [0]
     for s in range(2 * n - 1):
         i_lo = max(0, s - (n - 1), (s - w + 1) // 2)  # j <= n - 1, i - j >= -w
         i_hi = min(n - 1, s, (s + w) // 2)  # i_lo - 1 on window 0's odd (empty) steps
-        steps.append((slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2)))
+        e = 2 * i_lo - s + w + 1
+        key = (e % 2, e // 2, e // 2 + i_hi - i_lo + 1)
+        steps.append(keys.setdefault(key, len(keys)))
         first.append(i_lo)
         ends.append(ends[-1] + i_hi - i_lo + 1)
-    return tuple(steps), np.array(first), tuple(ends)
+    return tuple(keys), tuple(steps), np.array(first), tuple(ends)
 
 
 def _chunk_cells(first: np.ndarray, ends: tuple, s0: int, s1: int) -> tuple:
@@ -109,40 +115,44 @@ def dtw_rows(qplanes: np.ndarray, planes: np.ndarray, w: int):
 
     The DP runs over anti-diagonals i + j = s, whose cells depend only on the
     two previous anti-diagonals, so each step is a few array operations over
-    every candidate.  Candidates sit on the last, contiguous axis: each
-    anti-diagonal is an (n + 2, C) buffer indexed by row, so a step's cells
-    and their neighbours are contiguous (cells, C) blocks.  The point costs
-    are computed a chunk of consecutive anti-diagonals at a time, per
-    dimension plane (_chunk_costs).  A chunk holds as many cells as fit in
-    BLOCK_FLOATS with their temporaries (C floats per cell), and at least one
-    anti-diagonal; no whole-band index or cost array is kept.  Every
-    candidate runs to the last row: a DP row's minimum crosses a search's
-    d_best only near the end, so dropping candidates mid-sweep would cost
-    more than the rows it saves.
+    every candidate.  Candidates sit on the last, contiguous axis, and cells
+    at their offset i - j in _sweep_plan's two buffers, (2w + 3)·C floats.
+    A cell's entry still holds its diagonal predecessor from step s-2, and
+    its other two are the other buffer's entries on either side, so a step
+    updates its slice in place.  The point costs are computed a chunk
+    of consecutive anti-diagonals at a time, per dimension plane
+    (_chunk_costs).  A chunk holds as many cells as fit in BLOCK_FLOATS with
+    their temporaries (C floats per cell), and at least one anti-diagonal;
+    no whole-band index or cost array is kept.  Every candidate runs to the
+    last row: a DP row's minimum crosses a search's d_best only near the
+    end, so dropping candidates mid-sweep would cost more than the rows it
+    saves.
     """
     _, n, count = planes.shape
-    steps, first, ends = _sweep_plan(n, w)
+    keys, steps, first, ends = _sweep_plan(n, w)
     # an anti-diagonal holds at most w + 1 cells
     scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count)))
-    # Buffers for anti-diagonals s-2, s-1 and s, all +inf at first but for
-    # the virtual cell (-1, -1) of value 0, which makes cell (0, 0) cost
-    # exactly itself.  A step writes its rows (none on window 0's odd
-    # anti-diagonals) and sets the row on either side to +inf (out of the
-    # band).  Step s reads rows first[s] - 1 up to its last row of s-1 and
-    # s-2, which lie within those edges because first[s] never falls and the
-    # last row rises by at most one per step; so no buffer needs refilling.
-    two_back, one_back, cur = np.full((3, n + 2, count), _INF)
-    two_back[0] = 0.0
+    # All +inf but for the virtual cell (-1, -1) of value 0 (e = w + 1), which
+    # makes cell (0, 0) cost exactly itself; cell (n-1, n-1) ends there.  Step
+    # t writes offsets |d| <= min(t, w) only, so the predecessors step s reads
+    # outside the square (|d| >= s) or the band (|d| = w + 1) stay +inf.
+    buffers = np.full((2 * w + 3, count), _INF)
+    by_parity = buffers[: w + 2], buffers[w + 2 :]
+    final = by_parity[(w + 1) % 2][(w + 1) // 2]
+    final[:] = 0.0
+    # Per key, its cells and their neighbours e - 1 and e + 1 in the other
+    # buffer: entries e // 2 - 1 and e // 2 for even e, e // 2 and e // 2 + 1
+    # for odd e.
+    views = [(by_parity[p][a:b], by_parity[1 - p][a + p - 1 : b + p - 1],
+              by_parity[1 - p][a + p : b + p]) for p, a, b in keys]
     chunk_end = 0
-    for s, (below, mine) in enumerate(steps):
+    for s, key in enumerate(steps):
         if s == chunk_end:
             fit = bisect_right(ends, ends[s] + BLOCK_FLOATS // count) - 1
             chunk_end, base = max(fit, s + 1), ends[s]
             costs = _chunk_costs(qplanes, planes, *_chunk_cells(first, ends, s, chunk_end), scratch)
-        cells = cur[mine]
-        np.minimum(one_back[below], one_back[mine], out=cells)  # (i-1, j), (i, j-1)
-        np.minimum(cells, two_back[below], out=cells)  # (i-1, j-1)
+        cells, left, right = views[key]
+        np.minimum(cells, left, out=cells)
+        np.minimum(cells, right, out=cells)
         np.add(cells, costs[ends[s] - base : ends[s + 1] - base], out=cells)
-        cur[below.start] = cur[mine.stop] = _INF
-        two_back, one_back, cur = one_back, cur, two_back
-    return one_back[n].copy()  # cell (n-1, n-1)
+    return final.copy()

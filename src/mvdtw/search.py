@@ -214,8 +214,8 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -
     params' window; `bounded` is False for method `none`, which runs no bound.
     The search's one checked entry: before any sweep it checks each query
     (as_series) and its range (as_dim_range) in turn, stacking the candidates
-    (_stack_candidates) for the first query's shape and again for a later query
-    of another shape, which raises, as does an empty query list.
+    (_stack_candidates) for the first query's shape; a later query of another
+    shape raises, naming its index in `queries`, as does an empty query list.
 
     One DTW sweep covers the (query, candidate) columns of every query's
     swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
@@ -226,11 +226,14 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -
     if len(queries) == 0:
         raise InvalidInputError("query list is empty")
     checked, planes = [], None
-    for q in queries:
+    for qi, q in enumerate(queries):
         qa = as_series(q)
         checked.append((qa, as_dim_range(dim_range, qa)))
-        if planes is None or planes.shape[:2] != qa.shape[::-1]:
+        if planes is None:
             planes = _stack_candidates(candidates, qa.shape)
+        elif planes.shape[1::-1] != qa.shape:
+            raise InvalidInputError(f"query {qi} has shape {qa.shape}, "
+                                    f"candidates have {planes.shape[1::-1]}")
     dims, n, count = planes.shape
     w = params.effective_window(n)
     stages = []

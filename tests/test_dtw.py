@@ -123,10 +123,20 @@ def pair_distances(q, cands, window, budget):
     walk=st.booleans(),
     budget=st.sampled_from(CHUNK_BUDGETS),
 )
-# W = 0, whose odd anti-diagonals are empty steps, in one-step chunks and in
-# one chunk
+# W = 0, whose odd anti-diagonals are empty steps, with odd and even n, in
+# one-step chunks and in one chunk; one- and two-point series; W = 1; and
+# W = n - 1, whose band is the whole square, also reached from above
 @example(seed=3, n=7, dims=3, extra_window=0, count=4, walk=True, budget=1)
 @example(seed=3, n=7, dims=3, extra_window=0, count=4, walk=False, budget=BLOCK_FLOATS)
+@example(seed=4, n=8, dims=2, extra_window=0, count=3, walk=True, budget=1)
+@example(seed=4, n=8, dims=2, extra_window=0, count=3, walk=False, budget=BLOCK_FLOATS)
+@example(seed=5, n=1, dims=2, extra_window=0, count=3, walk=False, budget=BLOCK_FLOATS)
+@example(seed=5, n=1, dims=2, extra_window=3, count=3, walk=False, budget=1)
+@example(seed=6, n=2, dims=3, extra_window=0, count=2, walk=True, budget=1)
+@example(seed=6, n=2, dims=3, extra_window=1, count=2, walk=True, budget=BLOCK_FLOATS)
+@example(seed=7, n=9, dims=1, extra_window=1, count=5, walk=True, budget=200)
+@example(seed=8, n=10, dims=2, extra_window=9, count=3, walk=True, budget=200)
+@example(seed=8, n=10, dims=2, extra_window=13, count=3, walk=False, budget=1)
 def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk, budget):
     window = extra_window % (n + 4)  # W in [0, n + 3]
     g = np.random.default_rng(seed)
@@ -138,6 +148,21 @@ def test_batched_rows_match_single_pair(seed, n, dims, extra_window, count, walk
     exact = pair_distances(q, cands, window, budget)
     for k in range(count):
         assert final[k] == reference_dtw(q, cands[k], window) == exact[k]
+
+
+@pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+def test_cells_just_outside_the_band_stay_out(budget):
+    # Each q[i] equals c[i + w + 1] and c[i - w - 1], and no c[j] within the
+    # band: the cells at |i - j| = w + 1 cost 0, every in-band cell at least
+    # 1, so a sweep that read a cell outside the band would come out low.
+    for n in (1, 2, 3, 6, 11, 24):
+        for w in range(n):
+            ramp = np.arange(n + w + 1) % (2 * w + 2)
+            q = np.stack([ramp[:n], 2.0 * ramp[:n]], axis=-1)
+            c = np.stack([ramp[w + 1 :], 2.0 * ramp[w + 1 :]], axis=-1)
+            final = sweep(q, [c, q[::-1]], w, budget)
+            assert final[0] == reference_dtw(q, c, w) >= n
+            assert final[1] == reference_dtw(q, q[::-1], w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,6 +187,13 @@ def test_batched_rows_of_a_subset_equal_the_full_sweep(seed, n, dims, window, co
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dims=st.integers(1, 10),
        extra_window=st.integers(0, 43), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8),
        budget=st.sampled_from(CHUNK_BUDGETS))
+# the sweep's corner shapes, as in test_batched_rows_match_single_pair
+@example(seed=3, n=7, dims=3, extra_window=0, counts=[2, 3], budget=1)
+@example(seed=4, n=8, dims=2, extra_window=0, counts=[1, 4, 2], budget=BLOCK_FLOATS)
+@example(seed=5, n=1, dims=2, extra_window=0, counts=[3, 1], budget=BLOCK_FLOATS)
+@example(seed=6, n=2, dims=3, extra_window=1, counts=[2, 2], budget=1)
+@example(seed=7, n=9, dims=1, extra_window=1, counts=[5, 1], budget=200)
+@example(seed=8, n=10, dims=2, extra_window=9, counts=[1, 3, 2], budget=200)
 def test_per_column_queries_equal_one_sweep_per_query(seed, n, dims, extra_window, counts, budget):
     # The selection sample sweeps the candidates of several queries at once,
     # with (D, n, C) query planes, column k holding candidate k's query

@@ -640,15 +640,20 @@ def test_nn_search_checks_in_order():
 
 def test_verify_bounds_checks_every_query():
     # a later query of another shape than the candidates', and an empty
-    # query list, are rejected like any other bad input
+    # query list, are rejected like any other bad input; the odd query is
+    # named by its index, through verify_bounds and tuning alike
     from mvdtw.search import verify_bounds
 
     g = np.random.default_rng(12)
     cands = [g.normal(size=(6, 2)) for _ in range(4)]
     params = SearchParams(window=2, method=Method.NONE)
     verify_bounds([g.normal(size=(6, 2)) for _ in range(2)], cands, params)
-    with pytest.raises(InvalidInputError, match=r"has shape \(6, 2\), query has \(5, 2\)"):
-        verify_bounds([g.normal(size=(6, 2)), g.normal(size=(5, 2))], cands, params)
+    odd = [g.normal(size=(6, 2)), g.normal(size=(5, 2))]
+    message = r"^query 1 has shape \(5, 2\), candidates have \(6, 2\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        verify_bounds(odd, cands, params)
+    with pytest.raises(InvalidInputError, match=message):
+        tune_params(odd, cands, SearchParams(window=2, method=Method.TC_DTW))
     with pytest.raises(InvalidInputError, match="query list is empty"):
         verify_bounds([], cands, params)
 
