@@ -12,18 +12,19 @@ the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad, the
 batched search equal to the one-pair scan) need no hand-kept copies: array
 coercion `as_array`; series and pair checks `as_series`/`as_pair`; integer and
 window checks `as_int`/`as_window`, the latter also the window cap of
-`SearchParams.effective_window`; the search's one checked entry
-`search._scan`, which checks each query and its range (`lb_pc.as_dim_range`)
-and stacks the candidates, each a checked series, as their (D, n, C) plane set
+`SearchParams.effective_window`; the search's one checked entry `search._scan`,
+which checks each query and its range (`lb_pc.as_dim_range`) and stacks the
+candidates, each a checked series, as their (D, n, C) plane set
 (`search._stack_candidates`) before any sweep; the fixed bound constants,
 SearchParams' class constants, which the per-pair lb_ti's default refresh
 period reads; dimension-first point distances `dtw.point_costs` and
 point-to-box distances `lb_pc.lb_pc_terms`, which lb_mv runs on the envelope's
 one box per index; the banded DTW recurrence `dtw.dtw_rows`, which dtw_banded
-runs on one candidate; every float total, over dimensions, bound terms or work
-charges alike, `sequential_sums`, which adds its leading axis left to right;
-and the prune rule, pruning a candidate at the first prefix of its bound terms
-above d_best, `search._prune_sums`.
+runs on one candidate; the memory of each batched kernel, chunked along its
+point axis within `BLOCK_FLOATS` by the kernel itself; every float total, over
+dimensions, bound terms or work charges alike, `sequential_sums`, which adds
+its leading axis left to right; and the prune rule, pruning a candidate at the
+first prefix of its bound terms above d_best, `search._prune_sums`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from typing import ClassVar
 
 import numpy as np
 
-# Floats in the largest temporary of one block of batched work: the search's
-# candidate blocks, dtw_rows' cost chunks and lb_ti_terms' chunks of row
-# blocks are each sized by what they need per candidate, cell or block.
+# Floats in the largest temporary of a chunk: every kernel takes all its
+# candidates and chunks its point axis (rows, P-row blocks or anti-diagonals,
+# one at least); the search also caps its DTW sweep's columns by it.
 BLOCK_FLOATS = 1 << 15
 # sequential_sums adds inputs of at least this many columns a plane at a time.
 SUM_BY_PLANE_COLUMNS = 256

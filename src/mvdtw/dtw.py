@@ -7,6 +7,7 @@ one."""
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +17,7 @@ import numpy as np
 from .core import BLOCK_FLOATS, as_pair, sequential_sums
 
 _INF = float("inf")
+_SCRATCH = threading.local()  # per thread, dtw_rows' buffer for chunk temporaries
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and `b`.  DTW cells, lb_ad and the triangle bound's steps and true
     distances all go through it, so kernels and bounds agree bit for bit."""
     diff = a - b
-    return np.sqrt(sequential_sums(diff * diff))
+    return np.sqrt(sequential_sums(np.multiply(diff, diff, out=diff)))
 
 
 def dtw_banded(q, c, window: int) -> DtwResult:
@@ -123,15 +125,20 @@ def dtw_rows(qplanes: np.ndarray, planes: np.ndarray, w: int):
     of consecutive anti-diagonals at a time, per dimension plane
     (_chunk_costs).  A chunk holds as many cells as fit in BLOCK_FLOATS with
     their temporaries (C floats per cell), and at least one anti-diagonal;
-    no whole-band index or cost array is kept.  Every candidate runs to the
-    last row: a DP row's minimum crosses a search's d_best only near the
-    end, so dropping candidates mid-sweep would cost more than the rows it
-    saves.
+    no whole-band index or cost array is kept, and a sweep within
+    BLOCK_FLOATS reuses its thread's buffer for them, so no search frees and
+    faults it in again.  Every candidate runs to the last row: a DP row's
+    minimum crosses a search's d_best only near the end, so dropping
+    candidates mid-sweep would cost more than the rows it saves.
     """
     _, n, count = planes.shape
     keys, steps, first, ends = _sweep_plan(n, w)
-    # an anti-diagonal holds at most w + 1 cells
-    scratch = np.empty((2, max(BLOCK_FLOATS, (w + 1) * count)))
+    size = max(BLOCK_FLOATS, (w + 1) * count)  # an anti-diagonal holds at most w + 1 cells
+    scratch = getattr(_SCRATCH, "buffer", None)
+    if scratch is None or scratch.shape[1] != size:
+        scratch = np.empty((2, size))
+        if size == BLOCK_FLOATS:
+            _SCRATCH.buffer = scratch
     # All +inf but for the virtual cell (-1, -1) of value 0 (e = w + 1), which
     # makes cell (0, 0) cost exactly itself; cell (n-1, n-1) ends there.  Step
     # t writes offsets |d| <= min(t, w) only, so the predecessors step s reads

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundResult, as_pair, as_series, as_window, sequential_sums
+from .core import BLOCK_FLOATS, BoundResult, as_pair, as_series, as_window, sequential_sums
 from .dtw import point_costs
 from .lb_pc import BoxGrouping, lb_pc
 
@@ -73,14 +73,17 @@ def lb_ad(q, c, window: int) -> BoundResult:
 def lb_ad_terms(qa: np.ndarray, planes: np.ndarray, w: int) -> np.ndarray:
     """Per-point terms of lb_ad, (n, C) for a validated (n, D) query, a
     (D, n, C) plane set and the effective window `w`: the distance from each
-    candidate point to the nearest query point in its window.  One pass per
-    window offset o takes the costs d(c_j, q_{j+o}) of every in-range j at
-    once, so the temporaries hold a few times D * n floats per candidate."""
-    n = len(qa)
+    candidate point to the nearest query point in its window.  Rows run in
+    chunks whose temporaries, D * C floats a row, fit in BLOCK_FLOATS, at
+    least one row a chunk; one pass per window offset o takes the costs
+    d(c_j, q_{j+o}) of the chunk's rows j with q_{j+o} in range at once."""
+    dims, n, count = planes.shape
     qt = qa.T[..., None]
-    terms = point_costs(planes, qt)
-    for o in range(1, w + 1):
-        for seg, c, q in ((terms[: n - o], planes[:, : n - o], qt[:, o:]),
-                          (terms[o:], planes[:, o:], qt[:, : n - o])):
-            np.minimum(seg, point_costs(c, q), out=seg)
+    terms = np.full((n, count), np.inf)
+    rows = max(1, BLOCK_FLOATS // (dims * count))
+    for r in range(0, n, rows):
+        for o in range(-w, w + 1):
+            a = max(r, -o)  # the chunk's rows j with q_{j+o} in range: a..b-1
+            b = max(a, min(r + rows, n, n - o))
+            np.minimum(terms[a:b], point_costs(planes[:, a:b], qt[:, a + o : b + o]), out=terms[a:b])
     return terms

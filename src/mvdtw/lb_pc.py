@@ -22,7 +22,9 @@ from numbers import Real
 
 import numpy as np
 
-from .core import BoundResult, InvalidInputError, as_int, as_series, as_window, sequential_sums
+from .core import (
+    BLOCK_FLOATS, BoundResult, InvalidInputError, as_int, as_series, as_window, sequential_sums,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +189,18 @@ def lb_pc_terms(planes: np.ndarray, grouping: BoxGrouping) -> np.ndarray:
     of the grouping's shape: the Euclidean distance from each candidate
     point to the nearest box of its box set, zero inside a box.  This is the
     package's one point-to-box kernel; lb_mv runs it on the one-box envelope.
-    A candidate's temporaries hold n * K * D floats, K the widest box set."""
-    x = planes[:, :, None]
-    # dev = max(x - hi, lo - x, 0), squared in place.  Every real box has
-    # lo <= hi, so at most one of x - hi and lo - x is positive and its square
-    # equals the sum of both one-sided squares bit for bit (the other adds
-    # +0.0).  Padded slots (lo = +inf, hi = -inf) give +inf either way.
-    dev = x - grouping.hi[..., None]
-    np.maximum(dev, grouping.lo[..., None] - x, out=dev)
-    np.maximum(dev, 0.0, out=dev)
-    return np.sqrt(sequential_sums(np.multiply(dev, dev, out=dev)).min(axis=1))
+    Row chunks take K * D * C floats a row (K boxes) within BLOCK_FLOATS, one row at least."""
+    dims, n, count = planes.shape
+    terms = np.empty((n, count))
+    rows = max(1, BLOCK_FLOATS // (grouping.lo.shape[2] * dims * count))
+    for r in range(0, n, rows):
+        x = planes[:, r : r + rows, None]
+        # dev = max(x - hi, lo - x, 0), squared in place.  Every real box has
+        # lo <= hi, so at most one of x - hi and lo - x is positive and its
+        # square is the sum of both one-sided squares bit for bit (the other
+        # adds +0.0).  Padded slots (lo = +inf, hi = -inf) give +inf anyway.
+        dev = x - grouping.hi[:, r : r + rows, :, None]
+        np.maximum(dev, grouping.lo[:, r : r + rows, :, None] - x, out=dev)
+        np.maximum(dev, 0.0, out=dev)
+        np.sqrt(sequential_sums(np.multiply(dev, dev, out=dev)).min(axis=1), out=terms[r : r + rows])
+    return terms

@@ -101,10 +101,10 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
     `qa` is a validated (n, D) query, `planes` a validated plane set of its
     shape, `w` the effective window, `refresh_period` >= 1, which only this
     kernel caps at n (P), and `qsteps` the query's neighbor_steps.  Returns an
-    (n, C) array.  Blocks of P rows advance together in chunks of as many
-    blocks as fit in BLOCK_FLOATS, at least one: a block holds 2w + P interval
-    slots per candidate, and the temporaries D floats per slot.  Sized by that
-    count at the uncapped period, the search's blocks each run as one chunk.
+    (n, C) array.  Blocks of P rows advance together, every candidate at
+    once, in chunks of as many blocks as fit in BLOCK_FLOATS, at least one: a
+    block holds 2w + P interval slots per candidate, and the temporaries D
+    floats per slot.  A chunk edge-extends only the columns its blocks hold.
     """
     dims, n, count = planes.shape
     p = min(refresh_period, n)
@@ -117,9 +117,6 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
     # true distance.  A column's term is its smallest floor over every row
     # whose window holds it, across blocks.
     span = 2 * w + p
-    # the candidates edge-extended: column j at j + w
-    padded = planes[:, np.clip(np.arange(-w, n + span), 0, n - 1)]
-    ds, rs, cs = padded.strides
     stalls = not qsteps.all()  # the query repeats a point somewhere
     # Smallest floors, flat: candidate c's column j at c * width + w + j, with
     # room for the columns outside [0, n) that edge slots hold, so every slot
@@ -135,8 +132,11 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
         # One interval row per (block, candidate), block-major, so the rows
         # of the blocks that reach a given row offset form a prefix.
         shape = (len(anchors), count, k1 - k0)
-        points = as_strided(padded[:, first + k0 :], (dims, *shape), (ds, p * rs, cs, rs),
-                            writeable=False)
+        # the chunk's columns edge-extended: slot k of the block at row r
+        # holds column r - w + k, clipped to [0, n)
+        cols = planes.take(np.clip(np.arange(first + k0, anchors[-1] + k1) - w, 0, n - 1), axis=1)
+        ds, rs, cs = cols.strides
+        points = as_strided(cols, (dims, *shape), (ds, p * rs, cs, rs), writeable=False)
         lo = np.empty(shape)
         lo[..., :top0] = point_costs(qa.T[:, anchors, None, None], points[..., :top0])
         tops = np.minimum(anchors[:, None] + np.arange(k0 + top0 - 2 * w, k1 - 2 * w), n - 1)

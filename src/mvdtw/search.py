@@ -135,15 +135,6 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(stack.transpose(2, 1, 0))
 
 
-def _blockwise(fn, planes: np.ndarray, floats_each: int) -> np.ndarray:
-    """fn over blocks of a plane set's candidates (its last axis), joined on
-    that axis, where fn's temporaries take `floats_each` floats per
-    candidate: a block holds as many as fit in BLOCK_FLOATS, at least one."""
-    size = max(1, BLOCK_FLOATS // floats_each)
-    return np.concatenate([fn(planes[..., b : b + size])
-                           for b in range(0, planes.shape[-1], size)], axis=-1)
-
-
 def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For (n, C) bound terms, the totals S[-1] and NaN-skipping peaks
     fmax(S) of each column's prefix sums S.  This is the search's one prune
@@ -209,13 +200,14 @@ def nn_search(
     return out
 
 
-def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -> list[_Scan]:
+def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=None) -> list[_Scan]:
     """nn_search's first stage for each of `queries` against `candidates` under
     params' window; `bounded` is False for method `none`, which runs no bound.
     The search's one checked entry: before any sweep it checks each query
     (as_series) and its range (as_dim_range) in turn, stacking the candidates
     (_stack_candidates) for the first query's shape; a later query of another
-    shape raises, naming its index in `queries`, as does an empty query list.
+    shape raises, naming its index in `queries` (its entry in `labels` when
+    given: tune_params' sample indices), as does an empty query list.
 
     One DTW sweep covers the (query, candidate) columns of every query's
     swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
@@ -226,13 +218,13 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -
     if len(queries) == 0:
         raise InvalidInputError("query list is empty")
     checked, planes = [], None
-    for qi, q in enumerate(queries):
+    for label, q in zip(range(len(queries)) if labels is None else labels, queries):
         qa = as_series(q)
         checked.append((qa, as_dim_range(dim_range, qa)))
         if planes is None:
             planes = _stack_candidates(candidates, qa.shape)
         elif planes.shape[1::-1] != qa.shape:
-            raise InvalidInputError(f"query {qi} has shape {qa.shape}, "
+            raise InvalidInputError(f"query {label} has shape {qa.shape}, "
                                     f"candidates have {planes.shape[1::-1]}")
     dims, n, count = planes.shape
     w = params.effective_window(n)
@@ -243,7 +235,7 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -
         lb_totals = None
         if bounded:
             env = build_envelope(qa, w)
-            lb_totals = _blockwise(lambda b: sequential_sums(lb_pc_terms(b, env)), planes, n * dims)
+            lb_totals = sequential_sums(lb_pc_terms(planes, env))
         t1 = time.perf_counter()
 
         # The candidates to sweep, charged to dtw_time.  d_best only falls,
@@ -258,8 +250,7 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -
         upper = np.full(count, np.inf)
         swept = np.ones(count, dtype=bool)
         if bounded:
-            diagonal = _blockwise(lambda b: sequential_sums(point_costs(qa.T[..., None], b)),
-                                  planes, n * dims)
+            diagonal = sequential_sums(point_costs(qa.T[..., None], planes))
             np.minimum.accumulate(diagonal[:-1], out=upper[1:])
             swept[1:] = lb_totals[1:] < upper[1:]
         stages.append((lb_totals, swept, np.flatnonzero(swept), t1 - t0, time.perf_counter() - t1))
@@ -275,7 +266,7 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded: bool) -
     whole = len(checked) == 1 and len(gathered) == count  # every candidate, in order
     finals = np.concatenate([
         dtw_rows(qstack if len(checked) == 1 else qstack.take(owner[b : b + cap], axis=-1),
-                 planes if whole else planes[..., gathered[b : b + cap]], w)
+                 planes if whole else planes.take(gathered[b : b + cap], axis=-1), w)
         for b in range(0, len(gathered), cap)])
     took = time.perf_counter() - t0
 
@@ -315,7 +306,7 @@ class _Bound(NamedTuple):
     key: tuple  # its array in _Scan.pruned: the bound and the fields its values depend on
     build_work: float  # work-model charge of the per-query build, whether or not it runs
     eval_work: float  # work-model charge per evaluation (point-dimension touches)
-    build: Callable  # () -> (kernel on a plane set, floats its temporaries take per candidate)
+    build: Callable  # () -> its kernel, (D, n, C) planes -> (n, C) terms in chunks it sizes
 
 
 def _bound(scan: _Scan, params: SearchParams, adv: Method) -> _Bound:
@@ -327,18 +318,16 @@ def _bound(scan: _Scan, params: SearchParams, adv: Method) -> _Bound:
     if adv == Method.LB_TI:
         p = params.refresh_period  # lb_ti_terms caps it at n
         return _Bound(params.trigger_ti, (adv,), n * dims, n * (4.0 + (2.0 + w / p) * dims),
-                      lambda: (partial(lb_ti_terms, qa, w=w, refresh_period=p,
-                                       qsteps=neighbor_steps(qa)),
-                               -(-n // p) * (2 * w + p) * dims))
+                      lambda: partial(lb_ti_terms, qa, w=w, refresh_period=p,
+                                      qsteps=neighbor_steps(qa)))
     if adv == Method.LB_PC:
-        def build():
-            boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
-                                   params.max_boxes, params.min_cell_frac, scan.ref)
-            return partial(lb_pc_terms, grouping=boxes), n * boxes.lo.shape[2] * dims
         return _Bound(params.trigger_pc, (adv, params.quant_levels),
-                      n * dims * (1 + params.quant_levels), n * params.max_boxes * dims, build)
+                      n * dims * (1 + params.quant_levels), n * params.max_boxes * dims,
+                      lambda: partial(lb_pc_terms, grouping=build_box_sets(
+                          qa, w, params.group_width, params.quant_levels, params.max_boxes,
+                          params.min_cell_frac, scan.ref)))
     return _Bound(params.trigger_ti, (adv,), 0, n * (2.0 * w + 1.0) * dims,
-                  lambda: (partial(lb_ad_terms, qa, w=w), n * dims))
+                  lambda: partial(lb_ad_terms, qa, w=w))
 
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
@@ -373,8 +362,7 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
         pruned = scan.pruned.setdefault(bound.key, np.full(count, -1, dtype=np.int8))
         new = triggered[pruned[triggered] < 0]
         if len(new):
-            terms, floats = bound.build()
-            last, peak = _prune_sums(_blockwise(terms, planes[..., new], floats))
+            last, peak = _prune_sums(bound.build()(planes.take(new, axis=-1)))
             pruned[new] = (last >= scan.met[new]) | (peak > scan.met[new])
         compared[triggered] = pruned[triggered] == 0
         charges[triggered, 1] = bound.eval_work
@@ -412,11 +400,11 @@ def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
             _sample(list(candidates), TUNE_CANDIDATE_SAMPLE, rng))
 
 
-def _sample_scans(queries, candidates, params: SearchParams, dim_range) -> list[_Scan]:
+def _sample_scans(queries, candidates, params: SearchParams, dim_range, labels=None) -> list[_Scan]:
     """A bounded _scan of each sample query; an empty sample is rejected."""
     if len(queries) == 0 or len(candidates) == 0:
         raise InvalidInputError("selection sample is empty")
-    return _scan(queries, candidates, params, dim_range, True)
+    return _scan(queries, candidates, params, dim_range, True, labels)
 
 
 def _rank(scans: list[_Scan], configs: list, log: list | None = None) -> tuple:
@@ -472,7 +460,9 @@ def tune_params(
     """
     if not DEPLOYED[params.method]:
         return params
-    scans = _sample_scans(*selection_sample(queries, candidates, seed), params, dim_range)
+    drawn, sample_candidates = selection_sample(list(enumerate(queries)), candidates, seed)
+    scans = _sample_scans([q for _, q in drawn], sample_candidates, params, dim_range,
+                          [i for i, _ in drawn])
     tuned = params
     for adv in DEPLOYED[params.method]:
         fields = TUNED_FIELDS[adv]
@@ -492,12 +482,11 @@ def verify_bounds(queries, candidates, params: SearchParams, dim_range=None) -> 
     An unbounded _scan of the queries, which checks the inputs first, sweeps
     every candidate, so its distances are all exact (dtw_rows)."""
     for qi, scan in enumerate(_scan(queries[:3], candidates[:8], params, dim_range, False)):
-        kernels = {"lb_mv": (partial(lb_pc_terms, grouping=build_envelope(scan.qa, scan.w)),
-                             scan.qa.size)}
+        kernels = {"lb_mv": partial(lb_pc_terms, grouping=build_envelope(scan.qa, scan.w))}
         for adv in (Method.LB_TI, Method.LB_PC, Method.LB_AD):
             kernels[adv.value] = _bound(scan, params, adv).build()
-        for name, (terms, floats) in kernels.items():
-            totals, _ = _prune_sums(_blockwise(terms, scan.planes, floats))
+        for name, terms in kernels.items():
+            totals, _ = _prune_sums(terms(scan.planes))
             over = np.flatnonzero(totals > scan.distances)
             if len(over):
                 ci = int(over[0])

@@ -2,6 +2,9 @@
 plane set, and the prune rule it reads from their terms."""
 
 import math
+import sys
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -56,20 +59,29 @@ def same_array_bits(a, b) -> bool:
     dims=st.sampled_from([*range(1, 11), 24]),
     extra_window=st.integers(0, 27),
     period=st.sampled_from([1, 2, 5, "n"]),
+    budget=st.sampled_from([1, 7, "default"]),
 )
-def test_terms_kernels_equal_the_per_pair_bounds(seed, kind, count, n, dims, extra_window, period):
+def test_terms_kernels_equal_the_per_pair_bounds(seed, kind, count, n, dims, extra_window, period,
+                                                 budget):
+    # the kernels chunk their rows within the float budget: one row (or
+    # P-row block) a chunk at 1, a few at 7, one chunk at these sizes by
+    # default; every chunk edge must leave the terms' bits unchanged
     window = extra_window % (n + 4)  # W in [0, n + 3]; W >= n is capped at n - 1
     w = min(window, n - 1)
     p = n if period == "n" else period
     q, cas = stacked_case(seed, kind, count, n, dims)
     planes = _stack_candidates(cas, q.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
         env = build_envelope(q, w)
         boxes = build_box_sets(q, w, 6, 2, 6, 1e-5)
+        if budget != "default":
+            for module in ("mvdtw.lb_pc", "mvdtw.lb_mv", "mvdtw.lb_ti"):
+                mp.setattr(sys.modules[module], "BLOCK_FLOATS", budget)
         mv = lb_pc_terms(planes, env)
         ti = lb_ti_terms(q, planes, w, p, neighbor_steps(q))
         pc = lb_pc_terms(planes, boxes)
         ad = lb_ad_terms(q, planes, w)
+        mp.undo()
         assert mv.shape == ti.shape == pc.shape == ad.shape == (n, count)
         # the per-pair lb_mv, lb_pc and lb_ad run these kernels on one
         # candidate, so the dimension-last formulas are the independent check
@@ -110,8 +122,6 @@ def test_prune_rule_equals_sum_with_abandon():
     (Method.TC_DTW, Method.LB_PC, 24),
 ])
 def test_batched_bounds_stay_in_budget_on_long_series(method, advanced, limit_mb):
-    import tracemalloc
-
     # every candidate after the first is a little closer to the query than
     # the one before it, so the scan triggers the advanced bound on each
     g = np.random.default_rng(4)
@@ -125,7 +135,40 @@ def test_batched_bounds_stay_in_budget_on_long_series(method, advanced, limit_mb
     finally:
         tracemalloc.stop()
     assert out.advanced_lb_evals == 29
-    # one block of all 29 would take ~33 MB for lb_ti, ~36 MB for lb_pc and
-    # over 2 GB for lb_ad, and one candidate's whole (n, 2W + 1, D) cost band
-    # ~75 MB
+    # each kernel chunks its rows within the float budget, all 29 candidates
+    # at once; traced peaks read 4.3 (lb_ad), 5.1 (lb_ti, alone and under
+    # tc_dtw) and 17.5 MB (lb_pc under tc_dtw), against 4.0, 4.5, 4.5 and
+    # 17.1 MB when the search cut the candidates into blocks instead.  One
+    # candidate's whole (n, 2W + 1, D) cost band would take ~75 MB
     assert peak < limit_mb * 2**20
+
+
+@pytest.mark.parametrize("kernel", ["envelope", "lb_pc", "lb_ad", "lb_ti"])
+def test_kernels_on_many_candidates_stay_below_their_plane_set(kernel):
+    # each kernel chunks its rows and takes every candidate at once, so its
+    # temporaries stay within the float budget (at least one row or P-row
+    # block) however many candidates it is given: far below the (D, n, C)
+    # plane set's own 9.4 MB here
+    g = np.random.default_rng(5)
+    n, dims, count, w = 256, 12, 400, 25
+    q = np.cumsum(g.normal(size=(n, dims)), axis=0)
+    planes = np.cumsum(g.normal(size=(dims, n, count)), axis=1)
+    if kernel == "envelope":
+        terms = partial(lb_pc_terms, grouping=build_envelope(q, w))
+    elif kernel == "lb_pc":
+        boxes = build_box_sets(q, w, 6, 3, 6, 1e-5)
+        assert boxes.lo.shape[2] == 6
+        terms = partial(lb_pc_terms, grouping=boxes)
+    elif kernel == "lb_ad":
+        terms = partial(lb_ad_terms, q, w=w)
+    else:
+        terms = partial(lb_ti_terms, q, w=w, refresh_period=SearchParams.refresh_period,
+                        qsteps=neighbor_steps(q))
+    tracemalloc.start()
+    try:
+        out = terms(planes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, count)
+    assert peak < planes.nbytes, (kernel, peak)

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -209,6 +211,33 @@ def test_per_column_queries_equal_one_sweep_per_query(seed, n, dims, extra_windo
         batched = dtw_rows(qplanes, planes, w)
     each = np.concatenate([sweep(q, c, w, budget) for q, c in zip(queries, cands)])
     assert batched.view(np.int64).tolist() == each.view(np.int64).tolist()
+
+
+def test_sweeps_sharing_a_thread_or_running_at_once_give_their_own_bits(rng):
+    # dtw_rows keeps one cost buffer per thread across sweeps within
+    # BLOCK_FLOATS (the last shape needs more): a sweep after one of another
+    # shape, and threads sweeping at once, must each read only their own costs
+    shapes = [(30, 3, 60, 5), (12, 2, 7, 11), (40, 4, 120, 3), (1, 1, 5, 0), (12, 1, 3000, 11)]
+    cases = []
+    for n, dims, count, w in shapes:
+        q = np.cumsum(rng.normal(size=(n, dims)), axis=0)
+        planes = _stack_candidates(np.cumsum(rng.normal(size=(count, n, dims)), axis=1), q.shape)
+        cases.append((q.T[..., None], planes, w))
+    serial = [dtw_rows(*case).view(np.int64).tolist() for case in cases]
+
+    def sweep_all(order):
+        return [(k, dtw_rows(*cases[k]).view(np.int64).tolist()) for k in order * 10]
+
+    orders = [list(np.roll(range(len(cases)), t)) for t in range(4)]  # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            runs = list(pool.map(sweep_all, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == len(orders)
+    assert all(bits == serial[k] for run in runs for k, bits in run)
 
 
 @settings(max_examples=100, deadline=None)

@@ -570,17 +570,21 @@ def test_bad_dim_range_rejected_by_every_cascade(dim_range):
 
 
 def test_one_candidate_blocks_change_nothing(monkeypatch):
-    # the batched stages cut the plane set into blocks of candidates; one
-    # candidate per block must give the bits of one block for all
-    import mvdtw.search as search
+    # with a one-float budget in every module that reads it, the sweep's
+    # point costs run one anti-diagonal a chunk and every bound kernel one
+    # row (or P-row block) a chunk; that must give the bits of the default
+    # budget, under which each runs in one piece at these sizes
+    import sys
 
+    modules = [sys.modules[f"mvdtw.{name}"] for name in ("search", "dtw", "lb_pc", "lb_mv", "lb_ti")]
     for seed, kind in ((1, "walk"), (2, "plateau"), (3, "iid")):
         q, cands = search_case(seed, kind, 12, 14, 3)
         for method, advanced in CASCADES:
             params = SearchParams(window=4, method=method, trigger_ti=0.5, trigger_pc=0.5)
             whole = nn_search(q, cands, params, advanced=advanced)
             with monkeypatch.context() as mp:
-                mp.setattr(search, "BLOCK_FLOATS", 1)
+                for module in modules:
+                    mp.setattr(module, "BLOCK_FLOATS", 1)
                 blocks = nn_search(q, cands, params, advanced=advanced)
             for name in (*COUNTER_FIELDS, "dtw_swept"):
                 assert getattr(blocks, name) == getattr(whole, name), (method, advanced, name)
@@ -656,6 +660,20 @@ def test_verify_bounds_checks_every_query():
         tune_params(odd, cands, SearchParams(window=2, method=Method.TC_DTW))
     with pytest.raises(InvalidInputError, match="query list is empty"):
         verify_bounds([], cands, params)
+
+
+def test_tuning_names_an_odd_query_by_its_index_in_the_callers_list():
+    # tuning draws 8 of these 11 queries, the odd last one among them at
+    # sample position 7; the message names the caller's index, 10
+    g = np.random.default_rng(13)
+    queries = [g.normal(size=(6, 2)) for _ in range(10)] + [g.normal(size=(5, 2))]
+    cands = [g.normal(size=(6, 2)) for _ in range(4)]
+    drawn, _ = selection_sample(list(enumerate(queries)), cands, 0)
+    assert len(drawn) == 8 and drawn[7][0] == 10
+    for method in (Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.TC_DTW):
+        with pytest.raises(InvalidInputError,
+                           match=r"^query 10 has shape \(5, 2\), candidates have \(6, 2\)$"):
+            tune_params(queries, cands, SearchParams(window=2, method=method), seed=0)
 
 
 def test_candidates_stack_as_one_by_one():
