@@ -27,12 +27,19 @@ class DtwResult:
     distance: float
 
 
+def squared_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between broadcast dimension-first points
+    of `a` and `b`, the squared differences added left to right."""
+    diff = a - b
+    return sequential_sums(np.multiply(diff, diff, out=diff))
+
+
 def point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between broadcast dimension-first points of `a`
-    and `b`.  DTW cells, lb_ad and the triangle bound's steps and true
-    distances all go through it, so kernels and bounds agree bit for bit."""
-    diff = a - b
-    return np.sqrt(sequential_sums(np.multiply(diff, diff, out=diff)))
+    and `b`: the square roots of squared_costs.  DTW cells, lb_ad and the
+    triangle bound's steps and true distances all go through them, so
+    kernels and bounds agree bit for bit."""
+    return np.sqrt(squared_costs(a, b))
 
 
 def dtw_banded(q, c, window: int) -> DtwResult:

@@ -18,19 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BLOCK_FLOATS, BoundResult, as_pair, as_series, as_window, sequential_sums
-from .dtw import point_costs
-from .lb_pc import BoxGrouping, lb_pc
-
-
-def _window_reduce(op: np.ufunc, blocks: np.ndarray, n: int) -> np.ndarray:
-    """op (np.maximum or np.minimum) over the first n runs of 2w + 1 columns
-    of (D, B, 2w + 1) blocks, O(n) per dimension (van Herk / Gil-Werman): a
-    run is a block's tail plus the next block's head, so op(suffix, prefix
-    scan).  Returns a C-contiguous (D, n, 1) array."""
-    dims, _, k = blocks.shape
-    head = op.accumulate(blocks, axis=2).reshape(dims, -1)
-    tail = op.accumulate(blocks[..., ::-1], axis=2)[..., ::-1].reshape(dims, -1)
-    return np.ascontiguousarray(op(tail[:, :n], head[:, k - 1 : k - 1 + n])[..., None])
+from .dtw import squared_costs
+from .lb_pc import BoxGrouping, lb_pc, window_extrema
 
 
 def build_envelope(q, window: int) -> BoxGrouping:
@@ -39,15 +28,9 @@ def build_envelope(q, window: int) -> BoxGrouping:
     [max(0, i-W), min(n-1, i+W)] of the series in dimension p, and hi the
     matching max; windows truncate at the series ends."""
     qa = as_series(q)
-    n, dims = qa.shape
-    w = as_window(window, n)
-    # Copies of the end points (w before, w or more after, to whole blocks)
-    # make every window 2w + 1 points long without adding a value it lacks.
-    k = 2 * w + 1
-    rows = -(-(n + 2 * w) // k) * k
-    blocks = qa.T[:, np.arange(-w, rows - w).clip(0, n - 1)].reshape(dims, -1, k)
-    return BoxGrouping(lo=_window_reduce(np.minimum, blocks, n),
-                       hi=_window_reduce(np.maximum, blocks, n))
+    w = as_window(window, qa.shape[0])
+    lo, hi = window_extrema(qa, w, 2 * w + 1)
+    return BoxGrouping(lo=lo[..., None], hi=hi[..., None])
 
 
 def lb_mv(c, env: BoxGrouping) -> BoundResult:
@@ -73,10 +56,14 @@ def lb_ad(q, c, window: int) -> BoundResult:
 def lb_ad_terms(qa: np.ndarray, planes: np.ndarray, w: int) -> np.ndarray:
     """Per-point terms of lb_ad, (n, C) for a validated (n, D) query, a
     (D, n, C) plane set and the effective window `w`: the distance from each
-    candidate point to the nearest query point in its window.  Rows run in
-    chunks whose temporaries, D * C floats a row, fit in BLOCK_FLOATS, at
-    least one row a chunk; one pass per window offset o takes the costs
-    d(c_j, q_{j+o}) of the chunk's rows j with q_{j+o} in range at once."""
+    candidate point to the nearest query point in its window.  At w = 0 this
+    is the cost of the diagonal path, term by term.  Rows run in chunks
+    whose temporaries, D * C floats a row, fit in BLOCK_FLOATS, at least one
+    row a chunk; one pass per window offset o takes the squared costs
+    |c_j - q_{j+o}|^2 of the chunk's rows j with q_{j+o} in range at once.
+    The minimum over offsets is kept squared and each term takes one square
+    root at the end: a correctly rounded square root is monotone, so these
+    are the bits of the minimum of the point_costs."""
     dims, n, count = planes.shape
     qt = qa.T[..., None]
     terms = np.full((n, count), np.inf)
@@ -85,5 +72,5 @@ def lb_ad_terms(qa: np.ndarray, planes: np.ndarray, w: int) -> np.ndarray:
         for o in range(-w, w + 1):
             a = max(r, -o)  # the chunk's rows j with q_{j+o} in range: a..b-1
             b = max(a, min(r + rows, n, n - o))
-            np.minimum(terms[a:b], point_costs(planes[:, a:b], qt[:, a + o : b + o]), out=terms[a:b])
-    return terms
+            np.minimum(terms[a:b], squared_costs(planes[:, a:b], qt[:, a + o : b + o]), out=terms[a:b])
+    return np.sqrt(terms, out=terms)

@@ -54,6 +54,30 @@ class _GroupedCells:
     n: int
 
 
+def window_extrema(qa: np.ndarray, before: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-dimension min and max of the (n, D) series `qa` over the
+    windows [i - before, i - before + length - 1] of every index i,
+    truncated at the series ends, as two C-contiguous (D, n) arrays, in
+    O(n) per dimension (van Herk / Gil-Werman).  Copies of the end points
+    (`before` ahead, enough after to fill whole blocks) make every window
+    `length` points long without adding a value it lacks; a window is then a
+    block's tail plus the next block's head, so min(suffix scan, prefix
+    scan).  One pass over the series and its negation gives both extrema:
+    -min(-x) picks the element max(x) picks, since negation reverses every
+    comparison.  Both the envelope and the box sets take their ranges from
+    it."""
+    n, dims = qa.shape
+    k = length
+    idx = np.arange(-before, -(-(n + k - 1) // k) * k - before)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, n - 1, out=idx)
+    blocks = np.concatenate((qa.T, -qa.T)).take(idx, axis=1).reshape(2 * dims, -1, k)
+    head = np.minimum.accumulate(blocks, axis=2).reshape(2 * dims, -1)
+    tail = np.minimum.accumulate(blocks[..., ::-1], axis=2)[..., ::-1].reshape(2 * dims, -1)
+    lo = np.minimum(tail[:, :n], head[:, k - 1 : k - 1 + n], order="C")
+    return lo[:dims], np.negative(lo[dims:])
+
+
 def _grouped_cells(
     qa: np.ndarray, window: int, group_width: int, levels: int,
     min_cell_frac: float, ref: np.ndarray,
@@ -72,9 +96,11 @@ def _grouped_cells(
     idx = np.minimum(a[:, None] + np.arange(t_max)[None, :], b[:, None])
     pts = qa.take(idx, axis=0)
 
-    mn = pts.min(axis=1)
-    mx = pts.max(axis=1)
-    rng = mx - mn
+    # Window g's ranges: the running extrema of windows 2w + group_width
+    # long, at the window starts g * group_width - w.
+    lo, hi = window_extrema(qa, w, 2 * w + group_width)
+    mn = lo[:, ::group_width].T
+    rng = hi[:, ::group_width].T - mn
     split = (rng > 0.0) & (rng >= min_cell_frac * ref)
     lev = np.where(split, levels, 1)
     seg = np.where(split, rng / lev, 1.0)

@@ -11,9 +11,11 @@ distances, so every method returns the nearest neighbor the plain linear scan
 finds.
 
 The scan runs as one batch pass in two stages (see nn_search): `_scan`
-computes what only the query, the candidates and the window decide, the
-envelope bounds, the DTW sweep and the d_best each candidate meets; `_finish`
-the advanced bound (`_bound`) and the counters of one SearchParams.
+computes the envelope bounds, the DTW sweep and the d_best each candidate
+meets, and for nn_search runs LB_PC or LB_AD (PRESWEPT) before the sweep,
+so that the sweep leaves out what they prune; `_finish` runs the advanced
+bound (`_bound`) on the triggered candidates not evaluated yet and takes
+the counters of one SearchParams.
 
 Method and parameter selection on a data sample ranks configurations
 (`_rank`: the first cheapest wins) by a deterministic work model (bound
@@ -39,7 +41,7 @@ import numpy as np
 from .core import (
     BLOCK_FLOATS, InvalidInputError, Method, SearchParams, as_int, as_series, sequential_sums,
 )
-from .dtw import dtw_rows, point_costs
+from .dtw import dtw_rows
 from .lb_mv import build_envelope, lb_ad_terms
 from .lb_pc import as_dim_range, build_box_sets, lb_pc_terms
 from .lb_ti import lb_ti_terms, neighbor_steps
@@ -55,9 +57,13 @@ class NnOutcome:
     `abandon_count` is always 0: the search computes every DTW it compares
     to the end, and the field stays only because perfbench/run.py reads it.
     `dtw_swept` counts the candidates the batched sweep computed (the
-    compared ones and more).
+    compared ones and more).  LB_PC and LB_AD, run before the sweep, leave
+    out of it the candidates they prune at the diagonal-path bound, so they
+    sweep fewer than the envelope leaves; LB_TI, run after it, does not.
     `work` is the deterministic work-model total used for tuning decisions.
-    Timers are seconds; lb_time + dtw_time <= total_time.  When the queries
+    Timers are seconds; lb_time + dtw_time <= total_time.  lb_time holds
+    the bounds and builds, before and after the sweep; dtw_time the
+    diagonal-path costs and the sweep.  When the queries
     of a selection sample share one DTW sweep, each query's dtw_time takes
     the sweep's time in proportion to its swept candidates (dtw_swept), and
     its total_time is the time of its own stages plus that share.
@@ -88,6 +94,10 @@ DEPLOYED = {Method.NONE: (), Method.LB_MV: (), Method.LB_TI: (Method.LB_TI,),
 TUNED_FIELDS = {Method.LB_TI: ("trigger_ti",), Method.LB_PC: ("trigger_pc", "quant_levels"),
                 Method.LB_AD: ("trigger_ti",)}
 _GRID = {"trigger_ti": (0.05, 0.1, 0.2), "trigger_pc": (0.1, 0.5), "quant_levels": (2, 3)}
+# The advanced bounds nn_search runs before its DTW sweep: those that
+# dominate the envelope (lb_mv <= lb_pc <= lb_ad), so that they can prune
+# where it does not.  LB_TI runs after the sweep only.
+PRESWEPT = (Method.LB_PC, Method.LB_AD)
 
 
 def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | None:
@@ -146,10 +156,17 @@ def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums[-1], np.fmax.reduce(sums, axis=0)
 
 
+def _prunes(last: np.ndarray, peak: np.ndarray, bar: np.ndarray) -> np.ndarray:
+    """Where _prune_sums' totals and peaks prune at the d_best `bar`."""
+    return (last >= bar) | (peak > bar)
+
+
 @dataclass
 class _Scan:
-    """One query's first stage; triggers, quantization level and advanced
-    bound leave it unchanged.  `pruned` holds, per bound configuration
+    """One query's first stage.  Without a PRESWEPT bound (tuning and
+    selection), triggers, quantization level and advanced bound leave it
+    unchanged; with one, its swept set and distances depend on that
+    bound's configuration.  `pruned` holds, per bound configuration
     (_Bound.key), one int8 per candidate: -1 not evaluated, 0 kept, 1
     pruned (by _prune_sums at the d_best it meets, which no configuration
     changes)."""
@@ -165,6 +182,7 @@ class _Scan:
     compared: np.ndarray  # not skipped on the envelope bound
     outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
     pruned: dict
+    kernels: dict  # per _Bound.key, the bound's built kernel, built once
 
 
 def nn_search(
@@ -184,30 +202,39 @@ def nn_search(
     and the candidates, in that order, before any work; `advanced` after it.
 
     The work runs as one batch pass: the envelope bound of every candidate
-    at once, one batched DTW sweep (dtw_rows) to the last row of every
-    candidate the scan might have to compare exactly (`dtw_swept` of them),
-    and the advanced bound once over exactly the candidates the scan
-    triggers it on.  Every skip, trigger and prune decision is then a
-    comparison of these values with the d_best each candidate meets,
+    at once; for LB_PC and LB_AD, which dominate the envelope, the advanced
+    bound on the candidates it may be triggered on, so that the sweep leaves
+    out those it prunes already; one batched DTW sweep (dtw_rows) to the
+    last row of every candidate the scan might still have to compare
+    exactly (`dtw_swept` of them); then the advanced bound on the triggered
+    candidates not yet evaluated.  Every skip, trigger and prune decision is
+    then a comparison of these values with the d_best each candidate meets,
     so the answer and every counter equal the one-at-a-time scan's.  Raises
     RuntimeError if the sweep missed a candidate the scan compares, which
     only a diagonal-path cost below the DTW distance could cause.
     """
     t_start = time.perf_counter()
-    scan, = _scan([query], candidates, params, dim_range, params.method != Method.NONE)
-    out = _finish(scan, params, _advanced_method(params, advanced))
+    resolve = partial(_advanced_method, params, advanced)
+    scan, = _scan([query], candidates, params, dim_range, params.method != Method.NONE,
+                  resolve=resolve)
+    out = _finish(scan, params, resolve())
     out.total_time = time.perf_counter() - t_start
     return out
 
 
-def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=None) -> list[_Scan]:
+def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=None,
+          resolve=None) -> list[_Scan]:
     """nn_search's first stage for each of `queries` against `candidates` under
     params' window; `bounded` is False for method `none`, which runs no bound.
     The search's one checked entry: before any sweep it checks each query
     (as_series) and its range (as_dim_range) in turn, stacking the candidates
     (_stack_candidates) for the first query's shape; a later query of another
     shape raises, naming its index in `queries` (its entry in `labels` when
-    given: tune_params' sample indices), as does an empty query list.
+    given: tune_params' sample indices), as does an empty query list.  Then
+    `resolve`, when given, names the advanced bound (nn_search's
+    _advanced_method); LB_PC and LB_AD (PRESWEPT) then run before the sweep.
+    Tuning and selection give none: their one sweep serves every
+    configuration.
 
     One DTW sweep covers the (query, candidate) columns of every query's
     swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
@@ -226,10 +253,11 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
         elif planes.shape[1::-1] != qa.shape:
             raise InvalidInputError(f"query {label} has shape {qa.shape}, "
                                     f"candidates have {planes.shape[1::-1]}")
+    early = resolve() if resolve is not None else None
     dims, n, count = planes.shape
     w = params.effective_window(n)
     stages = []
-    for qa, _ in checked:
+    for qa, ref in checked:
         # The batched envelope bound (the one-box lb_pc), charged to lb_time.
         t0 = time.perf_counter()
         lb_totals = None
@@ -240,20 +268,39 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
 
         # The candidates to sweep, charged to dtw_time.  d_best only falls,
         # and once candidate k has been scanned it is at most the cost of k's
-        # diagonal path (an upper bound of k's DTW distance): the scan either
-        # compared k exactly or skipped it on a lower bound at or above d_best.
-        # So the d_best candidate k meets is at most the prefix minimum
-        # `upper[k]` of the earlier diagonal costs, and k needs a DTW only if
-        # its envelope bound is below that; candidate 0 always does, and so
-        # does every candidate of `none`.  The sweep runs each of them to the
-        # end, also those the scan will skip.
+        # diagonal path (an upper bound of k's DTW distance, lb_ad at window
+        # 0): the scan either compared k exactly or skipped it on a lower
+        # bound at or above d_best.  So the d_best candidate k meets is at
+        # most the prefix minimum `upper[k]` of the earlier diagonal costs,
+        # and k needs a DTW only if its envelope bound is below that;
+        # candidate 0 always does, and so does every candidate of `none`.
+        # The sweep runs each of them to the end, also those the scan will
+        # skip.
         upper = np.full(count, np.inf)
         swept = np.ones(count, dtype=bool)
         if bounded:
-            diagonal = sequential_sums(point_costs(qa.T[..., None], planes))
+            diagonal = sequential_sums(lb_ad_terms(qa, planes, 0))
             np.minimum.accumulate(diagonal[:-1], out=upper[1:])
             swept[1:] = lb_totals[1:] < upper[1:]
-        stages.append((lb_totals, swept, np.flatnonzero(swept), t1 - t0, time.perf_counter() - t1))
+        t2 = time.perf_counter()
+
+        # A PRESWEPT bound, charged to lb_time, on every swept candidate
+        # k >= 1 with trigger * upper[k] < envelope bound < upper[k].  Since
+        # met <= upper, the scan triggers the bound on each of them that its
+        # envelope bound does not skip, and the sweep leaves out those the
+        # bound prunes at upper[k]: they are pruned at met[k] too.  The
+        # decisions at met[k] are taken after the sweep.
+        kernels, early_sums = {}, None
+        if early in PRESWEPT:
+            bound = _bound(qa, w, ref, params, early)
+            band = np.flatnonzero(swept[1:] & (lb_totals[1:] > bound.trigger * upper[1:])) + 1
+            if len(band):
+                kernel = kernels[bound.key] = bound.build()
+                last, peak = _prune_sums(kernel(planes.take(band, axis=-1)))
+                swept[band] = ~_prunes(last, peak, upper[band])
+                early_sums = (bound.key, band, last, peak)
+        stages.append((lb_totals, swept, np.flatnonzero(swept), kernels, early_sums,
+                       t1 - t0 + time.perf_counter() - t2, t2 - t1))
 
     # The sweep: column k's query is qstack[..., owner[k]], one query's
     # planes broadcast over every column.
@@ -271,14 +318,15 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
     took = time.perf_counter() - t0
 
     scans, start = [], 0
-    for (qa, ref), (lb_totals, swept, need, lb_time, dtw_time) in zip(checked, stages):
+    for (qa, ref), (lb_totals, swept, need, kernels, early_sums, lb_time, dtw_time) in zip(
+            checked, stages):
         # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
         # is the smallest DTW distance among candidates 0..k-1: a skipped
         # candidate's distance is at least the d_best it met.  The sweep
         # computed those distances exactly, and a candidate it left out is at
         # least the d_best it meets (+inf here).  Candidate 0 meets +inf, and
         # so does every candidate of `none`.  Then the skips on the envelope
-        # bound.
+        # bound, and the PRESWEPT bound's decisions at met.
         t0 = time.perf_counter()
         distances = np.full(count, np.inf)
         distances[need] = finals[start : start + len(need)]
@@ -288,6 +336,11 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
         if bounded:
             np.minimum.accumulate(distances[:-1], out=met[1:])
             compared[1:] = ~(lb_totals[1:] >= met[1:])
+        pruned = {}
+        if early_sums is not None:
+            key, band, last, peak = early_sums
+            pruned[key] = np.full(count, -1, dtype=np.int8)
+            pruned[key][band] = _prunes(last, peak, met[band])
         best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
         dtw_time += took * len(need) / len(gathered) + time.perf_counter() - t0
         outcome = NnOutcome(best, float(distances[best]),
@@ -295,7 +348,7 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
                             dtw_time=dtw_time, total_time=lb_time + dtw_time,
                             dtw_swept=len(need))
         scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, compared,
-                           outcome, {}))
+                           outcome, pruned, kernels))
     return scans
 
 
@@ -309,11 +362,11 @@ class _Bound(NamedTuple):
     build: Callable  # () -> its kernel, (D, n, C) planes -> (n, C) terms in chunks it sizes
 
 
-def _bound(scan: _Scan, params: SearchParams, adv: Method) -> _Bound:
-    """The advanced bound `adv` (LB_TI, LB_PC or LB_AD) under `params` for
-    the scan's query: the one place the search tells the three apart.
+def _bound(qa: np.ndarray, w: int, ref: np.ndarray, params: SearchParams, adv: Method) -> _Bound:
+    """The advanced bound `adv` (LB_TI, LB_PC or LB_AD) under `params` for a
+    scanned query `qa`, its effective window `w` and its cell-size floor's
+    reference range `ref`: the one place the search tells the three apart.
     `build` runs the per-query build (neighbour steps, box sets)."""
-    qa, w = scan.qa, scan.w
     n, dims = qa.shape
     if adv == Method.LB_TI:
         p = params.refresh_period  # lb_ti_terms caps it at n
@@ -325,18 +378,19 @@ def _bound(scan: _Scan, params: SearchParams, adv: Method) -> _Bound:
                       n * dims * (1 + params.quant_levels), n * params.max_boxes * dims,
                       lambda: partial(lb_pc_terms, grouping=build_box_sets(
                           qa, w, params.group_width, params.quant_levels, params.max_boxes,
-                          params.min_cell_frac, scan.ref)))
+                          params.min_cell_frac, ref)))
     return _Bound(params.trigger_ti, (adv,), 0, n * (2.0 * w + 1.0) * dims,
                   lambda: partial(lb_ad_terms, qa, w=w))
 
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     """The second stage of nn_search: the advanced bound `adv` (resolved by
-    _advanced_method) under `params`, and the counters.  The bound and its
-    per-query build run only when a triggered candidate is still -1 in
-    scan.pruned under the bound's key (LB_PC with its quantization level,
-    LB_TI or LB_AD), and write their decisions there; nothing else of
-    `scan` changes."""
+    _advanced_method) under `params`, and the counters.  The bound runs only
+    when a triggered candidate is still -1 in scan.pruned under the bound's
+    key (LB_PC with its quantization level, LB_TI or LB_AD), and writes its
+    decisions there; its per-query build runs the first time, and its
+    kernel stays in scan.kernels under that key.  Nothing else of `scan`
+    changes."""
     t_start = time.perf_counter()
     planes, w = scan.planes, scan.w
     dims, n, count = planes.shape
@@ -355,15 +409,17 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     compared = scan.compared.copy()
     if adv is not None:
         t0 = time.perf_counter()
-        bound = _bound(scan, params, adv)
+        bound = _bound(scan.qa, w, scan.ref, params, adv)
         setup_work.append(bound.build_work)
         band = compared[1:] & (scan.lb_totals[1:] > bound.trigger * scan.met[1:])
         triggered = np.flatnonzero(band) + 1
         pruned = scan.pruned.setdefault(bound.key, np.full(count, -1, dtype=np.int8))
         new = triggered[pruned[triggered] < 0]
         if len(new):
-            last, peak = _prune_sums(bound.build()(planes.take(new, axis=-1)))
-            pruned[new] = (last >= scan.met[new]) | (peak > scan.met[new])
+            if bound.key not in scan.kernels:
+                scan.kernels[bound.key] = bound.build()
+            last, peak = _prune_sums(scan.kernels[bound.key](planes.take(new, axis=-1)))
+            pruned[new] = _prunes(last, peak, scan.met[new])
         compared[triggered] = pruned[triggered] == 0
         charges[triggered, 1] = bound.eval_work
         out.advanced_lb_evals = len(triggered)
@@ -484,7 +540,7 @@ def verify_bounds(queries, candidates, params: SearchParams, dim_range=None) -> 
     for qi, scan in enumerate(_scan(queries[:3], candidates[:8], params, dim_range, False)):
         kernels = {"lb_mv": partial(lb_pc_terms, grouping=build_envelope(scan.qa, scan.w))}
         for adv in (Method.LB_TI, Method.LB_PC, Method.LB_AD):
-            kernels[adv.value] = _bound(scan, params, adv).build()
+            kernels[adv.value] = _bound(scan.qa, scan.w, scan.ref, params, adv).build()
         for name, terms in kernels.items():
             totals, _ = _prune_sums(terms(scan.planes))
             over = np.flatnonzero(totals > scan.distances)

@@ -523,12 +523,19 @@ def test_counters_match_reference_cascade(seed, kind, count, n, dims, extra_wind
 
 
 def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
-    # With every diagonal cost forced to zero, the upper bounds claim that
-    # no candidate after the first can need a DTW, so the sweep computes only
-    # candidate 0 and the scan's decisions cannot be read from it.
+    # With every diagonal cost (lb_ad at window 0) forced to zero, the upper
+    # bounds claim that no candidate after the first can need a DTW, so the
+    # sweep computes only candidate 0 and the scan's decisions cannot be read
+    # from it.  The LB_AD bound itself (window 4) keeps its terms.
     import mvdtw.search as search
 
-    monkeypatch.setattr(search, "point_costs", lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape)[1:]))
+    lb_ad_terms = search.lb_ad_terms
+
+    def zero_diagonal(qa, planes, w):
+        terms = lb_ad_terms(qa, planes, w)
+        return np.zeros_like(terms) if w == 0 else terms
+
+    monkeypatch.setattr(search, "lb_ad_terms", zero_diagonal)
     for seed, kind in ((1, "walk"), (2, "iid"), (3, "plateau")):
         q, cands = search_case(seed, kind, 10, 14, 3)
         for method, advanced in CASCADES:
@@ -537,6 +544,78 @@ def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
             params = SearchParams(window=4, method=method, trigger_ti=0.5, trigger_pc=0.5)
             with pytest.raises(RuntimeError, match="sweep missed"):
                 nn_search(q, cands, params, advanced=advanced)
+
+
+def test_lb_pc_and_lb_ad_leave_their_prunes_out_of_the_sweep():
+    # LB_PC and LB_AD run before the sweep, so the candidates they prune at
+    # the diagonal-path upper bound are never swept; LB_TI runs after it and
+    # sweeps what the envelope leaves, as lb_mv does.  Answers and counters
+    # stay the one-at-a-time scan's.
+    from oracles import reference_nn_search
+
+    ds = clustered_dataset(40, 20, 3, seed=29)
+    series = ds.series_list()
+    queries, cands = series[:10], series[10:]
+    cascades = {"lb_mv": (Method.LB_MV, None), "lb_ti": (Method.LB_TI, None),
+                "lb_pc": (Method.LB_PC, None), "lb_ad": (Method.LB_AD, None),
+                "tc_dtw(lb_pc)": (Method.TC_DTW, Method.LB_PC)}
+    swept = dict.fromkeys(cascades, 0)
+    for q in queries:
+        lb_mv_swept = None
+        for label, (method, advanced) in cascades.items():
+            params = SearchParams(window=4, method=method)
+            got = nn_search(q, cands, params, advanced=advanced, dim_range=ds.dim_ranges)
+            want = reference_nn_search(q, cands, params, advanced=advanced,
+                                       dim_range=ds.dim_ranges)
+            for name in COUNTER_FIELDS:
+                assert getattr(got, name) == getattr(want, name), (label, name)
+            assert got.dtw_computed <= got.dtw_swept
+            lb_mv_swept = got.dtw_swept if lb_mv_swept is None else lb_mv_swept
+            assert got.dtw_swept <= lb_mv_swept, label
+            swept[label] += got.dtw_swept
+    assert swept["lb_ti"] == swept["lb_mv"]
+    for label in ("lb_pc", "lb_ad", "tc_dtw(lb_pc)"):
+        assert swept[label] < swept["lb_mv"], (label, swept)
+
+
+def test_presweep_bound_built_once_and_each_candidate_evaluated_once(monkeypatch):
+    # LB_PC evaluates the candidates of its band before the sweep and the
+    # triggered ones left after it: the box sets are built once per search,
+    # and no candidate reaches the bound twice
+    import mvdtw.search as search
+
+    ds = clustered_dataset(40, 20, 3, seed=29)
+    series = ds.series_list()
+    queries, cands = series[:20], series[20:]
+    stack = np.stack(cands)  # (C, n, D)
+    built, evaluated = [], []
+    build_box_sets, lb_pc_terms = search.build_box_sets, search.lb_pc_terms
+
+    def counted_build(*args):
+        built.append(build_box_sets(*args))
+        return built[-1]
+
+    def counted_terms(planes, grouping):
+        if any(grouping is g for g in built):  # not the envelope
+            evaluated.append([int(np.flatnonzero((stack == c).all(axis=(1, 2)))[0])
+                              for c in planes.transpose(2, 1, 0)])
+        return lb_pc_terms(planes, grouping)
+
+    monkeypatch.setattr(search, "build_box_sets", counted_build)
+    monkeypatch.setattr(search, "lb_pc_terms", counted_terms)
+    both = 0
+    for trigger in (0.1, 0.5, 0.9):
+        for method, advanced in ((Method.LB_PC, None), (Method.TC_DTW, Method.LB_PC)):
+            params = SearchParams(window=4, method=method, trigger_pc=trigger)
+            for q in queries:
+                built.clear()
+                evaluated.clear()
+                out = nn_search(q, cands, params, advanced=advanced, dim_range=ds.dim_ranges)
+                assert len(built) == (1 if evaluated else 0)
+                flat = [k for call in evaluated for k in call]
+                assert len(flat) == len(set(flat)) >= out.advanced_lb_evals
+                both += len(evaluated) == 2
+    assert both > 0  # some searches evaluated the bound after the sweep too
 
 
 def test_overflowing_costs_match_reference(monkeypatch):
