@@ -13,7 +13,8 @@ better, next to the metric's `bound`, the parent's relative spread
 `(q3 - q1) / median` and `past_bound`, true when `rel_change < -bound`.
 `flagged`, at the top, lists each (workload, seed, metric) that is past its
 bound or unresolved: its parent's spread exceeds its bound, so the pairs
-cannot tell a change of that size from noise.  Every run's `correct`
+cannot tell a change of that size from noise, unless every run of the
+change reads better than every run of the parent.  Every run's `correct`
 flag is kept, with the host's load averages (os.getloadavg) just before it;
 the MALLOC_* environment variables the runs inherit are recorded once.  A run
 that exits non-zero stops the script, with its side, workload, seed, pair and
@@ -82,11 +83,17 @@ def compare(pairs: list, metrics: list) -> dict:
 
 
 def flagged(results: list) -> list:
-    """The (workload, seed, metric) entries past their bound or unresolved."""
+    """The (workload, seed, metric) entries past their bound or unresolved.
+    A metric on which every run of the change beats every run of the parent
+    is resolved, however wide the parent's spread."""
     out = []
     for r in results:
         for name, m in r["metrics"].items():
-            unresolved = m["parent_spread"] is not None and m["parent_spread"] > m["bound"]
+            sign = 1 if m["better"] == "higher" else -1
+            apart = (min(sign * v for v in m["change"]["runs"])
+                     > max(sign * v for v in m["parent"]["runs"]))
+            unresolved = (m["parent_spread"] is not None and m["parent_spread"] > m["bound"]
+                          and not apart)
             if m["past_bound"] or unresolved:
                 out.append({"workload": r["workload"], "seed": r["seed"], "metric": name,
                             "past_bound": m["past_bound"], "unresolved": unresolved,

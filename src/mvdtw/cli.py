@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import numbers
 import os
@@ -223,12 +225,12 @@ def emit_report(reports: list[RunReport], fmt: str = "csv", meta: dict | None = 
     """Render reports as csv, json, or a human-readable table."""
     meta = meta or {}
     if fmt == "csv":
-        lines = [f"# {k}: {v}" for k, v in meta.items()]
-        lines.append(",".join(CSV_COLUMNS))
-        for r in reports:
-            row = r.row()
-            lines.append(",".join(_fmt_cell(row[c]) for c in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        out.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        writer = csv.writer(out, lineterminator="\n")  # quotes a field holding a comma
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_fmt_cell(r.row()[c]) for c in CSV_COLUMNS] for r in reports)
+        return out.getvalue()
     if fmt == "json":
         return json.dumps({"meta": meta, "rows": [r.row() for r in reports]}, indent=2) + "\n"
     if fmt == "table":

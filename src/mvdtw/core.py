@@ -23,8 +23,10 @@ one box per index; the banded DTW recurrence `dtw.dtw_rows`, which dtw_banded
 runs on one candidate; the memory of each batched kernel, chunked along its
 point axis within `BLOCK_FLOATS` by the kernel itself; every float total, over
 dimensions, bound terms or work charges alike, `sequential_sums`, which adds
-its leading axis left to right; and the prune rule, pruning a candidate at the
-first prefix of its bound terms above d_best, `search._prune_sums`.
+its leading axis left to right; the prune rule, pruning a candidate at the
+first prefix of its bound terms above d_best, `search._prune_sums`; and the
+cascade that applies it, at the diagonal-path bound before the sweep and at
+the d_best each candidate meets after it, `search._cascade`.
 """
 
 from __future__ import annotations

@@ -10,12 +10,11 @@ of its DTW distance already reaches d_best, and d_best only improves on exact
 distances, so every method returns the nearest neighbor the plain linear scan
 finds.
 
-The scan runs as one batch pass in two stages (see nn_search): `_scan`
-computes the envelope bounds, the DTW sweep and the d_best each candidate
-meets, and for nn_search runs LB_PC or LB_AD (PRESWEPT) before the sweep,
-so that the sweep leaves out what they prune; `_finish` runs the advanced
-bound (`_bound`) on the triggered candidates not evaluated yet and takes
-the counters of one SearchParams.
+The scan runs as one batch pass in two stages (see nn_search) that apply one
+cascade, `_cascade`, at two bars: `_scan` sweeps what it keeps at the
+diagonal-path bound U, which the d_best each candidate meets cannot exceed
+(for nn_search with LB_PC or LB_AD, PRESWEPT, in it), and derives those
+d_best; `_finish` counts what it keeps at them under one SearchParams.
 
 Method and parameter selection on a data sample ranks configurations
 (`_rank`: the first cheapest wins) by a deterministic work model (bound
@@ -62,8 +61,8 @@ class NnOutcome:
     sweep fewer than the envelope leaves; LB_TI, run after it, does not.
     `work` is the deterministic work-model total used for tuning decisions.
     Timers are seconds; lb_time + dtw_time <= total_time.  lb_time holds
-    the bounds and builds, before and after the sweep; dtw_time the
-    diagonal-path costs and the sweep.  When the queries
+    the builds, the envelope and the cascade at both bars with the advanced
+    bound in it; dtw_time the diagonal-path costs and the sweep.  When the queries
     of a selection sample share one DTW sweep, each query's dtw_time takes
     the sweep's time in proportion to its swept candidates (dtw_swept), and
     its total_time is the time of its own stages plus that share.
@@ -147,18 +146,13 @@ def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
 
 def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For (n, C) bound terms, the totals S[-1] and NaN-skipping peaks
-    fmax(S) of each column's prefix sums S.  This is the search's one prune
-    rule: the one-at-a-time scan adds a candidate's terms left to right and
-    prunes it at the first prefix above d_best, or at a total >= d_best, so
-    it prunes exactly when S[-1] >= d_best or fmax(S) > d_best, also when a
-    later prefix is NaN (inf - inf from overflowed distances)."""
+    fmax(S) of each column's prefix sums S.  The one-at-a-time scan adds a
+    candidate's terms left to right and prunes it at the first prefix above
+    d_best, or at a total >= d_best, so it prunes exactly when S[-1] >=
+    d_best or fmax(S) > d_best, also when a later prefix is NaN (inf - inf
+    from overflowed distances).  _cascade applies this rule."""
     sums = np.cumsum(terms, axis=0)
     return sums[-1], np.fmax.reduce(sums, axis=0)
-
-
-def _prunes(last: np.ndarray, peak: np.ndarray, bar: np.ndarray) -> np.ndarray:
-    """Where _prune_sums' totals and peaks prune at the d_best `bar`."""
-    return (last >= bar) | (peak > bar)
 
 
 @dataclass
@@ -166,10 +160,10 @@ class _Scan:
     """One query's first stage.  Without a PRESWEPT bound (tuning and
     selection), triggers, quantization level and advanced bound leave it
     unchanged; with one, its swept set and distances depend on that
-    bound's configuration.  `pruned` holds, per bound configuration
-    (_Bound.key), one int8 per candidate: -1 not evaluated, 0 kept, 1
-    pruned (by _prune_sums at the d_best it meets, which no configuration
-    changes)."""
+    bound's configuration.  `evals` holds, per bound configuration
+    (_Bound.key), its evaluation record (_cascade): the built kernel, which
+    candidates it has evaluated, and their _prune_sums totals and peaks;
+    every decision is taken from these at the bar in hand."""
 
     qa: np.ndarray
     ref: np.ndarray  # the cell-size floor's reference range (as_dim_range)
@@ -179,10 +173,8 @@ class _Scan:
     swept: np.ndarray
     distances: np.ndarray  # exact DTW distances of the swept, +inf elsewhere
     met: np.ndarray  # the d_best each candidate meets
-    compared: np.ndarray  # not skipped on the envelope bound
     outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
-    pruned: dict
-    kernels: dict  # per _Bound.key, the bound's built kernel, built once
+    evals: dict
 
 
 def nn_search(
@@ -266,40 +258,28 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
             lb_totals = sequential_sums(lb_pc_terms(planes, env))
         t1 = time.perf_counter()
 
-        # The candidates to sweep, charged to dtw_time.  d_best only falls,
-        # and once candidate k has been scanned it is at most the cost of k's
-        # diagonal path (an upper bound of k's DTW distance, lb_ad at window
-        # 0): the scan either compared k exactly or skipped it on a lower
-        # bound at or above d_best.  So the d_best candidate k meets is at
-        # most the prefix minimum `upper[k]` of the earlier diagonal costs,
-        # and k needs a DTW only if its envelope bound is below that;
-        # candidate 0 always does, and so does every candidate of `none`.
-        # The sweep runs each of them to the end, also those the scan will
-        # skip.
+        # The diagonal-path bound U (`upper`), charged to dtw_time.  d_best
+        # only falls, and once candidate k has been scanned it is at most the
+        # cost of k's diagonal path (an upper bound of k's DTW distance,
+        # lb_ad at window 0): the scan either compared k exactly or skipped
+        # it on a lower bound at or above d_best.  So the d_best candidate k
+        # meets is at most the prefix minimum `upper[k]` of the earlier
+        # diagonal costs.
         upper = np.full(count, np.inf)
-        swept = np.ones(count, dtype=bool)
         if bounded:
             diagonal = sequential_sums(lb_ad_terms(qa, planes, 0))
             np.minimum.accumulate(diagonal[:-1], out=upper[1:])
-            swept[1:] = lb_totals[1:] < upper[1:]
         t2 = time.perf_counter()
 
-        # A PRESWEPT bound, charged to lb_time, on every swept candidate
-        # k >= 1 with trigger * upper[k] < envelope bound < upper[k].  Since
-        # met <= upper, the scan triggers the bound on each of them that its
-        # envelope bound does not skip, and the sweep leaves out those the
-        # bound prunes at upper[k]: they are pruned at met[k] too.  The
-        # decisions at met[k] are taken after the sweep.
-        kernels, early_sums = {}, None
-        if early in PRESWEPT:
-            bound = _bound(qa, w, ref, params, early)
-            band = np.flatnonzero(swept[1:] & (lb_totals[1:] > bound.trigger * upper[1:])) + 1
-            if len(band):
-                kernel = kernels[bound.key] = bound.build()
-                last, peak = _prune_sums(kernel(planes.take(band, axis=-1)))
-                swept[band] = ~_prunes(last, peak, upper[band])
-                early_sums = (bound.key, band, last, peak)
-        stages.append((lb_totals, swept, np.flatnonzero(swept), kernels, early_sums,
+        # The sweep takes what the cascade keeps at upper, with the PRESWEPT
+        # bound if one runs, charged to lb_time.  Each step of the cascade
+        # keeps at a bar what it keeps at a lower one, so every candidate
+        # the scan compares at the d_best it meets (<= upper) is swept.  The
+        # sweep runs each of them to the end, also those the scan will skip.
+        evals = {}
+        bound = _bound(qa, w, ref, params, early) if early in PRESWEPT else None
+        swept, _ = _cascade(lb_totals, upper, bound, evals, planes)
+        stages.append((lb_totals, swept, np.flatnonzero(swept), evals,
                        t1 - t0 + time.perf_counter() - t2, t2 - t1))
 
     # The sweep: column k's query is qstack[..., owner[k]], one query's
@@ -318,45 +298,66 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
     took = time.perf_counter() - t0
 
     scans, start = [], 0
-    for (qa, ref), (lb_totals, swept, need, kernels, early_sums, lb_time, dtw_time) in zip(
-            checked, stages):
+    for (qa, ref), (lb_totals, swept, need, evals, lb_time, dtw_time) in zip(checked, stages):
         # `met[k]`, the d_best candidate k meets.  Every bound is sound, so it
         # is the smallest DTW distance among candidates 0..k-1: a skipped
         # candidate's distance is at least the d_best it met.  The sweep
         # computed those distances exactly, and a candidate it left out is at
         # least the d_best it meets (+inf here).  Candidate 0 meets +inf, and
-        # so does every candidate of `none`.  Then the skips on the envelope
-        # bound, and the PRESWEPT bound's decisions at met.
+        # so does every candidate of `none`.
         t0 = time.perf_counter()
         distances = np.full(count, np.inf)
         distances[need] = finals[start : start + len(need)]
         start += len(need)
         met = np.full(count, np.inf)
-        compared = np.ones(count, dtype=bool)
         if bounded:
             np.minimum.accumulate(distances[:-1], out=met[1:])
-            compared[1:] = ~(lb_totals[1:] >= met[1:])
-        pruned = {}
-        if early_sums is not None:
-            key, band, last, peak = early_sums
-            pruned[key] = np.full(count, -1, dtype=np.int8)
-            pruned[key][band] = _prunes(last, peak, met[band])
         best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
         dtw_time += took * len(need) / len(gathered) + time.perf_counter() - t0
         outcome = NnOutcome(best, float(distances[best]),
                             lb_mv_evals=count - 1 if bounded else 0, lb_time=lb_time,
                             dtw_time=dtw_time, total_time=lb_time + dtw_time,
                             dtw_swept=len(need))
-        scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, compared,
-                           outcome, pruned, kernels))
+        scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, outcome, evals))
     return scans
+
+
+def _cascade(lb_totals, bar, bound, evals: dict, planes) -> tuple[np.ndarray, np.ndarray]:
+    """The search's one cascade, with each candidate k meeting the d_best
+    `bar[k]`: the mask of candidates compared exactly and the indices of
+    those `bound` (a _Bound or None) is triggered on.  Candidate k >= 1 is
+    not compared if its envelope bound reaches bar[k], or if trigger *
+    bar[k] < its envelope bound and `bound` prunes it at bar[k] (_prune_sums'
+    rule); with no `lb_totals` (method none) all are.  `bound` runs only on
+    triggered candidates its record evals[bound.key] (kernel, evaluated
+    mask, totals, peaks; made, and the kernel built, at the first trigger)
+    has not evaluated, so once per candidate whatever bars later calls bring."""
+    count = planes.shape[-1]
+    compared = np.ones(count, dtype=bool)
+    triggered = np.empty(0, dtype=np.intp)
+    if lb_totals is not None:
+        compared[1:] = ~(lb_totals[1:] >= bar[1:])
+        if bound is not None:
+            triggered = np.flatnonzero(compared[1:] & (lb_totals[1:] > bound.trigger * bar[1:])) + 1
+    if len(triggered):
+        if bound.key not in evals:
+            evals[bound.key] = (bound.build(), np.zeros(count, dtype=bool),
+                                np.empty(count), np.empty(count))
+        kernel, done, last, peak = evals[bound.key]
+        new = triggered[~done[triggered]]
+        if len(new):
+            last[new], peak[new] = _prune_sums(kernel(planes.take(new, axis=-1)))
+            done[new] = True
+        at = bar[triggered]
+        compared[triggered] = ~((last[triggered] >= at) | (peak[triggered] > at))
+    return compared, triggered
 
 
 class _Bound(NamedTuple):
     """One advanced bound under one SearchParams for one scanned query."""
 
     trigger: float  # it runs where trigger < envelope bound / d_best < 1
-    key: tuple  # its array in _Scan.pruned: the bound and the fields its values depend on
+    key: tuple  # its record in _Scan.evals: the bound and the fields its values depend on
     build_work: float  # work-model charge of the per-query build, whether or not it runs
     eval_work: float  # work-model charge per evaluation (point-dimension touches)
     build: Callable  # () -> its kernel, (D, n, C) planes -> (n, C) terms in chunks it sizes
@@ -384,13 +385,13 @@ def _bound(qa: np.ndarray, w: int, ref: np.ndarray, params: SearchParams, adv: M
 
 
 def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
-    """The second stage of nn_search: the advanced bound `adv` (resolved by
-    _advanced_method) under `params`, and the counters.  The bound runs only
-    when a triggered candidate is still -1 in scan.pruned under the bound's
-    key (LB_PC with its quantization level, LB_TI or LB_AD), and writes its
-    decisions there; its per-query build runs the first time, and its
-    kernel stays in scan.kernels under that key.  Nothing else of `scan`
-    changes."""
+    """The second stage of nn_search: the counters of the cascade
+    (_cascade) at the d_best each candidate meets, with the advanced bound
+    `adv` (resolved by _advanced_method) under `params`.  The cascade is
+    charged to lb_time.  The bound runs only on triggered candidates its
+    evaluation record in scan.evals has not evaluated (under its key: LB_PC
+    with its quantization level, LB_TI or LB_AD), and its per-query build
+    the first time one is triggered; nothing else of `scan` changes."""
     t_start = time.perf_counter()
     planes, w = scan.planes, scan.w
     dims, n, count = planes.shape
@@ -400,30 +401,17 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     # the scan does not spend them).  Summed left to right at the end.
     setup_work = []
     charges = np.zeros((count, 3))
+    t0 = time.perf_counter()
+    bound = None if adv is None else _bound(scan.qa, w, scan.ref, params, adv)
+    compared, triggered = _cascade(scan.lb_totals, scan.met, bound, scan.evals, planes)
     if scan.lb_totals is not None:
+        out.lb_time += time.perf_counter() - t0
         setup_work.append(n * dims)
         charges[1:, 0] = n * dims
-
-    # The advanced bound on the candidates it triggers on, at once, charged
-    # to lb_time.
-    compared = scan.compared.copy()
-    if adv is not None:
-        t0 = time.perf_counter()
-        bound = _bound(scan.qa, w, scan.ref, params, adv)
+    if bound is not None:
         setup_work.append(bound.build_work)
-        band = compared[1:] & (scan.lb_totals[1:] > bound.trigger * scan.met[1:])
-        triggered = np.flatnonzero(band) + 1
-        pruned = scan.pruned.setdefault(bound.key, np.full(count, -1, dtype=np.int8))
-        new = triggered[pruned[triggered] < 0]
-        if len(new):
-            if bound.key not in scan.kernels:
-                scan.kernels[bound.key] = bound.build()
-            last, peak = _prune_sums(scan.kernels[bound.key](planes.take(new, axis=-1)))
-            pruned[new] = _prunes(last, peak, scan.met[new])
-        compared[triggered] = pruned[triggered] == 0
         charges[triggered, 1] = bound.eval_work
         out.advanced_lb_evals = len(triggered)
-        out.lb_time += time.perf_counter() - t0
 
     if (compared & ~scan.swept).any():
         raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "

@@ -10,6 +10,9 @@ measure their point distances with the package's point_costs, since a
 distance whose dimensions were added in another order could land above the
 DTW by an ulp.  reference_dtw builds its own cost table and runs its own DP,
 so it checks the package's one DP recurrence, dtw_rows, independently.
+reference_swept runs the same cascade with every candidate meeting the
+diagonal-path bound U in place of d_best, which gives the set the batched
+search sweeps.
 
 The reference cascade owns the scan's one early-exit rule, the prune rule
 sum_with_abandon: a candidate's bound terms are added left to right and it
@@ -319,6 +322,43 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     out.best_distance = d_best
     out.total_time = time.perf_counter() - t_start
     return out
+
+
+def reference_swept(query, candidates, params, advanced=None, dim_range=None) -> int:
+    """How many candidates the batched search sweeps: the cascade run one
+    candidate at a time, in scan order, with every candidate k meeting U_k in
+    place of d_best, where U_k is the smallest diagonal-path cost (the
+    package's lb_ad_terms at window 0 on one candidate, summed) of
+    candidates 0..k-1.  Candidate 0 is always swept, and `none` sweeps every
+    candidate.  Of the advanced bounds only LB_PC and LB_AD run, as the
+    search runs them before its sweep; LB_TI is left to the exact scan."""
+    qa = as_series(query)
+    cas = [as_series(c) for c in candidates]
+    if params.method == Method.NONE:
+        return len(cas)
+    n, _ = qa.shape
+    adv = reference_advanced(params, advanced)
+    trigger = params.trigger_pc if adv == Method.LB_PC else params.trigger_ti
+    w = params.effective_window(n)
+    env = build_envelope(qa, w)
+    boxes = None
+    if adv == Method.LB_PC:
+        boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
+                               params.max_boxes, params.min_cell_frac, dim_range)
+    swept, upper = 1, math.inf
+    for k in range(1, len(cas)):
+        diagonal = lb_ad_terms(qa, cas[k - 1].T[..., None], 0)[:, 0].cumsum()[-1]
+        upper = min(upper, float(diagonal))
+        planes = cas[k].T[..., None]
+        b1 = sum_with_abandon(lb_pc_terms(planes, env)[:, 0], upper)
+        if b1 >= upper:
+            continue
+        if adv in (Method.LB_PC, Method.LB_AD) and b1 > trigger * upper:
+            terms = lb_pc_terms(planes, boxes) if adv == Method.LB_PC else lb_ad_terms(qa, planes, w)
+            if sum_with_abandon(terms[:, 0], upper) >= upper:
+                continue
+        swept += 1
+    return swept
 
 
 def reference_dtw(q, c, window: int) -> float:

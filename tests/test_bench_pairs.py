@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py's exit status, with perfbench's runs replaced by
 fixed results: it writes its JSON, then exits 1 when a run is not correct
-or a metric is past its bound, and 0 when a metric is only unresolved."""
+or a metric is past its bound, and 0 when a metric is only unresolved.
+A metric on which every change run beats every parent run is resolved."""
 
 import importlib.util
 import json
@@ -59,3 +60,20 @@ def test_exit_status(bench_pairs, monkeypatch, tmp_path):
     status, report = run(bench_pairs, monkeypatch, tmp_path, {"parent": wide, "change": wide})
     assert status == 0 and report["flagged"]
     assert all(f["unresolved"] and not f["past_bound"] for f in report["flagged"])
+
+
+def test_every_change_run_better_than_every_parent_run_is_resolved(bench_pairs, monkeypatch,
+                                                                     tmp_path):
+    # a parent spread wider than every bound: a change that reads above every
+    # parent run is better on the higher-is-better metrics, past its bound on
+    # the others; one at or below the parent's best run stays unresolved
+    wide = [20.0, 100.0, 100.0, 180.0]
+    higher = {m["name"] for m in METRICS if m["better"] == "higher"}
+    status, report = run(bench_pairs, monkeypatch, tmp_path,
+                         {"parent": wide, "change": [200.0] * 4})
+    assert status == 1
+    assert {f["metric"] for f in report["flagged"]} == {m["name"] for m in METRICS} - higher
+    assert all(f["past_bound"] for f in report["flagged"])
+    status, report = run(bench_pairs, monkeypatch, tmp_path,
+                         {"parent": wide, "change": [180.0] * 4})
+    assert {f["metric"] for f in report["flagged"] if f["unresolved"]} >= higher

@@ -133,6 +133,18 @@ def test_cascade_counter_columns_equal_outcome_sums(data_file, capsys, monkeypat
         assert json_row["work"] == work[r["method"]] > 0
 
 
+def test_dataset_name_with_a_comma_round_trips(tmp_path, capsys):
+    # the csv module quotes the field, so a reader splits the row right
+    path = tmp_path / "a,b.mts"
+    write_native(random_walk_dataset(24, 16, 2, seed=3, name="walk"), path)
+    code, out = run_cli(["--data", str(path), "--method", "lb_mv", "--window", "2",
+                         "--reps", "1"], capsys)
+    assert code == 0
+    row, = parse_csv(out)
+    assert (row["dataset"], row["method"], row["window"]) == ("a,b", "lb_mv", "2")
+    assert list(row) == list(CSV_COLUMNS)
+
+
 def test_emit_json_matches_csv(data_file, capsys):
     base = ["--data", data_file, "--method", "lb_mv", "--window", "4",
             "--reps", "1", "--seed", "5"]

@@ -362,7 +362,7 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
         assert any(a // cap < (b - 1) // cap for a, b in zip([0, *ends[:-1]], ends))
     for q, batched in zip(qs, scans):
         alone, = search._scan([q], cands, params, ds.dim_ranges, True)
-        for name in ("lb_totals", "distances", "swept", "met", "compared"):
+        for name in ("lb_totals", "distances", "swept", "met"):
             a, b = getattr(batched, name), getattr(alone, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert batched.outcome.lb_time + batched.outcome.dtw_time <= batched.outcome.total_time
@@ -491,7 +491,7 @@ def search_case(seed, kind, count, n, dims):
 
 
 def assert_matches_reference(q, cands, window, trigger):
-    from oracles import reference_nn_search
+    from oracles import reference_nn_search, reference_swept
 
     for method, advanced in CASCADES:
         params = SearchParams(window=window, method=method, trigger_ti=trigger, trigger_pc=trigger)
@@ -503,6 +503,7 @@ def assert_matches_reference(q, cands, window, trigger):
         assert got.dtw_computed <= got.dtw_swept <= len(cands)
         if method == Method.NONE:
             assert got.dtw_swept == len(cands)
+        assert got.dtw_swept == reference_swept(q, cands, params, advanced=advanced)
 
 
 @settings(max_examples=60, deadline=None)
