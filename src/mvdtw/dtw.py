@@ -17,7 +17,7 @@ import numpy as np
 from .core import BLOCK_FLOATS, as_pair, sequential_sums
 
 _INF = float("inf")
-_SCRATCH = threading.local()  # per thread, dtw_rows' buffer for chunk temporaries
+_SCRATCH = threading.local()  # per thread, dtw_rows' buffer for chunk temporaries and DP cells
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,10 @@ def _chunk_costs(qplanes: np.ndarray, planes: np.ndarray, rows: np.ndarray, cols
 
     The squared differences are added plane by plane, left to right, the
     order of point_costs' sequential_sums, so the bits are its own; the two
-    (cells, C) temporaries come from `scratch` (the result is the first).
+    (cells, C) temporaries come from the flat `scratch` (the result is the first).
     """
     count = planes.shape[-1]
-    total, diff = scratch[:, : len(rows) * count].reshape(2, len(rows), count)
+    total, diff = scratch[: 2 * len(rows) * count].reshape(2, len(rows), count)
     for p, (plane, q) in enumerate(zip(planes, qplanes)):
         plane.take(cols, axis=0, out=diff)
         np.subtract(diff, q.take(rows, axis=0), out=diff)
@@ -133,24 +133,26 @@ def dtw_rows(qplanes: np.ndarray, planes: np.ndarray, w: int):
     (_chunk_costs).  A chunk holds as many cells as fit in BLOCK_FLOATS with
     their temporaries (C floats per cell), and at least one anti-diagonal;
     no whole-band index or cost array is kept, and a sweep within
-    BLOCK_FLOATS reuses its thread's buffer for them, so no search frees and
-    faults it in again.  Every candidate runs to the last row: a DP row's
-    minimum crosses a search's d_best only near the end, so dropping
-    candidates mid-sweep would cost more than the rows it saves.
+    BLOCK_FLOATS takes them and its DP cells from its thread's buffer, so no
+    search frees and faults them in again.  Every candidate runs to the last
+    row: a DP row's minimum crosses a search's d_best only near the end, so
+    dropping candidates mid-sweep would cost more than the rows it saves.
     """
     _, n, count = planes.shape
     keys, steps, first, ends = _sweep_plan(n, w)
     size = max(BLOCK_FLOATS, (w + 1) * count)  # an anti-diagonal holds at most w + 1 cells
+    held = max(BLOCK_FLOATS, (2 * w + 3) * count)  # the DP buffers' region, after the costs'
     scratch = getattr(_SCRATCH, "buffer", None)
-    if scratch is None or scratch.shape[1] != size:
-        scratch = np.empty((2, size))
-        if size == BLOCK_FLOATS:
+    if scratch is None or len(scratch) != 2 * size + held:
+        scratch = np.empty(2 * size + held)
+        if len(scratch) == 3 * BLOCK_FLOATS:
             _SCRATCH.buffer = scratch
     # All +inf but for the virtual cell (-1, -1) of value 0 (e = w + 1), which
     # makes cell (0, 0) cost exactly itself; cell (n-1, n-1) ends there.  Step
     # t writes offsets |d| <= min(t, w) only, so the predecessors step s reads
     # outside the square (|d| >= s) or the band (|d| = w + 1) stay +inf.
-    buffers = np.full((2 * w + 3, count), _INF)
+    buffers = scratch[2 * size : 2 * size + (2 * w + 3) * count].reshape(2 * w + 3, count)
+    buffers.fill(_INF)
     by_parity = buffers[: w + 2], buffers[w + 2 :]
     final = by_parity[(w + 1) % 2][(w + 1) // 2]
     final[:] = 0.0

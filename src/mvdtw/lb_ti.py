@@ -25,6 +25,17 @@ the pad keeps every propagated L at or below the *computed* point distance so
 that bound/DTW comparisons need no tolerance.  The pad is orders of magnitude
 below any decision threshold; steps that are exactly zero skip it, since they
 introduce no rounding.
+
+The batched kernel, lb_ti_terms, advances blocks of P = refresh_period rows,
+each from a re-anchored row r; no interval crosses a block boundary, so the
+blocks advance together, one row offset t at a time.  Slot k of the block at
+row r holds column r - W + k: slots 0..2W are row r's window, slot 2W + t the
+top slot row r + t gains.  Slots are the rows of four (2W + P, blocks·C)
+buffers (L, U, smallest floor, temporary), a column per (block, candidate)
+pair, so a row's window is a run of slot rows and every call spans all pairs.
+The advance runs in place and the true distances are summed a plane at a
+time, so a chunk takes as many blocks as fit 4·(2W + P)·C floats each in
+BLOCK_FLOATS, whatever D is.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     BLOCK_FLOATS, BoundResult, InvalidInputError, SearchParams, as_int, as_pair, as_series,
@@ -101,70 +111,58 @@ def lb_ti_terms(qa: np.ndarray, planes: np.ndarray, w: int, refresh_period: int,
     `qa` is a validated (n, D) query, `planes` a validated plane set of its
     shape, `w` the effective window, `refresh_period` >= 1, which only this
     kernel caps at n (P), and `qsteps` the query's neighbor_steps.  Returns an
-    (n, C) array.  Blocks of P rows advance together, every candidate at
-    once, in chunks of as many blocks as fit in BLOCK_FLOATS, at least one: a
-    block holds 2w + P interval slots per candidate, and the temporaries D
-    floats per slot.  A chunk edge-extends only the columns its blocks hold.
+    (n, C) array.  Blocks advance as the module docstring says, in buffers
+    allocated once, a chunk of max(1, BLOCK_FLOATS // (4·(2w + P)·C)) blocks
+    at a time, each edge-extending only the columns its blocks hold.
     """
-    dims, n, count = planes.shape
+    _, n, count = planes.shape
     p = min(refresh_period, n)
-
-    # Rows fall into blocks of p, each starting at a re-anchored row r.  No
-    # interval crosses a block boundary, so blocks advance together, one row
-    # offset t at a time, in chunks that bound the working memory.  Slot k of
-    # block b holds column r_b - w + k: slots 0..2w are row r's window, and
-    # slot 2w + t is the top slot that row r + t gains, which starts at its
-    # true distance.  A column's term is its smallest floor over every row
-    # whose window holds it, across blocks.
     span = 2 * w + p
     stalls = not qsteps.all()  # the query repeats a point somewhere
-    # Smallest floors, flat: candidate c's column j at c * width + w + j, with
-    # room for the columns outside [0, n) that edge slots hold, so every slot
-    # is scattered unmasked and those columns are dropped at the end.
-    width = n + span
-    colmin = np.full(count * width, _INF)
-    chunk = p * max(1, BLOCK_FLOATS // (span * dims * count))
-    for first in range(0, n, chunk):
-        anchors = np.arange(first, min(n, first + chunk), p)
+    # Smallest floors, candidate c's column j at (w + j)·C + c, with room for
+    # the columns outside [0, n) that edge slots hold, dropped at the end.
+    colmin = np.full((n + span) * count, _INF)
+    blocks = max(1, BLOCK_FLOATS // (4 * span * count))
+    buffers = np.empty(4 * span * min(blocks, -(-n // p)) * count)
+    for first in range(0, n, p * blocks):
+        anchors = np.arange(first, min(n, first + p * blocks), p)
         # slots k0..k1-1 hold a column of [0, n) in at least one block
         k0, k1 = max(0, w - anchors[-1]), min(span, n + w - anchors[0])
-        top0 = min(2 * w + 1, k1) - k0  # first top slot, local index
-        # One interval row per (block, candidate), block-major, so the rows
-        # of the blocks that reach a given row offset form a prefix.
-        shape = (len(anchors), count, k1 - k0)
-        # the chunk's columns edge-extended: slot k of the block at row r
-        # holds column r - w + k, clipped to [0, n)
-        cols = planes.take(np.clip(np.arange(first + k0, anchors[-1] + k1) - w, 0, n - 1), axis=1)
-        ds, rs, cs = cols.strides
-        points = as_strided(cols, (dims, *shape), (ds, p * rs, cs, rs), writeable=False)
-        lo = np.empty(shape)
-        lo[..., :top0] = point_costs(qa.T[:, anchors, None, None], points[..., :top0])
-        tops = np.minimum(anchors[:, None] + np.arange(k0 + top0 - 2 * w, k1 - 2 * w), n - 1)
-        lo[..., top0:] = point_costs(qa.T[:, tops[:, None]], points[..., top0:])
-        lo = lo.reshape(-1, k1 - k0)
-        up = lo.copy()
-        best = lo.copy()  # smallest floor of each slot over the block's rows so far
-        best[:, top0:] = _INF
-        # the step into row r + t of each row's block
-        steps = np.repeat(qsteps[np.minimum(anchors[:, None] + np.arange(p - 1), n - 2)],
-                          count, axis=0)
+        # columns block-major: the blocks that reach a row offset are a prefix
+        lo, up, best, tmp = buffers[: 4 * (k1 - k0) * len(anchors) * count].reshape(4, k1 - k0, -1)
+        # True distances, squared differences added to 0 plane by plane as
+        # point_costs adds them; top slot k pairs query row r + k - 2w (< n).
+        slots = np.arange(k0, k1)[:, None]
+        reach = anchors + slots  # the slot's column, at its place in colmin
+        cols = np.minimum(np.maximum(reach - w, 0), n - 1)
+        rows = np.minimum(anchors + np.maximum(slots - 2 * w, 0), n - 1)
+        total, diff = lo.reshape(*cols.shape, count), tmp.reshape(*cols.shape, count)
+        total.fill(0.0)
+        for plane, q in zip(planes, qa.T):
+            np.subtract(plane.take(cols, axis=0, out=diff), q.take(rows)[..., None], out=diff)
+            np.add(total, np.multiply(diff, diff, out=diff), out=total)
+        up[:] = best[:] = np.sqrt(lo, out=lo)  # a top slot's floor is its first row's
+        # the step into row r + t of each column's block
+        steps = np.repeat(qsteps[np.minimum(anchors + np.arange(p - 1)[:, None], n - 2)], count, 1)
         for t in range(1, p):
-            nb = count * (len(anchors) - (anchors[-1] + t >= n))  # rows that reach row r + t
-            s = steps[:nb, t - 1 : t]
-            prev = slice(max(t - 1 - k0, 0), min(t + 2 * w, k1) - k0)  # row r + t - 1's window
-            sl_lo = lo[:nb, prev]
-            sl_up = up[:nb, prev]
-            # max(L - s, s - U, 0) less the pad, floored at 0: flooring once,
-            # after the pad, gives the same bits
-            base = np.maximum(sl_lo - s, s - sl_up)
-            grown = sl_up + s
-            pad = grown * _PROP_SLACK
+            nb = count * (len(anchors) - (anchors[-1] + t >= n))  # columns that reach row r + t
+            s = steps[t - 1, :nb]
+            # Row r + t - 1's window, less the slot that leaves it, advances in
+            # place: L = max(max(L - s, s - U) - pad, 0) and U += s + pad, with
+            # pad = (U + s)·2**-46 (flooring once, after the pad, is exact).
+            held = slice(max(t - k0, 0), min(t + 2 * w, k1) - k0)
+            sl_lo, sl_up, pad = lo[held, :nb], up[held, :nb], tmp[held, :nb]
+            np.subtract(sl_lo, s, out=pad)
+            np.subtract(s, sl_up, out=sl_lo)
+            np.maximum(pad, sl_lo, out=sl_lo)
+            np.add(sl_up, s, out=sl_up)
+            np.multiply(sl_up, _PROP_SLACK, out=pad)
             if stalls:  # a zero step leaves its intervals as they are
-                pad[s[:, 0] == 0.0] = 0.0
-            np.maximum(base - pad, 0.0, out=sl_lo)
-            np.add(grown, pad, out=sl_up)
-            win = slice(max(t - k0, 0), min(t + 2 * w + 1, k1) - k0)  # row r + t's window
-            np.minimum(best[:nb, win], lo[:nb, win], out=best[:nb, win])
-        at = anchors[:, None, None] + np.arange(k0, k1) + np.arange(0, count * width, width)[:, None]
-        np.minimum.at(colmin, at.ravel(), best.ravel())
-    return colmin.reshape(count, width)[:, w : w + n].T
+                pad[:, s == 0.0] = 0.0
+            np.subtract(sl_lo, pad, out=sl_lo)
+            np.maximum(sl_lo, 0.0, out=sl_lo)
+            np.add(sl_up, pad, out=sl_up)
+            win = slice(held.start, min(t + 2 * w + 1, k1) - k0)  # row r + t's window
+            np.minimum(best[win, :nb], lo[win, :nb], out=best[win, :nb])
+        np.minimum.at(colmin, (reach[..., None] * count + np.arange(count)).ravel(), best.ravel())
+    return colmin.reshape(-1, count)[w : w + n]

@@ -98,6 +98,35 @@ def test_terms_kernels_equal_the_per_pair_bounds(seed, kind, count, n, dims, ext
                               lb_ad(q, c, window).value.hex()]
 
 
+@pytest.mark.parametrize("budget", [1, 7, "default"])
+@pytest.mark.parametrize("window", [0, 4, 22])
+@pytest.mark.parametrize("shape", ["runs", "constant"])
+def test_lb_ti_terms_on_repeated_query_points_and_short_last_blocks(shape, window, budget):
+    # runs of equal consecutive query points (or a constant query) take zero
+    # steps, whose advance leaves out the safety pad; n = 23 is no multiple
+    # of P = 5, so the last block holds 3 rows and its top slots cap at row
+    # n - 1; candidate 0 is the query itself, every true distance 0
+    g = np.random.default_rng(11)
+    n, dims, count, p = 23, 3, 6, 5
+    if shape == "runs":
+        q = np.repeat(np.cumsum(g.normal(size=(8, dims)), axis=0), [1, 4, 2, 3, 1, 5, 3, 4], axis=0)
+    else:
+        q = np.full((n, dims), 0.25)
+    cas = np.cumsum(g.normal(size=(count, n, dims)), axis=1)
+    cas[0] = q
+    steps = neighbor_steps(q)
+    assert (steps == 0.0).any()
+    with pytest.MonkeyPatch.context() as mp:
+        if budget != "default":
+            mp.setattr(sys.modules["mvdtw.lb_ti"], "BLOCK_FLOATS", budget)
+        terms = lb_ti_terms(q, _stack_candidates(cas, q.shape), window, p, steps)
+    assert terms.shape == (n, count)
+    for k, c in enumerate(cas):
+        total = float(np.cumsum(terms[:, k])[-1]).hex()
+        assert total == lb_ti(q, c, window, refresh_period=p).value.hex()
+        assert total == reference_lb_ti(q, c, window, "tip_top", p).value.hex()
+
+
 def test_prune_rule_equals_sum_with_abandon():
     g = np.random.default_rng(9)
     rows = [g.random(7), np.zeros(7), np.array([1.0, 2.0, np.inf, 0.0]),
