@@ -10,8 +10,8 @@ lists, one line each:
 * every tune_params grid evaluation (`tune`), its cost in hex;
 * the bound tc_dtw_select picks for the tuned tc_dtw (`select`);
 * every query's NnOutcome (`query`) under none, lb_mv, lb_ti, lb_pc, lb_ad
-  and tc_dtw with each advanced bound: answer, counters, and the work total
-  in hex.
+  and tc_dtw with each option tc_dtw_select ranks (lb_ti, lb_pc and the
+  plain sweep, none): answer, counters, and the work total in hex.
 
 The last line per workload is `sha256 <workload> <hex digest of its lines>`.
 
@@ -56,7 +56,8 @@ def fixture_lines(name: str, seed: int) -> list[str]:
     choice = tc_dtw_select(sq, sc, tuned[Method.TC_DTW], dim_range=ds.dim_ranges)
     lines.append(f"{name} select {choice.value}")
     runs = [(m.value, tuned[m], None) for m in SINGLE] + [
-        (f"tc_dtw({a.value})", tuned[Method.TC_DTW], a) for a in (Method.LB_TI, Method.LB_PC)]
+        (f"tc_dtw({a.value})", tuned[Method.TC_DTW], a)
+        for a in (Method.LB_TI, Method.LB_PC, Method.NONE)]
     for label, params, adv in runs:
         for qi, q in enumerate(queries):
             out = nn_search(q, cands, params, advanced=adv, dim_range=ds.dim_ranges)

@@ -169,10 +169,14 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunR
     if config.tune:  # returns `none` and `lb_mv` params unchanged
         params = tune_params(queries, candidates, params, seed=config.seed,
                              dim_range=ds.dim_ranges)
-    advanced = None
+    advanced, label = None, method.value
     if method == Method.TC_DTW:
+        # the pick, then every option's sample cost: why it was picked
         sq, sc = selection_sample(queries, candidates, config.seed)
-        advanced = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges)
+        log = []
+        advanced = tc_dtw_select(sq, sc, params, dim_range=ds.dim_ranges, log=log)
+        label = " ".join([f"{method.value}({advanced.value})",
+                          *(f"cost({adv.value})={cost:.10g}" for adv, _, cost in log)])
     if method == Method.NONE:
         outcomes, wall = baseline
     else:
@@ -186,7 +190,6 @@ def _run_cell(config, ds, queries, candidates, method, window, baseline) -> RunR
     base_outcomes, base_wall = baseline
     base_sum = sum(o.total_time for o in base_outcomes)
     own_sum = sum(o.total_time for o in outcomes)
-    label = method.value if advanced is None else f"{method.value}({advanced.value})"
     return RunReport(
         dataset=ds.name,
         method=method.value,

@@ -23,7 +23,10 @@ weighted) rather than wall time, so repeated runs with one seed pick the
 same configuration and produce bit-identical counters; wall times are still
 measured and reported.  Selection sweeps its sample queries together and
 finishes each scan under every configuration it compares, each advanced
-bound once per candidate and configuration.
+bound once per candidate and configuration.  TC_DTW's selection also prices
+the plain sweep, as `_finish` charges method `none`, so where no bound pays
+on the sample TC_DTW runs none: no envelope, no advanced bound, no
+diagonal-path costs.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ class NnOutcome:
     out of it the candidates they prune at the diagonal-path bound, so they
     sweep fewer than the envelope leaves; LB_TI, run after it, does not.
     `work` is the deterministic work-model total used for tuning decisions.
+    TC_DTW resolved to NONE (the plain sweep) runs as method `none` does and
+    gives its outcome, field for field, timers aside.
     Timers are seconds; lb_time + dtw_time <= total_time.  lb_time holds
     the builds, the envelope and the cascade at both bars with the advanced
     bound in it; dtw_time the diagonal-path costs and the sweep.  When the queries
@@ -84,7 +89,8 @@ class NnOutcome:
 
 # The advanced bounds each method deploys at the cascade's second step, in
 # the order tune_params tunes them; TC_DTW deploys the one of its two that
-# tc_dtw_select picks.
+# tc_dtw_select picks, or runs no bound at all (NONE, the plain sweep) where
+# neither pays on its sample.
 DEPLOYED = {Method.NONE: (), Method.LB_MV: (), Method.LB_TI: (Method.LB_TI,),
             Method.LB_PC: (Method.LB_PC,), Method.LB_AD: (Method.LB_AD,),
             Method.TC_DTW: (Method.LB_TI, Method.LB_PC)}
@@ -101,10 +107,12 @@ PRESWEPT = (Method.LB_PC, Method.LB_AD)
 
 def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | None:
     """Resolve which bound runs at the cascade's second step, if any.
-    `advanced` resolves TC_DTW and is rejected with any other method."""
+    `advanced` resolves TC_DTW, to one of its DEPLOYED bounds or to NONE (no
+    bound, not even the envelope: _finish's plain sweep), and is rejected
+    with any other method."""
     deployed = DEPLOYED[params.method]
     if len(deployed) > 1:
-        if advanced not in deployed:
+        if advanced not in (*deployed, Method.NONE):
             raise InvalidInputError("TC_DTW must be resolved with tc_dtw_select first")
         return advanced
     if advanced is not None:
@@ -173,7 +181,7 @@ class _Scan:
     swept: np.ndarray
     distances: np.ndarray  # exact DTW distances of the swept, +inf elsewhere
     met: np.ndarray  # the d_best each candidate meets
-    outcome: NnOutcome  # the answer, dtw_swept, lb_mv_evals and timers so far
+    outcome: NnOutcome  # the answer, dtw_swept and timers so far
     evals: dict
 
 
@@ -188,7 +196,9 @@ def nn_search(
 
     Candidates are processed in the given order; d_best starts from an exact
     DTW against the first candidate.  `advanced` names the second-step bound
-    when params.method is TC_DTW (fill it from tc_dtw_select).  `dim_range` is
+    when params.method is TC_DTW (fill it from tc_dtw_select): LB_TI, LB_PC,
+    or NONE, which runs the plain sweep of method `none`: no envelope,
+    advanced bound, diagonal-path costs or cascade.  `dim_range` is
     the dataset's per-dimension value range, used by the clustering bound's
     minimum cell size.  _scan checks the query, `dim_range` (for every method)
     and the candidates, in that order, before any work; `advanced` after it.
@@ -207,8 +217,8 @@ def nn_search(
     """
     t_start = time.perf_counter()
     resolve = partial(_advanced_method, params, advanced)
-    scan, = _scan([query], candidates, params, dim_range, params.method != Method.NONE,
-                  resolve=resolve)
+    scan, = _scan([query], candidates, params, dim_range,
+                  Method.NONE not in (params.method, advanced), resolve=resolve)
     out = _finish(scan, params, resolve())
     out.total_time = time.perf_counter() - t_start
     return out
@@ -217,7 +227,8 @@ def nn_search(
 def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=None,
           resolve=None) -> list[_Scan]:
     """nn_search's first stage for each of `queries` against `candidates` under
-    params' window; `bounded` is False for method `none`, which runs no bound.
+    params' window; `bounded` is False for method `none` (and TC_DTW resolved
+    to it), which runs no bound.
     The search's one checked entry: before any sweep it checks each query
     (as_series) and its range (as_dim_range) in turn, stacking the candidates
     (_stack_candidates) for the first query's shape; a later query of another
@@ -314,8 +325,7 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
             np.minimum.accumulate(distances[:-1], out=met[1:])
         best = int(np.argmin(distances))  # the first minimum, as the scan's strict <
         dtw_time += took * len(need) / len(gathered) + time.perf_counter() - t0
-        outcome = NnOutcome(best, float(distances[best]),
-                            lb_mv_evals=count - 1 if bounded else 0, lb_time=lb_time,
+        outcome = NnOutcome(best, float(distances[best]), lb_time=lb_time,
                             dtw_time=dtw_time, total_time=lb_time + dtw_time,
                             dtw_swept=len(need))
         scans.append(_Scan(qa, ref, planes, w, lb_totals, swept, distances, met, outcome, evals))
@@ -391,7 +401,12 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     charged to lb_time.  The bound runs only on triggered candidates its
     evaluation record in scan.evals has not evaluated (under its key: LB_PC
     with its quantization level, LB_TI or LB_AD), and its per-query build
-    the first time one is triggered; nothing else of `scan` changes."""
+    the first time one is triggered; nothing else of `scan` changes.
+
+    `adv` NONE is the plain sweep: no envelope and no bound, every
+    candidate compared and charged its band, as method `none` is.  On a
+    bounded scan (a selection sample's) that prices the plain sweep; only
+    the answer, `dtw_swept` and the timers then stay the scan's."""
     t_start = time.perf_counter()
     planes, w = scan.planes, scan.w
     dims, n, count = planes.shape
@@ -402,10 +417,12 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     setup_work = []
     charges = np.zeros((count, 3))
     t0 = time.perf_counter()
-    bound = None if adv is None else _bound(scan.qa, w, scan.ref, params, adv)
-    compared, triggered = _cascade(scan.lb_totals, scan.met, bound, scan.evals, planes)
-    if scan.lb_totals is not None:
+    lb_totals = None if adv == Method.NONE else scan.lb_totals
+    bound = None if adv in (None, Method.NONE) else _bound(scan.qa, w, scan.ref, params, adv)
+    compared, triggered = _cascade(lb_totals, scan.met, bound, scan.evals, planes)
+    if lb_totals is not None:
         out.lb_time += time.perf_counter() - t0
+        out.lb_mv_evals = count - 1
         setup_work.append(n * dims)
         charges[1:, 0] = n * dims
     if bound is not None:
@@ -413,7 +430,7 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
         charges[triggered, 1] = bound.eval_work
         out.advanced_lb_evals = len(triggered)
 
-    if (compared & ~scan.swept).any():
+    if lb_totals is not None and (compared & ~scan.swept).any():
         raise RuntimeError("the DTW sweep missed a compared candidate: a diagonal-path "
                            "cost fell below its DTW distance")
 
@@ -452,7 +469,7 @@ def _sample_scans(queries, candidates, params: SearchParams, dim_range, labels=N
 
 
 def _rank(scans: list[_Scan], configs: list, log: list | None = None) -> tuple:
-    """The first of `configs`, (advanced bound, SearchParams) pairs, whose
+    """The first of `configs`, (advanced bound or NONE, SearchParams) pairs, whose
     work summed over the scanned queries (each nn_search's, in query order)
     is smallest.  Each is appended to `log`, when given, as (bound, params,
     cost)."""
@@ -472,15 +489,22 @@ def tc_dtw_select(
     sample_candidates,
     params: SearchParams,
     dim_range: np.ndarray | None = None,
+    log: list | None = None,
 ) -> Method:
-    """Pick the cheaper of the triangle and clustering bounds on a sample.
+    """Pick the cheapest of the clustering bound, the triangle bound and
+    the plain sweep on a sample.
 
-    Runs the search with both bounds over the sample and returns the method
-    whose deterministic work-model cost is smaller; ties go to LB_PC.
+    Finishes the sample's scans with each option and returns the one whose
+    deterministic work-model cost is smallest: LB_PC, LB_TI, or NONE, the
+    plain sweep of method `none` (every candidate's full band, no envelope),
+    for which nn_search runs no bound.  Ties go to LB_PC, then LB_TI.  Each
+    option is appended to `log` when given, as (option, params, cost).
     """
     scans = _sample_scans(sample_queries, sample_candidates, params, dim_range)
-    # LB_PC ranked first, so that a tie goes to it
-    adv, _ = _rank(scans, [(m, params) for m in reversed(DEPLOYED[Method.TC_DTW])])
+    # LB_PC ranked first and the plain sweep last, so that a tie goes to
+    # LB_PC, then LB_TI
+    options = (*reversed(DEPLOYED[Method.TC_DTW]), Method.NONE)
+    adv, _ = _rank(scans, [(m, params) for m in options], log)
     return adv
 
 

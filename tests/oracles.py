@@ -218,10 +218,11 @@ def band_cells(n: int, window: int) -> int:
 def reference_advanced(params, advanced) -> Method | None:
     """The bound a method deploys second, read from the method alone: its
     namesake for lb_ti, lb_pc and lb_ad, the one `advanced` names for
-    tc_dtw, none for none and lb_mv."""
+    tc_dtw (NONE: the plain scan, with no envelope either), none for none
+    and lb_mv."""
     if params.method == Method.TC_DTW:
-        if advanced not in (Method.LB_TI, Method.LB_PC):
-            raise InvalidInputError("tc_dtw needs its advanced bound, lb_ti or lb_pc")
+        if advanced not in (Method.LB_TI, Method.LB_PC, Method.NONE):
+            raise InvalidInputError("tc_dtw needs its advanced bound, lb_ti or lb_pc, or none")
         return advanced
     if advanced is not None:
         raise InvalidInputError(f"advanced applies only to tc_dtw, not {params.method.value}")
@@ -240,8 +241,8 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     if not cas:
         raise InvalidInputError("candidate list is empty")
     n, dims = qa.shape
-    method = params.method
     adv = reference_advanced(params, advanced)
+    bounded = Method.NONE not in (params.method, adv)
     trigger = params.trigger_pc if adv == Method.LB_PC else params.trigger_ti
     w = params.effective_window(n)
 
@@ -252,7 +253,7 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     qsteps = None
     boxes = None
     t0 = time.perf_counter()
-    if method != Method.NONE:
+    if bounded:
         env = build_envelope(qa, w)
         out.work += n * dims
     if adv == Method.LB_TI:
@@ -283,7 +284,7 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     for k in range(1, len(cas)):
         ca = cas[k]
         planes = ca.T[..., None]
-        if method != Method.NONE:
+        if bounded:
             t0 = time.perf_counter()
             b1 = sum_with_abandon(lb_pc_terms(planes, env)[:, 0], d_best)
             out.lb_time += time.perf_counter() - t0
@@ -329,15 +330,15 @@ def reference_swept(query, candidates, params, advanced=None, dim_range=None) ->
     candidate at a time, in scan order, with every candidate k meeting U_k in
     place of d_best, where U_k is the smallest diagonal-path cost (the
     package's lb_ad_terms at window 0 on one candidate, summed) of
-    candidates 0..k-1.  Candidate 0 is always swept, and `none` sweeps every
-    candidate.  Of the advanced bounds only LB_PC and LB_AD run, as the
+    candidates 0..k-1.  Candidate 0 is always swept, and `none` (and tc_dtw
+    resolved to it) sweeps every candidate.  Of the advanced bounds only LB_PC and LB_AD run, as the
     search runs them before its sweep; LB_TI is left to the exact scan."""
     qa = as_series(query)
     cas = [as_series(c) for c in candidates]
-    if params.method == Method.NONE:
+    adv = reference_advanced(params, advanced)
+    if Method.NONE in (params.method, adv):
         return len(cas)
     n, _ = qa.shape
-    adv = reference_advanced(params, advanced)
     trigger = params.trigger_pc if adv == Method.LB_PC else params.trigger_ti
     w = params.effective_window(n)
     env = build_envelope(qa, w)

@@ -58,7 +58,7 @@ def test_benchmark_calls_run(tmp_path):
     assert len(log) == 3 + 7 + 3
     advanced = mvdtw.tc_dtw_select(queries[:2], candidates[:3], params["tc_dtw"],
                                    dim_range=ds.dim_ranges)
-    assert advanced in (mvdtw.Method.LB_TI, mvdtw.Method.LB_PC)
+    assert advanced in (mvdtw.Method.LB_TI, mvdtw.Method.LB_PC, mvdtw.Method.NONE)
     for m in ("none", "lb_ti", "tc_dtw", "lb_ad"):
         out = mvdtw.nn_search(queries[0], candidates, params[m],
                               advanced=advanced if m == "tc_dtw" else None,

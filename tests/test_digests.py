@@ -12,14 +12,14 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "counters_digest.py"
 DIGESTS = {
     42: {
-        "clustered-w10": "2e44c306cbb69c402517f777108b25ab30909e3d4905575a9dd686b0747a6b06",
-        "iid-w10": "e31403f0a21c5c7ad314afc3716ec2d055bcb6064f64e921c7e2681fe9a7bcc8",
-        "smooth-n100-w20": "54768c12f82840cc37e60b0e9241b4d476e262320e852d4e5f80c8a1425c344b",
+        "clustered-w10": "34b5e196acff5b330fcc3c1ecb83e5b307a913a92553fa9e4c00997254cd2a46",
+        "iid-w10": "f38006bc3385b20c17e67124396ece4c4e43511615c847a0eb74d2ec313a64cd",
+        "smooth-n100-w20": "4880c1b4cef12bb7e9faadde28ad9de0b5f05b9d5bde60adc6ad46ff2431084a",
     },
     7: {
-        "clustered-w10": "ff6569ef9cd276ed7508ec30f7942451554446bda2939c8bb4b37f59a05d5262",
-        "iid-w10": "e63ebdb83a342bd8a1cf8765731cbe02eefdb476cf009ae34f40727ce83dff93",
-        "smooth-n100-w20": "44c9efd553a82a456aa191f847a9f92d469cb9273c9a681bd42658657dd68c1a",
+        "clustered-w10": "7b61efefedb557655b38c46084af489dfde3bdcc72b5579b87b2710416e1a587",
+        "iid-w10": "9f33d0c65c11d6d009b5300396a3d65eea6f8e2e110e21369649ae2b2e6b7f4c",
+        "smooth-n100-w20": "2fe9918172b403333e2b4093fe5df1c52f006273274736a4c29e5699709ad71b",
     },
 }
 

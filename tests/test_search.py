@@ -153,10 +153,47 @@ def test_unresolved_tc_dtw_rejected(rng):
     q, cands = small_problem(rng, num_series=4)
     with pytest.raises(InvalidInputError):
         nn_search(q, cands, SearchParams(window=3, method=Method.TC_DTW))
-    # `advanced` resolves tc_dtw only; any other method rejects it
+    # `advanced` resolves tc_dtw only, also to the plain sweep (NONE); any
+    # other method rejects it
     for method in (m for m in Method if m != Method.TC_DTW):
-        with pytest.raises(InvalidInputError, match="advanced"):
-            nn_search(q, cands, SearchParams(window=2, method=method), advanced=Method.LB_PC)
+        for advanced in (Method.LB_PC, Method.NONE):
+            with pytest.raises(InvalidInputError, match="advanced"):
+                nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced)
+
+
+@pytest.mark.parametrize("make, num_series, n, dims, window", [
+    (iid_noise_dataset, 30, 20, 3, 4),
+    (clustered_dataset, 30, 20, 3, 4),
+    (smooth_walk_dataset, 30, 30, 3, 6),
+    (smooth_walk_dataset, 30, 20, 1, 3),   # univariate
+    (clustered_dataset, 30, 20, 2, 0),     # window 0
+])
+def test_tc_dtw_resolved_to_none_is_the_none_search(make, num_series, n, dims, window):
+    # tc_dtw resolved to the plain sweep runs no envelope, bound or
+    # diagonal-path cost, and gives `none`'s outcome, counter for counter
+    import mvdtw.search as search
+
+    ds = make(num_series, n, dims, seed=21)
+    series = ds.series_list()
+    if dims == 1:  # plain 1-D arrays, as a univariate caller passes them
+        series = [s[:, 0] for s in series]
+    queries, cands = series[:4], series[4:]
+    tuned = tune_params(queries, cands, SearchParams(window=window, method=Method.TC_DTW),
+                        seed=2, dim_range=ds.dim_ranges)
+    called = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_envelope", "lb_ad_terms", "lb_pc_terms", "lb_ti_terms"):
+            mp.setattr(search, name, lambda *a, name=name, **k: called.append(name))
+        plain = [nn_search(q, cands, tuned, advanced=Method.NONE, dim_range=ds.dim_ranges)
+                 for q in queries]
+    assert called == []
+    for q, got in zip(queries, plain):
+        want = nn_search(q, cands, SearchParams(window=window, method=Method.NONE),
+                         dim_range=ds.dim_ranges)
+        for name in (*COUNTER_FIELDS, "dtw_swept"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.work.hex() == want.work.hex()
+        assert got.dtw_swept == got.dtw_computed == len(cands)
 
 
 def test_counters_deterministic_and_timers_sane(rng):
@@ -172,11 +209,19 @@ def test_counters_deterministic_and_timers_sane(rng):
 
 
 def test_tc_dtw_select_prefers_clustering_on_clustered_data():
+    # the clustering bound costs less than the triangle bound here, and the
+    # pick is the cheapest of the three options the log prices
     ds = clustered_dataset(24, 30, 2, seed=5)
     series = ds.series_list()
     queries, cands = series[:4], series[4:]
     params = SearchParams(window=5, method=Method.TC_DTW)
-    assert tc_dtw_select(queries, cands, params) == Method.LB_PC
+    log = []
+    pick = tc_dtw_select(queries, cands, params, log=log)
+    costs = {adv: cost for adv, p, cost in log}
+    assert list(costs) == [Method.LB_PC, Method.LB_TI, Method.NONE]
+    assert all(p == params for _, p, _ in log)
+    assert costs[Method.LB_PC] < costs[Method.LB_TI]
+    assert pick == min(costs, key=costs.get)
 
 
 def test_tc_dtw_select_tie_breaks_to_lb_pc(monkeypatch):
@@ -188,13 +233,13 @@ def test_tc_dtw_select_tie_breaks_to_lb_pc(monkeypatch):
 
 
 def test_tc_dtw_select_single_candidate_deterministic(rng):
-    # a one-candidate sample gives either method trivially; the pick must
-    # still be deterministic
+    # with one candidate no bound can skip, so the plain sweep, which pays
+    # for no envelope or bound, is the deterministic pick
     q, cands = small_problem(rng, num_series=2)
     params = SearchParams(window=3, method=Method.TC_DTW)
     picks = {tc_dtw_select([q], cands[:1], params) for _ in range(3)}
     assert len(picks) == 1
-    assert picks.pop() in (Method.LB_TI, Method.LB_PC)
+    assert picks.pop() == Method.NONE
 
 
 def test_tune_grid_sizes(rng):
@@ -289,10 +334,14 @@ def assert_tuning_as_fresh_searches(queries, cands, window, seed, dim_range):
                         want_tuned = replace(want_tuned, trigger_ti=p.trigger_ti)
                 assert tuned == want_tuned, (order, method)
                 if method == Method.TC_DTW:
-                    cost_ti, cost_pc = (fresh_cost(sq, sc, replace(tuned, method=m), dim_range)
-                                        for m in (Method.LB_TI, Method.LB_PC))
-                    want_pick = Method.LB_TI if cost_ti < cost_pc else Method.LB_PC
-                    assert tc_dtw_select(sq, sc, tuned, dim_range=dim_range) == want_pick
+                    # the first of the cheapest: LB_PC, LB_TI, then the plain sweep
+                    costs = {m: fresh_cost(sq, sc, replace(tuned, method=m), dim_range)
+                             for m in (Method.LB_PC, Method.LB_TI, Method.NONE)}
+                    want_pick = min(costs, key=costs.get)
+                    log = []
+                    assert tc_dtw_select(sq, sc, tuned, dim_range=dim_range, log=log) == want_pick
+                    assert [(adv, cost.hex()) for adv, _, cost in log] == \
+                        [(m, cost.hex()) for m, cost in costs.items()]
 
 
 @pytest.mark.parametrize("make, num_series, n, dims, window", [
@@ -462,7 +511,7 @@ def test_sample_scans_reject_a_bad_candidate_as_nn_search(bad):
 COUNTER_FIELDS = ("best_index", "best_distance", "dtw_computed", "dtw_skipped",
                   "lb_mv_evals", "advanced_lb_evals", "abandon_count", "work")
 CASCADES = [(m, None) for m in Method if m != Method.TC_DTW] + [
-    (Method.TC_DTW, Method.LB_TI), (Method.TC_DTW, Method.LB_PC)]
+    (Method.TC_DTW, Method.LB_TI), (Method.TC_DTW, Method.LB_PC), (Method.TC_DTW, Method.NONE)]
 
 
 def search_case(seed, kind, count, n, dims):
@@ -501,7 +550,7 @@ def assert_matches_reference(q, cands, window, trigger):
             assert getattr(got, name) == getattr(want, name), (method, advanced, name)
         # the sweep computes every compared candidate, and `none` compares all
         assert got.dtw_computed <= got.dtw_swept <= len(cands)
-        if method == Method.NONE:
+        if Method.NONE in (method, advanced):
             assert got.dtw_swept == len(cands)
         assert got.dtw_swept == reference_swept(q, cands, params, advanced=advanced)
 
@@ -540,7 +589,7 @@ def test_sweep_missing_a_compared_candidate_raises(monkeypatch):
     for seed, kind in ((1, "walk"), (2, "iid"), (3, "plateau")):
         q, cands = search_case(seed, kind, 10, 14, 3)
         for method, advanced in CASCADES:
-            if method == Method.NONE:
+            if Method.NONE in (method, advanced):
                 continue  # compares every candidate, with no upper bounds
             params = SearchParams(window=4, method=method, trigger_ti=0.5, trigger_pc=0.5)
             with pytest.raises(RuntimeError, match="sweep missed"):
