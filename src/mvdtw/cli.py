@@ -262,22 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mvdtw-bench", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--data", nargs="+", required=True, help="dataset file(s)")
-    p.add_argument("--format", dest="fmt", choices=["native", "ts"], default="native")
-    p.add_argument("--method", dest="methods", nargs="+", default=["tc_dtw"],
-                   choices=[m.value for m in Method])
-    p.add_argument("--window", dest="windows", metavar="WINDOW", nargs="+", type=int,
-                   default=[10, 20])
-    p.add_argument("--dims", nargs="+", default=["all"],
-                   help='dimension counts to keep, or "all"')
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--format", dest="fmt", choices=["native", "ts"])
+    p.add_argument("--method", dest="methods", nargs="+", choices=[m.value for m in Method])
+    p.add_argument("--window", dest="windows", metavar="WINDOW", nargs="+", type=int)
+    p.add_argument("--dims", nargs="+", help='dimension counts to keep, or "all"')
+    p.add_argument("--seed", type=int)
+    p.add_argument("--reps", type=int)
     tune = p.add_mutually_exclusive_group()
-    tune.add_argument("--tune", dest="tune", action="store_true", default=True)
+    tune.add_argument("--tune", dest="tune", action="store_true")
     tune.add_argument("--no-tune", dest="tune", action="store_false")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--emit", choices=["csv", "table", "json"], default="csv")
+    p.add_argument("--out", help="write the report here instead of stdout")
+    p.add_argument("--emit", choices=["csv", "table", "json"])
     p.add_argument("--verify", action="store_true",
                    help="check bound soundness on a data subsample before running")
+    # BenchConfig owns every default (set_defaults reaches the arguments above)
+    p.set_defaults(**vars(BenchConfig(data=[])))
     return p
 
 

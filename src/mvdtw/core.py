@@ -12,10 +12,11 @@ the no-tolerance invariants (every bound <= DTW, lb_mv <= lb_pc <= lb_ad, the
 batched search equal to the one-pair scan) need no hand-kept copies: array
 coercion `as_array`; series and pair checks `as_series`/`as_pair`; integer and
 window checks `as_int`/`as_window`, the latter also the window cap of
-`SearchParams.effective_window`; the search's one checked entry `search._scan`,
-which checks each query and its range (`lb_pc.as_dim_range`) and stacks the
-candidates, each a checked series, as their (D, n, C) plane set
-(`search._stack_candidates`) before any sweep; the fixed bound constants,
+`SearchParams.effective_window`; the search's one checked entry
+`search._checked`, which checks each query and its range (`lb_pc.as_dim_range`)
+and stacks the candidates, each a checked series, as their (D, n, C) plane set
+(`search._stack_candidates`) before any sweep; the method a search runs as
+(tc_dtw's pick for tc_dtw), `search._runs_as`; the fixed bound constants,
 SearchParams' class constants, which the per-pair lb_ti's default refresh
 period reads; dimension-first point distances `dtw.point_costs` and
 point-to-box distances `lb_pc.lb_pc_terms`, which lb_mv runs on the envelope's
@@ -25,8 +26,8 @@ point axis within `BLOCK_FLOATS` by the kernel itself; every float total, over
 dimensions, bound terms or work charges alike, `sequential_sums`, which adds
 its leading axis left to right; the prune rule, pruning a candidate at the
 first prefix of its bound terms above d_best, `search._prune_sums`; and the
-cascade that applies it, at the diagonal-path bound before the sweep and at
-the d_best each candidate meets after it, `search._cascade`.
+cascade that applies it, at the diagonal-path bound before the sweep and at the
+d_best each candidate meets after it, `search._cascade`.
 """
 
 from __future__ import annotations

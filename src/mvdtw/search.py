@@ -10,22 +10,23 @@ of its DTW distance already reaches d_best, and d_best only improves on exact
 distances, so every method returns the nearest neighbor the plain linear scan
 finds.
 
-The scan runs as one batch pass in two stages (see nn_search) that apply one
-cascade, `_cascade`, at two bars: `_scan` sweeps what it keeps at the
-diagonal-path bound U, which the d_best each candidate meets cannot exceed
-(for nn_search with LB_PC or LB_AD, PRESWEPT, in it), and derives those
-d_best; `_finish` counts what it keeps at them under one SearchParams.
+Each search is resolved once (`_runs_as`) to the method it runs as, its own
+or TC_DTW's pick, and that one Method drives both stages of the batch pass
+(see nn_search), which apply one cascade, `_cascade`, at two bars: `_scan`
+sweeps what it keeps at the diagonal-path bound U, which the d_best each
+candidate meets cannot exceed (with a PRESWEPT bound in it), and derives
+those d_best; `_finish` counts what it keeps at them under one SearchParams.
 
 Method and parameter selection on a data sample ranks configurations
 (`_rank`: the first cheapest wins) by a deterministic work model (bound
 point-touches and a full band of DP cells per compared DTW, dimension
 weighted) rather than wall time, so repeated runs with one seed pick the
 same configuration and produce bit-identical counters; wall times are still
-measured and reported.  Selection sweeps its sample queries together and
-finishes each scan under every configuration it compares, each advanced
+measured and reported.  Selection scans its sample queries together as
+LB_MV and finishes each scan as every method it compares, each advanced
 bound once per candidate and configuration.  TC_DTW's selection also prices
 the plain sweep, as `_finish` charges method `none`, so where no bound pays
-on the sample TC_DTW runs none: no envelope, no advanced bound, no
+on the sample TC_DTW runs as none: no envelope, no advanced bound, no
 diagonal-path costs.
 """
 
@@ -63,8 +64,8 @@ class NnOutcome:
     out of it the candidates they prune at the diagonal-path bound, so they
     sweep fewer than the envelope leaves; LB_TI, run after it, does not.
     `work` is the deterministic work-model total used for tuning decisions.
-    TC_DTW resolved to NONE (the plain sweep) runs as method `none` does and
-    gives its outcome, field for field, timers aside.
+    A TC_DTW search gives the outcome of the method it runs as (its pick)
+    under the same SearchParams, field for field, timers aside.
     Timers are seconds; lb_time + dtw_time <= total_time.  lb_time holds
     the builds, the envelope and the cascade at both bars with the advanced
     bound in it; dtw_time the diagonal-path costs and the sweep.  When the queries
@@ -105,11 +106,10 @@ _GRID = {"trigger_ti": (0.05, 0.1, 0.2), "trigger_pc": (0.1, 0.5), "quant_levels
 PRESWEPT = (Method.LB_PC, Method.LB_AD)
 
 
-def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | None:
-    """Resolve which bound runs at the cascade's second step, if any.
-    `advanced` resolves TC_DTW, to one of its DEPLOYED bounds or to NONE (no
-    bound, not even the envelope: _finish's plain sweep), and is rejected
-    with any other method."""
+def _runs_as(params: SearchParams, advanced: Method | None) -> Method:
+    """The method a search under `params` runs as: params.method, or
+    TC_DTW's pick `advanced` (one of its DEPLOYED bounds or NONE, the plain
+    sweep), which any other method rejects."""
     deployed = DEPLOYED[params.method]
     if len(deployed) > 1:
         if advanced not in (*deployed, Method.NONE):
@@ -118,7 +118,7 @@ def _advanced_method(params: SearchParams, advanced: Method | None) -> Method | 
     if advanced is not None:
         raise InvalidInputError(f"advanced={advanced!r} applies only to method tc_dtw, "
                                 f"not {params.method.value}")
-    return deployed[0] if deployed else None
+    return params.method
 
 
 def _stack_candidates(candidates, shape: tuple) -> np.ndarray:
@@ -165,10 +165,10 @@ def _prune_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Scan:
-    """One query's first stage.  Without a PRESWEPT bound (tuning and
-    selection), triggers, quantization level and advanced bound leave it
-    unchanged; with one, its swept set and distances depend on that
-    bound's configuration.  `evals` holds, per bound configuration
+    """One query's first stage.  Without a PRESWEPT bound (as tuning and
+    selection scan, as LB_MV), triggers, quantization level and advanced
+    bound leave it unchanged; with one, its swept set and distances depend
+    on that bound's configuration.  `evals` holds, per bound configuration
     (_Bound.key), its evaluation record (_cascade): the built kernel, which
     candidates it has evaluated, and their _prune_sums totals and peaks;
     every decision is taken from these at the bar in hand."""
@@ -195,16 +195,16 @@ def nn_search(
     """Find the candidate with the smallest banded DTW distance to `query`.
 
     Candidates are processed in the given order; d_best starts from an exact
-    DTW against the first candidate.  `advanced` names the second-step bound
-    when params.method is TC_DTW (fill it from tc_dtw_select): LB_TI, LB_PC,
-    or NONE, which runs the plain sweep of method `none`: no envelope,
-    advanced bound, diagonal-path costs or cascade.  `dim_range` is
-    the dataset's per-dimension value range, used by the clustering bound's
-    minimum cell size.  _scan checks the query, `dim_range` (for every method)
-    and the candidates, in that order, before any work; `advanced` after it.
+    DTW against the first candidate.  `advanced` is TC_DTW's pick (fill it
+    from tc_dtw_select): LB_TI, LB_PC or NONE, the plain sweep.  `dim_range`
+    is the dataset's per-dimension value range, used by the clustering
+    bound's minimum cell size.
 
-    The work runs as one batch pass: the envelope bound of every candidate
-    at once; for LB_PC and LB_AD, which dominate the envelope, the advanced
+    Four steps in turn: _checked checks the query, `dim_range` (for every
+    method) and the candidates before any work; _runs_as resolves the method
+    the search runs as, checking `advanced`; _scan and _finish run as it.
+    The work is one batch pass: the envelope bound of every candidate at
+    once; for LB_PC and LB_AD, which dominate the envelope, the advanced
     bound on the candidates it may be triggered on, so that the sweep leaves
     out those it prunes already; one batched DTW sweep (dtw_rows) to the
     last row of every candidate the scan might still have to compare
@@ -216,39 +216,22 @@ def nn_search(
     only a diagonal-path cost below the DTW distance could cause.
     """
     t_start = time.perf_counter()
-    resolve = partial(_advanced_method, params, advanced)
-    scan, = _scan([query], candidates, params, dim_range,
-                  Method.NONE not in (params.method, advanced), resolve=resolve)
-    out = _finish(scan, params, resolve())
+    checked, planes = _checked([(0, query)], candidates, dim_range)
+    runs = _runs_as(params, advanced)
+    scan, = _scan(checked, planes, params, runs)
+    out = _finish(scan, params, runs)
     out.total_time = time.perf_counter() - t_start
     return out
 
 
-def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=None,
-          resolve=None) -> list[_Scan]:
-    """nn_search's first stage for each of `queries` against `candidates` under
-    params' window; `bounded` is False for method `none` (and TC_DTW resolved
-    to it), which runs no bound.
-    The search's one checked entry: before any sweep it checks each query
-    (as_series) and its range (as_dim_range) in turn, stacking the candidates
-    (_stack_candidates) for the first query's shape; a later query of another
-    shape raises, naming its index in `queries` (its entry in `labels` when
-    given: tune_params' sample indices), as does an empty query list.  Then
-    `resolve`, when given, names the advanced bound (nn_search's
-    _advanced_method); LB_PC and LB_AD (PRESWEPT) then run before the sweep.
-    Tuning and selection give none: their one sweep serves every
-    configuration.
-
-    One DTW sweep covers the (query, candidate) columns of every query's
-    swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
-    (n D)) columns, so a call's gathered planes never outgrow the
-    candidates' plane set or one block.  A query's dtw_time gets the sweep's
-    time in proportion to its columns.
-    """
-    if len(queries) == 0:
-        raise InvalidInputError("query list is empty")
+def _checked(labelled, candidates, dim_range) -> tuple[list, np.ndarray]:
+    """The search's one checked entry: each (label, query) pair's query
+    (as_series) and range (as_dim_range) in turn, the candidates stacked
+    (_stack_candidates) for the first query's shape.  A later query of
+    another shape raises, named by its label, as does an empty query list.
+    Returns the (query, range) pairs and the candidates' planes."""
     checked, planes = [], None
-    for label, q in zip(range(len(queries)) if labels is None else labels, queries):
+    for label, q in labelled:
         qa = as_series(q)
         checked.append((qa, as_dim_range(dim_range, qa)))
         if planes is None:
@@ -256,7 +239,25 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
         elif planes.shape[1::-1] != qa.shape:
             raise InvalidInputError(f"query {label} has shape {qa.shape}, "
                                     f"candidates have {planes.shape[1::-1]}")
-    early = resolve() if resolve is not None else None
+    if not checked:
+        raise InvalidInputError("query list is empty")
+    return checked, planes
+
+
+def _scan(checked, planes, params: SearchParams, runs: Method) -> list[_Scan]:
+    """nn_search's first stage for each `checked` (query, range) pair
+    against the candidates' `planes` under params' window, as method `runs`:
+    NONE runs no bound, PRESWEPT bounds run before the sweep, others run the
+    envelope alone (so tuning and selection, scanning as LB_MV, sweep once
+    for every configuration).
+
+    One DTW sweep covers the (query, candidate) columns of every query's
+    swept candidates, in dtw_rows calls of at most max(C, BLOCK_FLOATS //
+    (n D)) columns, so a call's gathered planes never outgrow the
+    candidates' plane set or one block.  A query's dtw_time gets the sweep's
+    time in proportion to its columns.
+    """
+    bounded = runs != Method.NONE
     dims, n, count = planes.shape
     w = params.effective_window(n)
     stages = []
@@ -288,7 +289,7 @@ def _scan(queries, candidates, params: SearchParams, dim_range, bounded, labels=
         # the scan compares at the d_best it meets (<= upper) is swept.  The
         # sweep runs each of them to the end, also those the scan will skip.
         evals = {}
-        bound = _bound(qa, w, ref, params, early) if early in PRESWEPT else None
+        bound = _bound(qa, w, ref, params, runs) if runs in PRESWEPT else None
         swept, _ = _cascade(lb_totals, upper, bound, evals, planes)
         stages.append((lb_totals, swept, np.flatnonzero(swept), evals,
                        t1 - t0 + time.perf_counter() - t2, t2 - t1))
@@ -394,19 +395,18 @@ def _bound(qa: np.ndarray, w: int, ref: np.ndarray, params: SearchParams, adv: M
                   lambda: partial(lb_ad_terms, qa, w=w))
 
 
-def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
+def _finish(scan: _Scan, params: SearchParams, runs: Method) -> NnOutcome:
     """The second stage of nn_search: the counters of the cascade
-    (_cascade) at the d_best each candidate meets, with the advanced bound
-    `adv` (resolved by _advanced_method) under `params`.  The cascade is
-    charged to lb_time.  The bound runs only on triggered candidates its
+    (_cascade) at the d_best each candidate meets, as method `runs` (never
+    TC_DTW: _runs_as resolves it) under `params`, charged to lb_time.  The
+    bound `runs` deploys, if any, runs only on triggered candidates its
     evaluation record in scan.evals has not evaluated (under its key: LB_PC
     with its quantization level, LB_TI or LB_AD), and its per-query build
     the first time one is triggered; nothing else of `scan` changes.
 
-    `adv` NONE is the plain sweep: no envelope and no bound, every
-    candidate compared and charged its band, as method `none` is.  On a
-    bounded scan (a selection sample's) that prices the plain sweep; only
-    the answer, `dtw_swept` and the timers then stay the scan's."""
+    NONE is the plain sweep: no envelope and no bound, every candidate
+    compared and charged its band.  On a selection sample's scan that prices
+    the plain sweep; only the answer, `dtw_swept` and timers stay the scan's."""
     t_start = time.perf_counter()
     planes, w = scan.planes, scan.w
     dims, n, count = planes.shape
@@ -417,8 +417,8 @@ def _finish(scan: _Scan, params: SearchParams, adv: Method | None) -> NnOutcome:
     setup_work = []
     charges = np.zeros((count, 3))
     t0 = time.perf_counter()
-    lb_totals = None if adv == Method.NONE else scan.lb_totals
-    bound = None if adv in (None, Method.NONE) else _bound(scan.qa, w, scan.ref, params, adv)
+    lb_totals = None if runs == Method.NONE else scan.lb_totals
+    bound = _bound(scan.qa, w, scan.ref, params, runs) if DEPLOYED[runs] else None
     compared, triggered = _cascade(lb_totals, scan.met, bound, scan.evals, planes)
     if lb_totals is not None:
         out.lb_time += time.perf_counter() - t0
@@ -461,26 +461,26 @@ def selection_sample(queries, candidates, seed: int) -> tuple[list, list]:
             _sample(list(candidates), TUNE_CANDIDATE_SAMPLE, rng))
 
 
-def _sample_scans(queries, candidates, params: SearchParams, dim_range, labels=None) -> list[_Scan]:
-    """A bounded _scan of each sample query; an empty sample is rejected."""
-    if len(queries) == 0 or len(candidates) == 0:
+def _sample_scans(labelled, candidates, params: SearchParams, dim_range) -> list[_Scan]:
+    """The sample's (label, query) pairs scanned as LB_MV; an empty sample is rejected."""
+    if len(labelled) == 0 or len(candidates) == 0:
         raise InvalidInputError("selection sample is empty")
-    return _scan(queries, candidates, params, dim_range, True, labels)
+    return _scan(*_checked(labelled, candidates, dim_range), params, Method.LB_MV)
 
 
 def _rank(scans: list[_Scan], configs: list, log: list | None = None) -> tuple:
-    """The first of `configs`, (advanced bound or NONE, SearchParams) pairs, whose
+    """The first of `configs`, (method it runs as, SearchParams) pairs, whose
     work summed over the scanned queries (each nn_search's, in query order)
-    is smallest.  Each is appended to `log`, when given, as (bound, params,
+    is smallest.  Each is appended to `log`, when given, as (method, params,
     cost)."""
     costs = []
-    for adv, p in configs:
+    for runs, p in configs:
         cost = 0.0
         for scan in scans:
-            cost += _finish(scan, p, adv).work
+            cost += _finish(scan, p, runs).work
         costs.append(cost)
         if log is not None:
-            log.append((adv, p, cost))
+            log.append((runs, p, cost))
     return configs[costs.index(min(costs))]
 
 
@@ -500,7 +500,7 @@ def tc_dtw_select(
     for which nn_search runs no bound.  Ties go to LB_PC, then LB_TI.  Each
     option is appended to `log` when given, as (option, params, cost).
     """
-    scans = _sample_scans(sample_queries, sample_candidates, params, dim_range)
+    scans = _sample_scans(list(enumerate(sample_queries)), sample_candidates, params, dim_range)
     # LB_PC ranked first and the plain sweep last, so that a tie goes to
     # LB_PC, then LB_TI
     options = (*reversed(DEPLOYED[Method.TC_DTW]), Method.NONE)
@@ -529,8 +529,7 @@ def tune_params(
     if not DEPLOYED[params.method]:
         return params
     drawn, sample_candidates = selection_sample(list(enumerate(queries)), candidates, seed)
-    scans = _sample_scans([q for _, q in drawn], sample_candidates, params, dim_range,
-                          [i for i, _ in drawn])
+    scans = _sample_scans(drawn, sample_candidates, params, dim_range)
     tuned = params
     for adv in DEPLOYED[params.method]:
         fields = TUNED_FIELDS[adv]
@@ -547,9 +546,10 @@ def verify_bounds(queries, candidates, params: SearchParams, dim_range=None) -> 
     x 8 candidates; raise InvalidInputError at the first bound above its
     DTW distance.  `mvdtw-bench --verify` runs it.
 
-    An unbounded _scan of the queries, which checks the inputs first, sweeps
-    every candidate, so its distances are all exact (dtw_rows)."""
-    for qi, scan in enumerate(_scan(queries[:3], candidates[:8], params, dim_range, False)):
+    The queries are checked (_checked) and scanned as NONE, which sweeps
+    every candidate, so the scans' distances are all exact (dtw_rows)."""
+    checked, planes = _checked(enumerate(queries[:3]), candidates[:8], dim_range)
+    for qi, scan in enumerate(_scan(checked, planes, params, Method.NONE)):
         kernels = {"lb_mv": partial(lb_pc_terms, grouping=build_envelope(scan.qa, scan.w))}
         for adv in (Method.LB_TI, Method.LB_PC, Method.LB_AD):
             kernels[adv.value] = _bound(scan.qa, scan.w, scan.ref, params, adv).build()

@@ -215,18 +215,17 @@ def band_cells(n: int, window: int) -> int:
     return sum(min(n - 1, i + w) - max(0, i - w) + 1 for i in range(n))
 
 
-def reference_advanced(params, advanced) -> Method | None:
-    """The bound a method deploys second, read from the method alone: its
-    namesake for lb_ti, lb_pc and lb_ad, the one `advanced` names for
-    tc_dtw (NONE: the plain scan, with no envelope either), none for none
-    and lb_mv."""
+def reference_runs_as(params, advanced) -> Method:
+    """The method a search runs as: its own, or for tc_dtw the pick
+    `advanced` names (lb_ti, lb_pc, or none: the plain scan, with no
+    envelope either)."""
     if params.method == Method.TC_DTW:
         if advanced not in (Method.LB_TI, Method.LB_PC, Method.NONE):
             raise InvalidInputError("tc_dtw needs its advanced bound, lb_ti or lb_pc, or none")
         return advanced
     if advanced is not None:
         raise InvalidInputError(f"advanced applies only to tc_dtw, not {params.method.value}")
-    return params.method if params.method in (Method.LB_TI, Method.LB_PC, Method.LB_AD) else None
+    return params.method
 
 
 def reference_nn_search(query, candidates, params, advanced=None, dim_range=None) -> NnOutcome:
@@ -241,9 +240,8 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     if not cas:
         raise InvalidInputError("candidate list is empty")
     n, dims = qa.shape
-    adv = reference_advanced(params, advanced)
-    bounded = Method.NONE not in (params.method, adv)
-    trigger = params.trigger_pc if adv == Method.LB_PC else params.trigger_ti
+    runs = reference_runs_as(params, advanced)
+    trigger = params.trigger_pc if runs == Method.LB_PC else params.trigger_ti
     w = params.effective_window(n)
 
     out = NnOutcome(best_index=0, best_distance=0.0)
@@ -253,13 +251,13 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     qsteps = None
     boxes = None
     t0 = time.perf_counter()
-    if bounded:
+    if runs != Method.NONE:
         env = build_envelope(qa, w)
         out.work += n * dims
-    if adv == Method.LB_TI:
+    if runs == Method.LB_TI:
         qsteps = neighbor_steps(qa)
         out.work += n * dims
-    elif adv == Method.LB_PC:
+    elif runs == Method.LB_PC:
         boxes = build_box_sets(
             qa, w, params.group_width, params.quant_levels, params.max_boxes,
             params.min_cell_frac, dim_range,
@@ -284,7 +282,7 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
     for k in range(1, len(cas)):
         ca = cas[k]
         planes = ca.T[..., None]
-        if bounded:
+        if runs != Method.NONE:
             t0 = time.perf_counter()
             b1 = sum_with_abandon(lb_pc_terms(planes, env)[:, 0], d_best)
             out.lb_time += time.perf_counter() - t0
@@ -293,12 +291,12 @@ def reference_nn_search(query, candidates, params, advanced=None, dim_range=None
             if b1 >= d_best:
                 out.dtw_skipped += 1
                 continue
-            if adv is not None and b1 > trigger * d_best:
+            if runs in (Method.LB_TI, Method.LB_PC, Method.LB_AD) and b1 > trigger * d_best:
                 t0 = time.perf_counter()
-                if adv == Method.LB_TI:
+                if runs == Method.LB_TI:
                     terms = lb_ti_terms(qa, planes, w, params.refresh_period, qsteps)
                     out.work += work_ti
-                elif adv == Method.LB_PC:
+                elif runs == Method.LB_PC:
                     terms = lb_pc_terms(planes, boxes)
                     out.work += work_pc
                 else:
@@ -330,20 +328,21 @@ def reference_swept(query, candidates, params, advanced=None, dim_range=None) ->
     candidate at a time, in scan order, with every candidate k meeting U_k in
     place of d_best, where U_k is the smallest diagonal-path cost (the
     package's lb_ad_terms at window 0 on one candidate, summed) of
-    candidates 0..k-1.  Candidate 0 is always swept, and `none` (and tc_dtw
-    resolved to it) sweeps every candidate.  Of the advanced bounds only LB_PC and LB_AD run, as the
-    search runs them before its sweep; LB_TI is left to the exact scan."""
+    candidates 0..k-1.  Candidate 0 is always swept, and a search run as
+    `none` sweeps every candidate.  Of the advanced bounds only LB_PC and
+    LB_AD run, as the search runs them before its sweep; LB_TI is left to
+    the exact scan."""
     qa = as_series(query)
     cas = [as_series(c) for c in candidates]
-    adv = reference_advanced(params, advanced)
-    if Method.NONE in (params.method, adv):
+    runs = reference_runs_as(params, advanced)
+    if runs == Method.NONE:
         return len(cas)
     n, _ = qa.shape
-    trigger = params.trigger_pc if adv == Method.LB_PC else params.trigger_ti
+    trigger = params.trigger_pc if runs == Method.LB_PC else params.trigger_ti
     w = params.effective_window(n)
     env = build_envelope(qa, w)
     boxes = None
-    if adv == Method.LB_PC:
+    if runs == Method.LB_PC:
         boxes = build_box_sets(qa, w, params.group_width, params.quant_levels,
                                params.max_boxes, params.min_cell_frac, dim_range)
     swept, upper = 1, math.inf
@@ -354,8 +353,8 @@ def reference_swept(query, candidates, params, advanced=None, dim_range=None) ->
         b1 = sum_with_abandon(lb_pc_terms(planes, env)[:, 0], upper)
         if b1 >= upper:
             continue
-        if adv in (Method.LB_PC, Method.LB_AD) and b1 > trigger * upper:
-            terms = lb_pc_terms(planes, boxes) if adv == Method.LB_PC else lb_ad_terms(qa, planes, w)
+        if runs in (Method.LB_PC, Method.LB_AD) and b1 > trigger * upper:
+            terms = lb_pc_terms(planes, boxes) if runs == Method.LB_PC else lb_ad_terms(qa, planes, w)
             if sum_with_abandon(terms[:, 0], upper) >= upper:
                 continue
         swept += 1

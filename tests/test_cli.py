@@ -270,6 +270,8 @@ def test_parser_options():
         "-h", "--help", "--data", "--format", "--method", "--window", "--dims", "--seed",
         "--reps", "--tune", "--no-tune", "--out", "--emit", "--verify",
     }
+    # BenchConfig owns the defaults
+    assert BenchConfig(**vars(build_parser().parse_args(["--data", "x"]))) == BenchConfig(data=["x"])
 
 
 def test_data_errors(tmp_path, capsys):

@@ -161,6 +161,8 @@ def test_unresolved_tc_dtw_rejected(rng):
                 nn_search(q, cands, SearchParams(window=2, method=method), advanced=advanced)
 
 
+@pytest.mark.parametrize("pick", [Method.LB_TI, Method.LB_PC, Method.NONE],
+                         ids=lambda m: m.value)
 @pytest.mark.parametrize("make, num_series, n, dims, window", [
     (iid_noise_dataset, 30, 20, 3, 4),
     (clustered_dataset, 30, 20, 3, 4),
@@ -168,9 +170,10 @@ def test_unresolved_tc_dtw_rejected(rng):
     (smooth_walk_dataset, 30, 20, 1, 3),   # univariate
     (clustered_dataset, 30, 20, 2, 0),     # window 0
 ])
-def test_tc_dtw_resolved_to_none_is_the_none_search(make, num_series, n, dims, window):
-    # tc_dtw resolved to the plain sweep runs no envelope, bound or
-    # diagonal-path cost, and gives `none`'s outcome, counter for counter
+def test_tc_dtw_resolved_is_its_pick(make, num_series, n, dims, window, pick):
+    # tc_dtw resolved to a pick gives that method's outcome under the same
+    # tuned params, counter for counter; resolved to the plain sweep it runs
+    # no envelope, bound or diagonal-path cost
     import mvdtw.search as search
 
     ds = make(num_series, n, dims, seed=21)
@@ -182,18 +185,19 @@ def test_tc_dtw_resolved_to_none_is_the_none_search(make, num_series, n, dims, w
                         seed=2, dim_range=ds.dim_ranges)
     called = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("build_envelope", "lb_ad_terms", "lb_pc_terms", "lb_ti_terms"):
-            mp.setattr(search, name, lambda *a, name=name, **k: called.append(name))
-        plain = [nn_search(q, cands, tuned, advanced=Method.NONE, dim_range=ds.dim_ranges)
-                 for q in queries]
+        if pick == Method.NONE:
+            for name in ("build_envelope", "lb_ad_terms", "lb_pc_terms", "lb_ti_terms"):
+                mp.setattr(search, name, lambda *a, name=name, **k: called.append(name))
+        picked = [nn_search(q, cands, tuned, advanced=pick, dim_range=ds.dim_ranges)
+                  for q in queries]
     assert called == []
-    for q, got in zip(queries, plain):
-        want = nn_search(q, cands, SearchParams(window=window, method=Method.NONE),
-                         dim_range=ds.dim_ranges)
+    for q, got in zip(queries, picked):
+        want = nn_search(q, cands, replace(tuned, method=pick), dim_range=ds.dim_ranges)
         for name in (*COUNTER_FIELDS, "dtw_swept"):
             assert getattr(got, name) == getattr(want, name), name
         assert got.work.hex() == want.work.hex()
-        assert got.dtw_swept == got.dtw_computed == len(cands)
+        if pick == Method.NONE:
+            assert got.dtw_swept == got.dtw_computed == len(cands)
 
 
 def test_counters_deterministic_and_timers_sane(rng):
@@ -396,7 +400,7 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
         mp.setattr(search, "dtw_rows", counted)
         if budget != "default":
             mp.setattr(search, "BLOCK_FLOATS", budget)
-        scans = search._sample_scans(qs, cands, params, ds.dim_ranges)
+        scans = search._sample_scans(list(enumerate(qs)), cands, params, ds.dim_ranges)
     assert len(scans) == queries
     # The calls' columns: consecutive blocks of `cap`, the last one shorter
     cap = max(len(cands), (search.BLOCK_FLOATS if budget == "default" else budget) // (n * dims))
@@ -410,18 +414,20 @@ def test_sample_scans_equal_a_scan_per_query(make, num_series, queries, n, dims,
     elif queries > 1 and len(cands) > 1:  # some query's columns span two calls
         assert any(a // cap < (b - 1) // cap for a, b in zip([0, *ends[:-1]], ends))
     for q, batched in zip(qs, scans):
-        alone, = search._scan([q], cands, params, ds.dim_ranges, True)
+        alone, = search._scan(*search._checked([(0, q)], cands, ds.dim_ranges), params,
+                              Method.LB_MV)
         for name in ("lb_totals", "distances", "swept", "met"):
             a, b = getattr(batched, name), getattr(alone, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert batched.outcome.lb_time + batched.outcome.dtw_time <= batched.outcome.total_time
-        configs = [(replace(params, method=m), None)
-                   for m in (Method.LB_TI, Method.LB_PC, Method.LB_AD)]
+        # finished as every method a search runs as, each under its own name
+        configs = [(replace(params, method=m), m) for m in
+                   (Method.LB_MV, Method.LB_TI, Method.LB_PC, Method.LB_AD, Method.NONE)]
         configs.append((replace(params, method=Method.TC_DTW, trigger_ti=0.5), Method.LB_TI))
-        for p, adv in configs:
-            a, b = search._finish(batched, p, adv), search._finish(alone, p, adv)
+        for p, runs in configs:
+            a, b = search._finish(batched, p, runs), search._finish(alone, p, runs)
             for name in (*COUNTER_FIELDS, "dtw_swept"):
-                assert getattr(a, name) == getattr(b, name), (p, name)
+                assert getattr(a, name) == getattr(b, name), (p, runs, name)
             assert a.work.hex() == b.work.hex()
             assert a.lb_time + a.dtw_time <= a.total_time
 
@@ -435,10 +441,10 @@ def test_queries_sweeping_every_candidate_between_them_gather_their_columns():
     cands = [g.normal(size=(10, 2)) for _ in range(2)]
     queries = [cands[0], cands[0].copy()]
     params = SearchParams(window=2, method=Method.LB_MV)
-    scans = search._sample_scans(queries, cands, params, None)
+    scans = search._sample_scans(list(enumerate(queries)), cands, params, None)
     assert [scan.outcome.dtw_swept for scan in scans] == [1, 1]
     for q, scan in zip(queries, scans):
-        got, want = search._finish(scan, params, None), nn_search(q, cands, params)
+        got, want = search._finish(scan, params, Method.LB_MV), nn_search(q, cands, params)
         assert (got.best_index, got.best_distance) == (want.best_index, want.best_distance) == (0, 0.0)
 
 
